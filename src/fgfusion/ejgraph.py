@@ -36,8 +36,6 @@ WEIGHT_MODES = ("literal", "jaccard-scaled")
 GRAPH_MAGIC = b"EJGG"
 GRAPH_VERSION = 1
 
-_BLOCK = 512
-
 
 @dataclass
 class SparseGraph:
@@ -125,6 +123,18 @@ def edge_weight(h_qc: int, q: int, ctx: EdgeContext, mode: str = "jaccard-scaled
     return jaccard_sets(n_k1_of_c, ctx.n_k_of_q) * confirmations / ctx.k1
 
 
+def _isin_rows(sets: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """Whether vals[r, a, b] is a member of sets[r], for every r, a, b.
+
+    Ids lie in [0, n). The rows' sets are scattered into a (rows, n)
+    boolean table, so each probe is one lookup.
+    """
+    rows = np.arange(len(sets))
+    table = np.zeros((len(sets), n), dtype=bool)
+    table[rows[:, None], sets] = True
+    return table[rows[:, None, None], vals]
+
+
 def build_ejg(
     index: KnnIndex,
     k: int,
@@ -146,45 +156,34 @@ def build_ejg(
 
     kmax = max(k, k1, k2)
     ids_max, _ = topk_arrays(index, kmax)
-    nbrs_k = ids_max[:, :k]
+    nbrs_k = np.ascontiguousarray(ids_max[:, :k])
     nbrs_k1 = ids_max[:, :k1]
     nbrs_k2 = ids_max[:, :k2]
 
-    rows = np.arange(n)
-    m1 = np.zeros((n, n), dtype=bool)
-    m1[rows[:, None], nbrs_k1] = True
-    # float32 matmuls keep set-intersection counts exact (all < 2**24)
-    m1f = m1.astype(np.float32)
+    # Blocks of kmax rows keep every membership table at most kmax x n
+    # booleans, smaller than the (n, kmax) neighbor ids themselves.
+    blocks = [slice(start, start + kmax) for start in range(0, n, kmax)]
 
     # confirmations[c] = |{i in N_k1(c) : N_k1(c) ∩ N_k2(i) != ∅}|; the
     # membership condition of the indicator holds for every summand, so
     # only the overlap test remains.
-    confirmations = np.zeros(n, dtype=np.int64)
-    m2f = np.zeros((n, n), dtype=np.float32)
-    m2f[rows[:, None], nbrs_k2] = 1.0
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        overlap = m1f[start:stop] @ m2f.T  # |N_k1(c) ∩ N_k2(i)|
-        confirmations[start:stop] = ((overlap > 0.0) & m1[start:stop]).sum(axis=1)
-    del m2f
+    confirmations = np.empty(n, dtype=np.int64)
+    for rows in blocks:
+        sets = nbrs_k1[rows]
+        confirmations[rows] = _isin_rows(sets, nbrs_k2[sets], n).any(axis=2).sum(axis=1)
 
-    neighbor_ids = [nbrs_k[q].copy() for q in range(n)]
     if mode == "literal":
-        weights = [confirmations[nbrs_k[q]].astype(np.float64) for q in range(n)]
+        weights = confirmations[nbrs_k].astype(np.float64)
     else:
-        weights = []
-        for start in range(0, n, _BLOCK):
-            stop = min(start + _BLOCK, n)
-            mk_block = np.zeros((stop - start, n), dtype=np.float32)
-            mk_block[np.arange(stop - start)[:, None], nbrs_k[start:stop]] = 1.0
-            inter = (m1f @ mk_block.T).astype(np.float64)  # |N_k1(c) ∩ N_k(q)|
-            for q in range(start, stop):
-                cs = nbrs_k[q]
-                ic = inter[cs, q - start]
-                jac = ic / (k1 + k - ic)
-                weights.append(jac * confirmations[cs] / k1)
+        weights = np.empty((n, k), dtype=np.float64)
+        for rows in blocks:
+            cs = nbrs_k[rows]
+            # |N_k1(c) ∩ N_k(q)| for every edge q -> c of the block
+            ic = _isin_rows(cs, nbrs_k1[cs], n).sum(axis=2)
+            jac = ic / (k1 + k - ic)
+            weights[rows] = jac * confirmations[cs] / k1
     return SparseGraph(
-        n=n, neighbor_ids=neighbor_ids, weights=weights, modality_name=modality_name
+        n=n, neighbor_ids=list(nbrs_k), weights=list(weights), modality_name=modality_name
     )
 
 

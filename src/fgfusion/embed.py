@@ -23,6 +23,9 @@ from .fusion import AffinityMatrix, SamplerTable
 from .randomness import rng_stream
 
 DIVERGENCE_LIMIT = 1e3
+# Resample rounds for noise draws that equal the positive context. Only a
+# noise distribution concentrated on that one node needs this many.
+MAX_RESAMPLE_ROUNDS = 1000
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,14 @@ def train(
                 js = samplers.draw_row(i, m, draw_rng)
                 negs = samplers.draw_noise(m * negatives, draw_rng).reshape(m, negatives)
                 clash = negs == js[:, None]
+                rounds = 0
                 while clash.any():
+                    if rounds == MAX_RESAMPLE_ROUNDS:
+                        raise InvalidConfigError(
+                            f"noise draws still equal the positive context after "
+                            f"{rounds} resample rounds; lower noise_power"
+                        )
+                    rounds += 1
                     negs[clash] = samplers.draw_noise(int(clash.sum()), draw_rng)
                     clash = negs == js[:, None]
                 f_i = target[i]

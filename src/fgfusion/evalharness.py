@@ -10,6 +10,7 @@ accuracies with mean and sample standard deviation per row.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -153,7 +154,7 @@ def knn_classify(
     votes = min(votes, train_idx.size)
 
     dists = knn.pairwise_distances(matrix[test_idx], matrix[train_idx], metric)
-    order = np.argsort(dists, axis=1, kind="stable")[:, :votes]
+    order = knn.stable_topk(dists, votes)
     vote_labels = labels.labels[train_idx[order]]
     truth = labels.labels[test_idx]
 
@@ -305,6 +306,8 @@ class PipelineConfig:
         SplitSpec(self.protocol, self.m_or_fraction, self.repeats, self.seed).validate()
         if self.votes < 1:
             raise InvalidConfigError("votes must be >= 1")
+        if not (math.isfinite(self.noise_power) and self.noise_power >= 0):
+            raise InvalidConfigError("noise_power must be finite and >= 0")
         if self.threads < 1:
             raise InvalidConfigError("threads must be >= 1")
 

@@ -9,6 +9,7 @@ negative sampling O(1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -180,6 +181,8 @@ class SamplerTable:
     """
 
     def __init__(self, affinity: AffinityMatrix, noise_power: float = 0.75, seed: int = 0):
+        if not (math.isfinite(noise_power) and noise_power >= 0):
+            raise InvalidConfigError(f"noise_power must be finite and >= 0, got {noise_power!r}")
         self.n = affinity.n
         self.seed = int(seed)
         self.noise_power = float(noise_power)
@@ -191,8 +194,13 @@ class SamplerTable:
         strength = np.zeros(self.n, dtype=np.float64)
         for ids, p in zip(affinity.neighbor_ids, affinity.probs):
             np.add.at(strength, ids, p)
-        noise = strength**self.noise_power
-        self.noise_probs = noise / noise.sum()
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            noise = strength**self.noise_power
+            self.noise_probs = noise / noise.sum()
+        if not np.isfinite(self.noise_probs).all():
+            raise InvalidConfigError(
+                f"noise_power={self.noise_power:g} overflows the noise distribution"
+            )
         self._noise_accept, self._noise_alias = _build_alias(self.noise_probs)
 
     def stream(self, stream_id: int | str = 0) -> np.random.Generator:
@@ -296,13 +304,14 @@ def load_affinity(path: str | Path, fmt: str = "csv") -> AffinityMatrix:
             blob, dtype=[("src", "<u8"), ("dst", "<u8"), ("p", "<f8")], count=n_edges, offset=24
         )
         sigma = np.frombuffer(blob, dtype="<f8", count=n, offset=24 + 24 * n_edges).copy()
-        ids: list[np.ndarray] = []
-        ps: list[np.ndarray] = []
-        srcs = body["src"].astype(np.int64)
-        for i in range(n):
-            mask = srcs == i
-            ids.append(body["dst"][mask].astype(np.int64))
-            ps.append(body["p"][mask].astype(np.float64))
+        for col in ("src", "dst"):
+            if n_edges and body[col].max() >= n:
+                raise ParseError(f"{path}: {col} node id outside [0, {n})", line=0)
+        # stable grouping by src keeps each row's edges in file order
+        order = np.argsort(body["src"], kind="stable")
+        bounds = np.cumsum(np.bincount(body["src"], minlength=n))[:-1]
+        ids = np.split(body["dst"][order].astype(np.int64), bounds)
+        ps = np.split(body["p"][order].astype(np.float64), bounds)
         return _validated_affinity(
             AffinityMatrix(
                 n=n, neighbor_ids=ids, probs=ps,

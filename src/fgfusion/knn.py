@@ -1,9 +1,9 @@
 """Exact brute-force k-nearest-neighbor search.
 
 Queries are answered from full pairwise distances computed in row blocks,
-so results are exact and independent of evaluation order. Ties are broken
-by ascending sample index (stable sort), and a sample is never its own
-neighbor.
+so results are exact and independent of evaluation order. The top k are
+selected, not sorted, but ties are broken by ascending sample index exactly
+as a stable sort would, and a sample is never its own neighbor.
 """
 
 from __future__ import annotations
@@ -50,23 +50,58 @@ class KnnIndex:
             self.unit = self.matrix / norms[:, None]
 
     def _distance_block(self, rows: np.ndarray) -> np.ndarray:
-        """Distances from the given query rows to every sample."""
+        """Distances from the given query rows to every sample.
+
+        Computed in place, so at most two (rows, n) arrays are alive at once;
+        the operations and their order are those of the plain expressions
+        |a|^2 + |b|^2 - 2 a.b and 1 - cos, so results are bit-for-bit the same.
+        """
         if self.metric == "euclidean":
-            sq = (
-                self.sq_norms[rows, None]
-                + self.sq_norms[None, :]
-                - 2.0 * (self.matrix[rows] @ self.matrix.T)
-            )
-            return np.sqrt(np.maximum(sq, 0.0))
-        sims = self.unit[rows] @ self.unit.T
-        return np.maximum(1.0 - sims, 0.0)
+            sq = self.sq_norms[rows, None] + self.sq_norms[None, :]
+            dots = self.matrix[rows] @ self.matrix.T
+            dots *= 2.0
+            sq -= dots
+            del dots
+            np.maximum(sq, 0.0, out=sq)
+            return np.sqrt(sq, out=sq)
+        dists = self.unit[rows] @ self.unit.T
+        np.subtract(1.0, dists, out=dists)
+        return np.maximum(dists, 0.0, out=dists)
 
     def _topk_block(self, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         dists = self._distance_block(rows)
         dists[np.arange(rows.size), rows] = np.inf  # exclude self
-        # stable argsort: equal distances resolve to the lower sample index
-        order = np.argsort(dists, axis=1, kind="stable")[:, :k]
+        order = stable_topk(dists, k)
         return order, np.take_along_axis(dists, order, axis=1)
+
+
+def stable_topk(dists: np.ndarray, k: int) -> np.ndarray:
+    """Column ids of the k smallest entries of each row, ordered by (value, id).
+
+    Returns exactly ``np.argsort(dists, axis=1, kind="stable")[:, :k]``, so
+    equal values resolve to the lower column id, but selects in linear time
+    per row. Only rows whose k-th value ties an entry outside the selected
+    candidates (or that hold a NaN) fall back to the full stable sort.
+    """
+    m = dists.shape[1]
+    if k >= m:
+        return np.argsort(dists, axis=1, kind="stable")[:, :k]
+    if k == 1:
+        first = np.argmin(dists, axis=1)[:, None]
+        # argmin returns the first minimum, as the stable sort does, unless
+        # the row holds a NaN: argmin picks that, the sort puts it last
+        if not np.isnan(np.take_along_axis(dists, first, axis=1)).any():
+            return first
+    part = np.argpartition(dists, k, axis=1)[:, : k + 1]
+    vals = np.take_along_axis(dists, part, axis=1)
+    cand, cand_vals = part[:, :k], vals[:, :k]
+    top = np.take_along_axis(cand, np.lexsort((cand, cand_vals), axis=1), axis=1)
+    # where the (k+1)-th smallest is not above the k-th (a tie, or a NaN),
+    # the partition may have kept a higher id of that value over a lower one
+    tied = np.flatnonzero(~(vals[:, k] > cand_vals.max(axis=1)))
+    if tied.size:
+        top[tied] = np.argsort(dists[tied], axis=1, kind="stable")[:, :k]
+    return top
 
 
 def build_index(features: FeatureMatrix | np.ndarray, metric: str = "euclidean") -> KnnIndex:

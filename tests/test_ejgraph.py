@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fgfusion import (
     EdgeContext,
@@ -13,7 +18,9 @@ from fgfusion import (
     save_graph,
     synth_multimodal,
 )
+from fgfusion import ejgraph
 from fgfusion.errors import BothEmptyError, ContextIncompleteError, InvalidConfigError
+from fgfusion.knn import topk_arrays
 
 from bruteforce import brute_ejg_weights
 
@@ -187,6 +194,70 @@ def test_matches_naive_transcription_on_random_fixtures(mode):
                     assert w == oracle[(q, int(j))]
                 else:
                     assert w == pytest.approx(oracle[(q, int(j))], rel=1e-12, abs=1e-15)
+
+
+# Small exact-arithmetic fixtures: integer points (euclidean) and scaled
+# {-1, 1}^4 points (cosine) make every distance exact in both the library
+# and the oracle, so duplicates and distance ties resolve identically.
+def tie_fixture(metric):
+    if metric == "euclidean":
+        rows = arrays(np.float64, st.tuples(st.integers(4, 14), st.just(3)),
+                      elements=st.integers(-2, 2).map(float))
+    else:
+        rows = st.integers(4, 14).flatmap(lambda n: st.tuples(
+            arrays(np.float64, (n, 4), elements=st.sampled_from([-1.0, 1.0])),
+            arrays(np.float64, (n, 1), elements=st.sampled_from([1.0, 2.0, 4.0])),
+        )).map(lambda pair: pair[0] * pair[1])
+    return rows.flatmap(lambda m: st.tuples(
+        st.just(m), *(st.integers(1, len(m) - 1) for _ in range(3))
+    ))
+
+
+def assert_matches_oracle(matrix, k, k1, k2, metric, mode):
+    graph = build_ejg(build_index(matrix, metric), k, k1, k2, mode=mode)
+    oracle = brute_ejg_weights(matrix, k, k1, k2, metric=metric, mode=mode)
+    for q in range(len(matrix)):
+        assert graph.neighbor_ids[q].size == k
+        for j, w in zip(graph.neighbor_ids[q], graph.weights[q]):
+            assert w == oracle[(q, int(j))]
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+@pytest.mark.parametrize("mode", ["literal", "jaccard-scaled"])
+def test_matches_oracle_with_duplicates_and_distance_ties(metric, mode):
+    @settings(max_examples=60, deadline=None)
+    @given(tie_fixture(metric))
+    def check(case):
+        matrix, k, k1, k2 = case
+        assert_matches_oracle(matrix, k, k1, k2, metric, mode)
+
+    check()
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+@pytest.mark.parametrize("mode", ["literal", "jaccard-scaled"])
+def test_distinct_k_k1_k2_on_a_duplicated_fixture(metric, mode):
+    signs = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [-1, -1, 1, 1], [1, 1, -1, 1]], float)
+    matrix = np.vstack([signs, 2 * signs, signs[:2], 4 * signs[1:]])  # 13 points
+    for k, k1, k2 in [(3, 5, 7), (7, 2, 4), (4, 9, 1), (12, 6, 3)]:
+        assert_matches_oracle(matrix, k, k1, k2, metric, mode)
+
+
+def test_build_allocates_nothing_quadratic(monkeypatch):
+    """Past the knn search, building the graph needs O(n*k) memory: its
+    peak stays below a single n x n boolean matrix."""
+    n, k = 2000, 10
+    index = build_index(np.random.default_rng(3).normal(size=(n, 5)))
+    ids, dists = topk_arrays(index, k)
+    monkeypatch.setattr(ejgraph, "topk_arrays", lambda index, kmax: (ids[:, :kmax], dists))
+    for mode in ("literal", "jaccard-scaled"):
+        tracemalloc.start()
+        try:
+            build_ejg(index, k, mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n, f"{mode}: peak {peak} bytes"
 
 
 def test_weight_ranges():

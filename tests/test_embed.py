@@ -1,9 +1,12 @@
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
 
 from fgfusion import (
+    AffinityMatrix,
     TrainConfig,
     build_samplers,
     init_embeddings,
@@ -186,6 +189,35 @@ def test_divergence_detector_trips_on_huge_learning_rate(two_block_affinity):
     cfg = TrainConfig(d=4, samples_per_node=50, epochs=10, lr_start=200.0, lr_end=0.1, seed=1)
     with pytest.raises(DivergenceError):
         train(two_block_affinity, samplers, cfg)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the test instead of hanging when the body runs too long."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_concentrated_noise_distribution_raises_instead_of_hanging():
+    # a hub with in-strength 4 against 0.25 elsewhere: power 200 puts all
+    # noise mass on the hub, so every draw of it as context clashes forever
+    n = 5
+    ids = [np.array([1, 2, 3, 4])] + [np.array([0]) for _ in range(1, n)]
+    probs = [np.full(4, 0.25)] + [np.ones(1) for _ in range(1, n)]
+    aff = AffinityMatrix(n=n, neighbor_ids=ids, probs=probs, sigma_sq=np.ones(n))
+    samplers = build_samplers(aff, noise_power=200.0, seed=0)
+    assert samplers.noise_probs[0] > 1 - 1e-12
+    with time_limit(20), pytest.raises(InvalidConfigError, match="noise_power"):
+        train(aff, samplers, TrainConfig(d=4, samples_per_node=5, epochs=1, seed=0))
 
 
 def test_parallel_request_warns_and_falls_back(two_block_affinity):

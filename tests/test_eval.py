@@ -12,6 +12,7 @@ from fgfusion import (
     SplitSpec,
     knn_classify,
     make_splits,
+    pairwise_distances,
     run_pipeline,
     save_features,
     save_labels,
@@ -172,6 +173,33 @@ def test_majority_vote_with_tie_falls_back_to_nearest():
     # clear majority (2 of 3) overrides the nearest single neighbor
     labels3 = labels_of(["y", "x", "y", "y", "x"])
     assert knn_classify(data, labels3, np.arange(1, 5), np.array([0]), votes=3) == 1.0
+
+
+def sorted_vote_accuracy(data, labels, train_idx, test_idx, votes):
+    """knn_classify by a full (distance, train position) sort of every row."""
+    dists = pairwise_distances(data[test_idx], data[train_idx])
+    correct = 0
+    for row, q in zip(dists, test_idx):
+        ranked = [labels.labels[train_idx[j]] for _, j in sorted(zip(row, range(len(row))))]
+        counts = {lab: ranked[:votes].count(lab) for lab in ranked[:votes]}
+        winner = next(lab for lab in ranked if counts.get(lab) == max(counts.values()))
+        correct += winner == labels.labels[q]
+    return correct / len(test_idx)
+
+
+@pytest.mark.parametrize("votes", [1, 3])
+def test_duplicate_train_points_resolve_like_a_full_sort(votes):
+    # every train point has exact duplicates with different labels, so the
+    # nearest neighbors tie and the lower train position must win
+    rng = np.random.default_rng(votes)
+    base = np.round(rng.normal(size=(6, 3)), 1)
+    data = np.vstack([base[rng.integers(6, size=60)], np.round(rng.normal(size=(30, 3)), 1)])
+    labels = labels_of(rng.choice(["a", "b", "c"], size=90))
+    for seed in range(5):
+        order = np.random.default_rng(seed).permutation(90)
+        train, test = np.sort(order[:50]), np.sort(order[50:])
+        got = knn_classify(data, labels, train, test, votes=votes)
+        assert got == sorted_vote_accuracy(data, labels, train, test, votes)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +365,14 @@ def test_pipeline_config_validation(tmp_path):
     params = write_fixture(tmp_path)
     params["features"] = params["features"][:1]
     with pytest.raises(InvalidConfigError):
+        PipelineConfig(**params).validate()
+
+
+@pytest.mark.parametrize("power", [float("nan"), -1.0])
+def test_pipeline_config_rejects_bad_noise_power(tmp_path, power):
+    params = write_fixture(tmp_path)
+    params["noise_power"] = power
+    with pytest.raises(InvalidConfigError, match="noise_power"):
         PipelineConfig(**params).validate()
 
 

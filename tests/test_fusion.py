@@ -12,7 +12,12 @@ from fgfusion import (
     normalize_affinity,
     save_affinity,
 )
-from fgfusion.errors import EmptyRowError, InvalidConfigError, NodeCountMismatchError
+from fgfusion.errors import (
+    EmptyRowError,
+    InvalidConfigError,
+    NodeCountMismatchError,
+    ParseError,
+)
 
 # chi-square critical values at alpha = 0.01 by degrees of freedom
 CHI2_CRIT = {1: 6.635, 2: 9.210, 3: 11.345, 4: 13.277, 5: 15.086}
@@ -231,6 +236,20 @@ def test_noise_draw_frequencies():
     assert abs(np.mean(draws == 0) - 0.5) < 0.01
 
 
+@pytest.mark.parametrize("power", [float("nan"), -1.0, float("inf")])
+def test_noise_power_must_be_finite_and_nonnegative(power):
+    aff = make_affinity({0: [(1, 1.0)], 1: [(0, 1.0)]}, 2)
+    with pytest.raises(InvalidConfigError):
+        build_samplers(aff, noise_power=power)
+
+
+def test_noise_power_that_overflows_is_rejected():
+    # in-strength 2 at node 0: 2**2000 overflows to inf, and inf/inf is NaN
+    aff = make_affinity({0: [(1, 0.5), (2, 0.5)], 1: [(0, 1.0)], 2: [(0, 1.0)]}, 3)
+    with pytest.raises(InvalidConfigError, match="overflows"):
+        build_samplers(aff, noise_power=2000.0)
+
+
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
@@ -249,3 +268,31 @@ def test_affinity_roundtrip(tmp_path, fmt):
         np.testing.assert_array_equal(back.probs[i], aff.probs[i])
     if fmt == "binary":
         np.testing.assert_array_equal(back.sigma_sq, aff.sigma_sq)
+
+
+@pytest.mark.parametrize("field", ["src", "dst"])
+def test_binary_affinity_rejects_out_of_range_node_ids(tmp_path, field):
+    g = graph_from_rows(3, {0: [(1, 2.0), (2, 1.0)], 1: [(0, 1.0)], 2: [(1, 4.0)]})
+    path = tmp_path / "a.bin"
+    save_affinity(normalize_affinity(g), path, "binary")
+    blob = bytearray(path.read_bytes())
+    record = 24 + 24 * 3  # the fourth edge, 2 -> 1
+    offset = record if field == "src" else record + 8
+    blob[offset : offset + 8] = np.asarray([3], dtype="<u8").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ParseError, match=field):
+        load_affinity(path, "binary")
+
+
+def test_binary_affinity_rows_keep_file_order(tmp_path):
+    """Edges stored out of row order load into their rows in file order."""
+    body = np.array(
+        [(2, 0, 0.25), (0, 1, 1.0), (2, 1, 0.75), (1, 2, 0.5), (1, 0, 0.5)],
+        dtype=[("src", "<u8"), ("dst", "<u8"), ("p", "<f8")],
+    )
+    header = b"EJGA" + np.asarray([1], "<u4").tobytes() + np.asarray([3, 5], "<u8").tobytes()
+    path = tmp_path / "a.bin"
+    path.write_bytes(header + body.tobytes() + np.ones(3, "<f8").tobytes())
+    aff = load_affinity(path, "binary")
+    assert [ids.tolist() for ids in aff.neighbor_ids] == [[1], [2, 0], [0, 1]]
+    assert [p.tolist() for p in aff.probs] == [[1.0], [0.5, 0.5], [0.25, 0.75]]

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fgfusion import FeatureMatrix, all_knns, build_index, knns, pairwise_distances
+from fgfusion.knn import stable_topk, topk_arrays
 from fgfusion.errors import InvalidMetricError, KOutOfRangeError, ZeroVectorError
 
 from bruteforce import brute_knn
@@ -120,3 +124,53 @@ def test_euclidean_metric_contract():
 def test_pairwise_cosine_zero_vector():
     with pytest.raises(ZeroVectorError):
         pairwise_distances(np.zeros((2, 2)), np.eye(2), "cosine")
+
+
+# ---------------------------------------------------------------------------
+# Selection: stable_topk must equal the full stable sort, ties included
+# ---------------------------------------------------------------------------
+
+def stable_sort_topk(dists, k):
+    return np.argsort(dists, axis=1, kind="stable")[:, :k]
+
+
+# few distinct values, so most rows tie across the k-th slot
+tie_heavy = st.integers(1, 12).flatmap(
+    lambda m: st.tuples(
+        arrays(np.float64, st.tuples(st.integers(1, 6), st.just(m)),
+               elements=st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, np.inf, np.nan])),
+        st.integers(1, m),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy)
+def test_stable_topk_equals_stable_argsort_on_ties(case):
+    dists, k = case
+    np.testing.assert_array_equal(stable_topk(dists, k), stable_sort_topk(dists, k))
+
+
+@pytest.mark.parametrize("decimals", [0, 1, 3])
+def test_stable_topk_on_rounded_random_rows(decimals):
+    rng = np.random.default_rng(decimals)
+    dists = np.round(rng.random((40, 60)) * 4, decimals)
+    for k in (1, 2, 7, 20, 59, 60):
+        np.testing.assert_array_equal(stable_topk(dists, k), stable_sort_topk(dists, k))
+
+
+def test_stable_topk_tie_straddling_the_kth_slot():
+    # the 2nd and 3rd smallest are equal: the lower id must win slot 2
+    dists = np.array([[5.0, 1.0, 3.0, 0.0, 1.0, 9.0, 1.0]])
+    for k in (1, 2, 3, 4, 6, 7):
+        np.testing.assert_array_equal(stable_topk(dists, k), stable_sort_topk(dists, k))
+    assert stable_topk(dists, 3).tolist() == [[3, 1, 4]]
+
+
+def test_knn_ties_with_duplicate_points_follow_lower_index():
+    matrix = np.array([[0.0], [1.0], [-1.0], [1.0], [0.0], [-1.0], [2.0]])
+    ids, dists = topk_arrays(build_index(matrix), 5)
+    for q in range(len(matrix)):
+        expected_ids, expected_d = brute_knn(matrix, q, 5)
+        assert ids[q].tolist() == expected_ids
+        np.testing.assert_array_equal(dists[q], expected_d)
