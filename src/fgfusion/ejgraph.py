@@ -19,6 +19,7 @@ the full KNN support of every row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,6 @@ from .knn import KnnIndex, topk_arrays
 WEIGHT_MODES = ("literal", "jaccard-scaled")
 
 GRAPH_MAGIC = b"EJGG"
-GRAPH_VERSION = 1
 
 
 @dataclass
@@ -49,24 +49,27 @@ class SparseGraph:
     def validate(self) -> None:
         if len(self.neighbor_ids) != self.n or len(self.weights) != self.n:
             raise InvalidConfigError("row count does not match n")
-        for q, (ids, w) in enumerate(zip(self.neighbor_ids, self.weights)):
-            if ids.shape != w.shape:
-                raise InvalidConfigError(f"row {q}: ids and weights differ in length")
-            if ids.size and (ids.min() < 0 or ids.max() >= self.n):
-                raise InvalidConfigError(f"row {q}: neighbor id out of range")
-            if np.any(ids == q):
-                raise InvalidConfigError(f"row {q}: self-loop")
-            if np.unique(ids).size != ids.size:
-                raise InvalidConfigError(f"row {q}: duplicate neighbor ids")
-            if np.any(w < 0):
-                raise InvalidConfigError(f"row {q}: negative weight")
+        src, ids = _edges(self.neighbor_ids, np.int64)
+        w_src, w = _edges(self.weights, np.float64)
+        in_range = (ids >= 0) & (ids < self.n)
+        keys = np.sort((src * self.n + ids)[in_range])
+        bad = _first_bad_row(
+            np.flatnonzero(_row_lengths(self.neighbor_ids) != _row_lengths(self.weights)),
+            src[~in_range],
+            src[ids == src],
+            keys[1:][keys[1:] == keys[:-1]] // self.n,
+            w_src[w < 0],
+            w_src[~np.isfinite(w)],
+        )
+        if bad is not None:
+            q, check = bad
+            problem = ("ids and weights differ in length", "neighbor id out of range", "self-loop",
+                       "duplicate neighbor ids", "negative weight", "non-finite weight")
+            raise InvalidConfigError(f"row {q}: {problem[check]}")
 
     @property
     def edge_count(self) -> int:
-        return int(sum(ids.size for ids in self.neighbor_ids))
-
-    def row(self, q: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.neighbor_ids[q], self.weights[q]
+        return int(_row_lengths(self.neighbor_ids).sum())
 
 
 def jaccard_sets(a, b) -> float:
@@ -188,102 +191,163 @@ def build_ejg(
 
 
 # ---------------------------------------------------------------------------
+# Flat edge arrays and the edge-list codec shared with affinity files
+# ---------------------------------------------------------------------------
+
+
+def _row_lengths(rows) -> np.ndarray:
+    return np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+
+
+def _flat(rows, dtype) -> np.ndarray:
+    """The per-row arrays laid end to end."""
+    return np.concatenate(rows, dtype=dtype) if len(rows) else np.empty(0, dtype)
+
+
+def _split_rows(flat: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """Per-row views of a flat array holding counts[q] entries for row q."""
+    return np.split(flat, np.cumsum(counts)[:-1]) if counts.size else []
+
+
+def _edges(rows, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(row of each entry, entries) of per-row arrays laid end to end."""
+    return np.repeat(np.arange(len(rows)), _row_lengths(rows)), _flat(rows, dtype)
+
+
+def _first_bad_row(*failing_rows) -> tuple[int, int] | None:
+    """(row, check) of the first failure a row-by-row scan would report.
+
+    Each argument lists the rows failing one check, possibly repeated;
+    within a row the checks are tried in argument order.
+    """
+    found = [(int(rows.min()), check) for check, rows in enumerate(failing_rows) if rows.size]
+    return min(found) if found else None
+
+
+EDGE_FORMAT_VERSION = 1
+_EDGE_HEADER = np.dtype([("magic", "S4"), ("version", "<u4"), ("n", "<u8"), ("edges", "<u8")])
+_EDGE_RECORD = np.dtype([("src", "<u8"), ("dst", "<u8"), ("value", "<f8")])
+_CSV_WRITE_EDGES = 1 << 13  # edges formatted per write
+_CSV_READ_BYTES = 1 << 18  # text parsed per chunk, which bounds the parser's memory
+
+
+def _write_edges(path, fmt, n, id_rows, value_rows, magic, node_values=None) -> None:
+    """Write rows as `src,dst,value` lines, or as the binary edge table: the
+    header, one record per edge, then n f64 ``node_values`` if given."""
+    src, dst = _edges(id_rows, np.int64)
+    val = _flat(value_rows, np.float64)
+    if fmt == "csv":
+        with open(path, "w", encoding="utf-8") as fh:
+            for at in range(0, src.size, _CSV_WRITE_EDGES):
+                part = slice(at, at + _CSV_WRITE_EDGES)
+                fh.write("".join(
+                    f"{s},{d},{v!r}\n"
+                    for s, d, v in zip(src[part].tolist(), dst[part].tolist(), val[part].tolist())
+                ))
+    elif fmt == "binary":
+        header = np.array([(magic, EDGE_FORMAT_VERSION, n, src.size)], dtype=_EDGE_HEADER)
+        body = np.empty(src.size, dtype=_EDGE_RECORD)
+        body["src"], body["dst"], body["value"] = src, dst, val
+        trailer = b"" if node_values is None else np.asarray(node_values, dtype="<f8").tobytes()
+        Path(path).write_bytes(header.tobytes() + body.tobytes() + trailer)
+    else:
+        raise InvalidConfigError(f"unknown format {fmt!r}")
+
+
+def _parse_lines(lines, first_line: int, value_name: str):
+    """(src, dst, value) arrays of a block of CSV lines; blank lines are skipped."""
+    records = [rec for rec in map(str.strip, lines) if rec]
+    count = len(records)
+    try:
+        if set(map(str.count, records, repeat(","))) - {2}:
+            raise ValueError("expected three fields per line")
+        fields = ",".join(records).split(",") if count else []
+        src, dst = (np.fromiter(map(int, fields[i::3]), np.int64, count) for i in (0, 1))
+        if count and min(src.min(), dst.min()) < 0:
+            raise ValueError("negative node id")
+        return src, dst, np.fromiter(map(float, fields[2::3]), np.float64, count)
+    except (ValueError, OverflowError):
+        _raise_at_first_bad_line(lines, first_line, value_name)
+        raise
+
+
+def _raise_at_first_bad_line(lines, first_line: int, value_name: str) -> None:
+    for lineno, line in enumerate(lines, first_line):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ParseError(f"line {lineno}: expected src,dst,{value_name}", line=lineno)
+        try:
+            src, dst, _ = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad edge record", line=lineno) from None
+        if not (0 <= src < 2**63 and 0 <= dst < 2**63):
+            raise ParseError(f"line {lineno}: node id negative or too large", line=lineno)
+
+
+def _read_edges(path, fmt, magic, value_name, with_node_values=False):
+    """Read a file written by :func:`_write_edges`.
+
+    Returns (n, id rows, value rows, node values or None); each row keeps
+    its edges in file order. CSV infers n as the largest id + 1.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(path)
+    node_values = None
+    if fmt == "csv":
+        blocks = []
+        with open(path, "r", encoding="utf-8") as fh:
+            line = 0
+            while lines := fh.readlines(_CSV_READ_BYTES):
+                blocks.append(_parse_lines(lines, line, value_name))
+                line += len(lines)
+        columns = [np.concatenate(column) for column in zip(*blocks)]
+        if not columns or not columns[0].size:
+            raise ParseError(f"{path}: no edges", line=0)
+        src, dst, val = columns
+        n = int(max(src.max(), dst.max())) + 1
+    elif fmt == "binary":
+        blob = path.read_bytes()
+        if len(blob) < 24 or blob[:4] != magic:
+            raise ParseError(f"{path}: not a {magic.decode()} file", line=0)
+        _, version, n, n_edges = np.frombuffer(blob, dtype=_EDGE_HEADER, count=1)[0].item()
+        if version != EDGE_FORMAT_VERSION:
+            raise ParseError(f"{path}: unsupported version {version}", line=0)
+        if len(blob) != 24 + 24 * n_edges + (8 * n if with_node_values else 0):
+            raise ParseError(f"{path}: payload length does not match header", line=0)
+        body = np.frombuffer(blob, dtype=_EDGE_RECORD, count=n_edges, offset=24)
+        for col in ("src", "dst"):
+            if n_edges and body[col].max() >= n:
+                raise ParseError(f"{path}: {col} node id outside [0, {n})", line=0)
+        src, dst, val = body["src"].astype(np.int64), body["dst"].astype(np.int64), body["value"]
+        if with_node_values:
+            node_values = np.frombuffer(blob, dtype="<f8", count=n, offset=24 + 24 * n_edges).copy()
+    else:
+        raise InvalidConfigError(f"unknown format {fmt!r}")
+    # a stable sort by src groups the rows and keeps each row in file order
+    order = np.argsort(src, kind="stable")
+    counts = np.bincount(src, minlength=n)
+    return n, _split_rows(dst[order], counts), _split_rows(val[order], counts), node_values
+
+
+# ---------------------------------------------------------------------------
 # Graph persistence: CSV edge list `src,dst,weight` and a binary twin
 # ---------------------------------------------------------------------------
 
 
 def save_graph(graph: SparseGraph, path: str | Path, fmt: str = "csv") -> None:
-    path = Path(path)
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
-            for q in range(graph.n):
-                for j, w in zip(graph.neighbor_ids[q], graph.weights[q]):
-                    fh.write(f"{q},{j},{repr(float(w))}\n")
-    elif fmt == "binary":
-        srcs = np.concatenate(
-            [np.full(ids.size, q, dtype="<u8") for q, ids in enumerate(graph.neighbor_ids)]
-        ) if graph.edge_count else np.empty(0, dtype="<u8")
-        dsts = np.concatenate(graph.neighbor_ids).astype("<u8") if graph.edge_count else np.empty(0, dtype="<u8")
-        ws = np.concatenate(graph.weights).astype("<f8") if graph.edge_count else np.empty(0, dtype="<f8")
-        header = (
-            GRAPH_MAGIC
-            + np.asarray([GRAPH_VERSION], dtype="<u4").tobytes()
-            + np.asarray([graph.n, srcs.size], dtype="<u8").tobytes()
-        )
-        body = np.empty(srcs.size, dtype=[("src", "<u8"), ("dst", "<u8"), ("w", "<f8")])
-        body["src"], body["dst"], body["w"] = srcs, dsts, ws
-        Path(path).write_bytes(header + body.tobytes())
-    else:
-        raise InvalidConfigError(f"unknown format {fmt!r}")
-
-
-def _rows_from_edges(n: int, srcs, dsts, ws, name: str) -> SparseGraph:
-    neighbor_ids: list[list[int]] = [[] for _ in range(n)]
-    weights: list[list[float]] = [[] for _ in range(n)]
-    for s, d, w in zip(srcs, dsts, ws):
-        neighbor_ids[s].append(d)
-        weights[s].append(w)
-    return SparseGraph(
-        n=n,
-        neighbor_ids=[np.asarray(ids, dtype=np.int64) for ids in neighbor_ids],
-        weights=[np.asarray(w, dtype=np.float64) for w in weights],
-        modality_name=name,
-    )
+    _write_edges(path, fmt, graph.n, graph.neighbor_ids, graph.weights, GRAPH_MAGIC)
 
 
 def load_graph(path: str | Path, fmt: str = "csv", modality_name: str = "") -> SparseGraph:
     """Load a graph. CSV infers n as max node id + 1 (EJG rows are never empty)."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
-    if fmt == "csv":
-        srcs: list[int] = []
-        dsts: list[int] = []
-        ws: list[float] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh):
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                parts = stripped.split(",")
-                if len(parts) != 3:
-                    raise ParseError(f"line {lineno}: expected src,dst,weight", line=lineno)
-                try:
-                    src, dst, w = int(parts[0]), int(parts[1]), float(parts[2])
-                except ValueError:
-                    raise ParseError(f"line {lineno}: bad edge record", line=lineno) from None
-                if src < 0 or dst < 0:
-                    raise ParseError(f"line {lineno}: negative node id", line=lineno)
-                srcs.append(src)
-                dsts.append(dst)
-                ws.append(w)
-        if not srcs:
-            raise ParseError(f"{path}: no edges", line=0)
-        n = max(max(srcs), max(dsts)) + 1
-        return _validated(_rows_from_edges(n, srcs, dsts, ws, modality_name), path)
-    if fmt == "binary":
-        blob = path.read_bytes()
-        if len(blob) < 24 or blob[:4] != GRAPH_MAGIC:
-            raise ParseError(f"{path}: not a graph file", line=0)
-        version = int(np.frombuffer(blob, dtype="<u4", count=1, offset=4)[0])
-        if version != GRAPH_VERSION:
-            raise ParseError(f"{path}: unsupported version {version}", line=0)
-        n, n_edges = (int(v) for v in np.frombuffer(blob, dtype="<u8", count=2, offset=8))
-        if len(blob) != 24 + 24 * n_edges:
-            raise ParseError(f"{path}: payload length does not match edge count", line=0)
-        body = np.frombuffer(
-            blob, dtype=[("src", "<u8"), ("dst", "<u8"), ("w", "<f8")], count=n_edges, offset=24
-        )
-        return _validated(
-            _rows_from_edges(
-                n, body["src"].astype(int), body["dst"].astype(int), body["w"], modality_name
-            ),
-            path,
-        )
-    raise InvalidConfigError(f"unknown format {fmt!r}")
+    n, ids, weights, _ = _read_edges(path, fmt, GRAPH_MAGIC, "weight")
+    return _validated(SparseGraph(n, ids, weights, modality_name), path)
 
 
-def _validated(graph: SparseGraph, path) -> SparseGraph:
+def _validated(graph, path):
     try:
         graph.validate()
     except InvalidConfigError as exc:

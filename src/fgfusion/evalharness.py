@@ -13,6 +13,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,14 @@ class PipelineConfig:
     threads: int = 1
 
     def validate(self) -> None:
+        for f in fields(self):  # numeric fields, by their annotations
+            kind = Integral if "int" in f.type else Real if f.type == "float" else None
+            value = getattr(self, f.name)
+            values = value if f.type.startswith("list") else [value]
+            if kind is None or (value is None and f.type.endswith("None")):
+                continue
+            if not isinstance(values, (list, tuple)) or not all(isinstance(v, kind) for v in values):
+                raise InvalidConfigError(f"{f.name} must hold {kind.__name__} values, got {value!r}")
         if len(self.features) < 2:
             raise InvalidConfigError("pipeline needs at least two modalities")
         for spec in self.features:

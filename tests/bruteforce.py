@@ -83,3 +83,65 @@ def loo_nn_accuracy(matrix: np.ndarray, labels, metric: str = "euclidean", subse
         correct += labels[best[1]] == labels[q]
         total += 1
     return correct / total
+
+
+# ---------------------------------------------------------------------------
+# Per-row fusion, normalization and alias construction: the library's
+# row-at-a-time versions from before they worked on flat edge arrays.
+# ---------------------------------------------------------------------------
+
+
+def brute_fuse(graphs, combine: str):
+    """Edge union of aligned graphs: (neighbor ids, weights) rows, ids ascending."""
+    neighbor_ids, weights = [], []
+    for q in range(graphs[0].n):
+        ids = np.concatenate([g.neighbor_ids[q] for g in graphs])
+        ws = np.concatenate([g.weights[q] for g in graphs])
+        if ids.size == 0:
+            neighbor_ids.append(ids.astype(np.int64))
+            weights.append(ws.astype(np.float64))
+            continue
+        uniq, inverse = np.unique(ids, return_inverse=True)
+        if combine == "sum":
+            merged = np.zeros(uniq.size, dtype=np.float64)
+            np.add.at(merged, inverse, ws)
+        else:
+            merged = np.full(uniq.size, -np.inf)
+            np.maximum.at(merged, inverse, ws)
+        neighbor_ids.append(uniq.astype(np.int64))
+        weights.append(merged)
+    return neighbor_ids, weights
+
+
+def brute_normalize(weight_rows, kernel_input: str, floor: float):
+    """Gaussian-kernel rows: (probability rows, per-row bandwidths)."""
+    probs = []
+    sigma_sq = np.empty(len(weight_rows), dtype=np.float64)
+    for i, w in enumerate(weight_rows):
+        x = (w.max() - w) if kernel_input == "dissimilarity" else w.astype(np.float64)
+        var = max(float(np.var(x)), floor)
+        sigma_sq[i] = var
+        e = np.exp(-(x - x.min()) / (2.0 * var))
+        probs.append(e / e.sum())
+    return probs, sigma_sq
+
+
+def brute_alias(probs):
+    """Vose alias tables (accept, alias) for one distribution, on numpy scalars."""
+    p = np.asarray(probs, dtype=np.float64)
+    scaled = p * (p.size / p.sum())
+    accept = np.ones(p.size, dtype=np.float64)
+    alias = np.arange(p.size, dtype=np.int64)
+    small = [i for i, v in enumerate(scaled) if v < 1.0]
+    large = [i for i, v in enumerate(scaled) if v >= 1.0]
+    while small and large:
+        s = small.pop()
+        l = large.pop()
+        accept[s] = scaled[s]
+        alias[s] = l
+        scaled[l] -= 1.0 - scaled[s]
+        if scaled[l] < 1.0:
+            small.append(l)
+        else:
+            large.append(l)
+    return accept, alias

@@ -1,0 +1,174 @@
+"""Edge-list files shared by graphs and affinities: CSV parsing, binary id
+checks and non-finite values."""
+
+import numpy as np
+import pytest
+
+from fgfusion import (
+    AffinityMatrix,
+    load_affinity,
+    load_graph,
+    normalize_affinity,
+    save_affinity,
+    save_graph,
+)
+from fgfusion.errors import ParseError
+
+from test_fusion import graph_from_rows
+
+LOADERS = {"graph": load_graph, "affinity": load_affinity}
+
+# every row sums to 1, so the same text is a valid graph and a valid affinity
+GOOD_LINES = ["0,1,0.25", "0,2,0.75", "1,0,1.0", "2,1,1.0"]
+
+
+def load_text(tmp_path, kind, text, newline="\n"):
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(text.encode("utf-8").replace(b"\n", newline.encode("ascii")))
+    return LOADERS[kind](path, "csv")
+
+
+def rows_of(obj):
+    values = obj.weights if hasattr(obj, "weights") else obj.probs
+    return [list(zip(ids.tolist(), v.tolist())) for ids, v in zip(obj.neighbor_ids, values)]
+
+
+EXPECTED_ROWS = [[(1, 0.25), (2, 0.75)], [(0, 1.0)], [(1, 1.0)]]
+
+
+# ---------------------------------------------------------------------------
+# CSV
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+@pytest.mark.parametrize(
+    "bad_line",
+    ["0,2", "0,2,0.5,1", "0,x,0.5", "0,2,abc", "1.5,2,0.5", "-1,2,0.5", "0,-2,0.5"],
+)
+def test_csv_error_names_the_zero_based_line(tmp_path, kind, bad_line):
+    # a blank line counts toward the line number
+    lines = GOOD_LINES[:2] + [""] + [bad_line] + GOOD_LINES[2:]
+    with pytest.raises(ParseError) as exc:
+        load_text(tmp_path, kind, "\n".join(lines) + "\n")
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_csv_error_line_past_a_large_prefix(tmp_path, kind):
+    """The line number stays exact deep into a file read in pieces."""
+    lines = [f"{q},{q + 1},1.0" for q in range(60_000)] + ["60000,0,1.0"]
+    lines[54_321] = "54321,oops,1.0"
+    with pytest.raises(ParseError) as exc:
+        load_text(tmp_path, kind, "\n".join(lines) + "\n")
+    assert exc.value.line == 54_321
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_csv_skips_blank_and_whitespace_lines(tmp_path, kind):
+    lines = ["", GOOD_LINES[0], "   ", GOOD_LINES[1], "\t", GOOD_LINES[2], "", GOOD_LINES[3], ""]
+    assert rows_of(load_text(tmp_path, kind, "\n".join(lines))) == EXPECTED_ROWS
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_csv_accepts_crlf_line_endings(tmp_path, kind):
+    text = "\n".join(GOOD_LINES) + "\n"
+    assert rows_of(load_text(tmp_path, kind, text, newline="\r\n")) == EXPECTED_ROWS
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_csv_without_final_newline(tmp_path, kind):
+    assert rows_of(load_text(tmp_path, kind, "\n".join(GOOD_LINES))) == EXPECTED_ROWS
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_csv_rows_keep_file_order(tmp_path, kind):
+    lines = ["2,1,1.0", "0,2,0.75", "1,0,1.0", "0,1,0.25"]
+    loaded = load_text(tmp_path, kind, "\n".join(lines))
+    assert rows_of(loaded) == [[(2, 0.75), (1, 0.25)], [(0, 1.0)], [(1, 1.0)]]
+
+
+def test_graph_csv_infers_n_from_the_largest_id(tmp_path):
+    graph = load_text(tmp_path, "graph", "0,4,0.5\n2,0,1.0\n")
+    assert graph.n == 5
+    assert rows_of(graph) == [[(4, 0.5)], [], [(0, 1.0)], [], []]
+
+
+def test_affinity_csv_infers_n_from_the_largest_id(tmp_path):
+    affinity = load_text(tmp_path, "affinity", "0,1,1.0\n3,0,1.0\n1,3,1.0\n2,3,1.0\n")
+    assert affinity.n == 4
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_csv_without_edges_is_rejected(tmp_path, kind):
+    with pytest.raises(ParseError):
+        load_text(tmp_path, kind, "\n  \n")
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_graph_csv_rejects_non_finite_weights(tmp_path, weight):
+    with pytest.raises(ParseError):
+        load_text(tmp_path, "graph", f"0,1,1.0\n1,2,{weight}\n2,0,1.0\n")
+
+
+def test_affinity_csv_rejects_nan_probabilities(tmp_path):
+    with pytest.raises(ParseError):
+        load_text(tmp_path, "affinity", "0,1,nan\n1,0,1.0\n")
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_csv_write_is_one_repr_line_per_edge(tmp_path, kind):
+    g = graph_from_rows(3, {0: [(2, 0.1), (1, 0.9)], 1: [(0, 1.0)], 2: [(1, 1.0)]})
+    path = tmp_path / "out.csv"
+    if kind == "graph":
+        save_graph(g, path, "csv")
+    else:
+        save_affinity(AffinityMatrix(g.n, g.neighbor_ids, g.weights), path, "csv")
+    assert path.read_text() == "0,2,0.1\n0,1,0.9\n1,0,1.0\n2,1,1.0\n"
+
+
+# ---------------------------------------------------------------------------
+# Binary
+# ---------------------------------------------------------------------------
+
+
+def binary_graph(tmp_path, records, n=3):
+    body = np.array(records, dtype=[("src", "<u8"), ("dst", "<u8"), ("w", "<f8")])
+    header = b"EJGG" + np.asarray([1], "<u4").tobytes() + np.asarray([n, len(records)], "<u8").tobytes()
+    path = tmp_path / "g.bin"
+    path.write_bytes(header + body.tobytes())
+    return path
+
+
+@pytest.mark.parametrize(
+    "record",
+    [(3, 0, 1.0), (0, 3, 1.0), (2**64 - 1, 0, 1.0), (0, 2**64 - 1, 1.0)],
+    ids=["src>=n", "dst>=n", "src=2^64-1", "dst=2^64-1"],
+)
+def test_binary_graph_rejects_out_of_range_ids(tmp_path, record):
+    path = binary_graph(tmp_path, [(0, 1, 1.0), (1, 2, 1.0), record, (2, 1, 1.0)])
+    with pytest.raises(ParseError):
+        load_graph(path, "binary")
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf])
+def test_binary_graph_rejects_non_finite_weights(tmp_path, weight):
+    path = binary_graph(tmp_path, [(0, 1, 1.0), (1, 2, weight), (2, 0, 1.0)])
+    with pytest.raises(ParseError):
+        load_graph(path, "binary")
+
+
+def test_binary_graph_rows_keep_file_order(tmp_path):
+    path = binary_graph(tmp_path, [(2, 0, 0.5), (0, 1, 1.0), (2, 1, 0.25), (0, 2, 2.0)])
+    assert rows_of(load_graph(path, "binary")) == [[(1, 1.0), (2, 2.0)], [], [(0, 0.5), (1, 0.25)]]
+
+
+def test_binary_affinity_rejects_nan_probabilities(tmp_path):
+    g = graph_from_rows(3, {0: [(1, 0.5), (2, 0.5)], 1: [(0, 1.0)], 2: [(1, 1.0)]})
+    path = tmp_path / "a.bin"
+    save_affinity(normalize_affinity(g), path, "binary")
+    blob = bytearray(path.read_bytes())
+    blob[24 + 16 : 24 + 24] = np.asarray([np.nan], dtype="<f8").tobytes()  # first edge's p
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ParseError):
+        load_affinity(path, "binary")

@@ -376,6 +376,36 @@ def test_pipeline_config_rejects_bad_noise_power(tmp_path, power):
         PipelineConfig(**params).validate()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("noise_power", "0.75"),
+        ("votes", "3"),
+        ("k", ["6"]),
+        ("d", [8, "8"]),
+        ("k1", "6"),
+        ("epochs", 2.5),
+        ("lr_start", None),
+        ("m_or_fraction", "4"),
+        ("repeats", "3"),
+    ],
+)
+def test_pipeline_config_rejects_wrongly_typed_fields(tmp_path, field, value):
+    params = write_fixture(tmp_path)
+    params[field] = value
+    with pytest.raises(InvalidConfigError, match=field):
+        PipelineConfig(**params).validate()
+
+
+def test_pipeline_config_rejects_a_string_from_json(tmp_path):
+    params = write_fixture(tmp_path)
+    params["noise_power"] = "0.75"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(params))
+    with pytest.raises(InvalidConfigError, match="noise_power"):
+        PipelineConfig.from_json(config_path).validate()
+
+
 def test_pipeline_config_from_json(tmp_path):
     params = write_fixture(tmp_path)
     # make paths relative to exercise resolution against the config location

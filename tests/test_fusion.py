@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgfusion import (
     AffinityMatrix,
@@ -18,6 +20,9 @@ from fgfusion.errors import (
     NodeCountMismatchError,
     ParseError,
 )
+from fgfusion.fusion import SIGMA_FLOOR
+
+from bruteforce import brute_alias, brute_fuse, brute_normalize
 
 # chi-square critical values at alpha = 0.01 by degrees of freedom
 CHI2_CRIT = {1: 6.635, 2: 9.210, 3: 11.345, 4: 13.277, 5: 15.086}
@@ -90,6 +95,78 @@ def test_fusion_order_invariance():
         for q in range(6):
             assert row_dict(forward, q) == row_dict(backward, q)
             assert row_dict(forward, q) == row_dict(nested, q)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ties, zeros and -0.0 next to arbitrary finite weights
+WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0]),
+    st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def random_graph(draw, n, min_support=0):
+    rows = {}
+    for q in range(n):
+        others = [j for j in range(n) if j != q]
+        ids = draw(st.lists(st.sampled_from(others), min_size=min_support, unique=True)
+                   if others else st.just([]))
+        rows[q] = [(j, draw(WEIGHTS)) for j in ids]
+    return graph_from_rows(n, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda n: st.lists(random_graph(n), min_size=2, max_size=3)
+), st.sampled_from(["sum", "max"]))
+def test_fusion_is_bit_equal_to_the_per_row_oracle(graphs, combine):
+    """Empty input rows, two or three graphs, both rules."""
+    fused = fuse_graphs(graphs, combine)
+    ids, weights = brute_fuse(graphs, combine)
+    assert len(fused.neighbor_ids) == len(fused.weights) == graphs[0].n
+    for q in range(graphs[0].n):
+        assert same_bits(fused.neighbor_ids[q], ids[q])
+        assert same_bits(fused.weights[q], weights[q])
+
+
+def test_three_graph_sum_adds_in_graph_order():
+    """(a + b) + c, not a + (b + c): the two differ in the last bit here."""
+    a, b, c = 0.1, 0.2, 0.3
+    assert (a + b) + c != a + (b + c)
+    graphs = [graph_from_rows(2, {0: [(1, w)]}) for w in (a, b, c)]
+    assert fuse_graphs(graphs, "sum").weights[0][0] == (a + b) + c
+
+
+def assert_normalization_matches_oracle(graph, kernel_input):
+    aff = normalize_affinity(graph, kernel_input)
+    probs, sigma_sq = brute_normalize(graph.weights, kernel_input, SIGMA_FLOOR)
+    assert same_bits(aff.sigma_sq, sigma_sq)
+    for q in range(graph.n):
+        assert same_bits(aff.neighbor_ids[q], graph.neighbor_ids[q])
+        assert same_bits(aff.probs[q], probs[q])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 14).flatmap(lambda n: random_graph(n, min_support=1)),
+       st.sampled_from(["dissimilarity", "literal"]))
+def test_normalization_is_bit_equal_to_the_per_row_oracle(graph, kernel_input):
+    """Rows of mixed support size, both kernel inputs."""
+    assert_normalization_matches_oracle(graph, kernel_input)
+
+
+@pytest.mark.parametrize("kernel_input", ["dissimilarity", "literal"])
+def test_normalization_matches_the_oracle_on_long_rows(kernel_input):
+    """Rows past numpy's pairwise-summation block of 128 values."""
+    rng = np.random.default_rng(40)
+    n = 400
+    rows = {q: [(int(j), float(rng.random() * 5)) for j in rng.choice(
+        [x for x in range(n) if x != q], size=int(rng.integers(1, 300)), replace=False)]
+        for q in range(n)}
+    assert_normalization_matches_oracle(graph_from_rows(n, rows), kernel_input)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +311,24 @@ def test_noise_draw_frequencies():
     table = build_samplers(aff, noise_power=1.0, seed=11)
     draws = table.draw_noise(100_000, table.stream(0))
     assert abs(np.mean(draws == 0) - 0.5) < 0.01
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda n: random_graph(n, min_support=1)))
+def test_sampler_tables_are_bit_equal_to_the_oracle(graph):
+    aff = normalize_affinity(graph)
+    table = build_samplers(aff)
+    for q in range(aff.n):
+        accept, alias = brute_alias(aff.probs[q])
+        assert same_bits(table._row_accept[q], accept)
+        assert same_bits(table._row_alias[q], alias)
+    strength = np.zeros(aff.n)
+    for ids, p in zip(aff.neighbor_ids, aff.probs):
+        np.add.at(strength, ids, p)
+    noise = strength**0.75
+    assert same_bits(table.noise_probs, noise / noise.sum())
+    accept, alias = brute_alias(table.noise_probs)
+    assert same_bits(table._noise_accept, accept) and same_bits(table._noise_alias, alias)
 
 
 @pytest.mark.parametrize("power", [float("nan"), -1.0, float("inf")])
