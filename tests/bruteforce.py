@@ -145,3 +145,58 @@ def brute_alias(probs):
         else:
             large.append(l)
     return accept, alias
+
+
+# ---------------------------------------------------------------------------
+# Split protocols: the library's loop from before it grouped the classes once.
+# ---------------------------------------------------------------------------
+
+
+def brute_splits(labels, spec):
+    """Train/test index pairs of ``spec``, one class mask per class and repeat."""
+    from fgfusion.errors import ClassTooSmallError, InvalidSpecError
+    from fgfusion.randomness import rng_stream
+
+    spec.validate()
+    if labels.n_classes < 2:
+        raise InvalidSpecError("evaluation needs at least 2 distinct classes")
+    n = labels.n
+    classes = labels.classes
+    out = []
+    for r in range(spec.repeats):
+        rng = rng_stream(spec.seed, "splits", r)
+        if spec.protocol == "per_class_train_m":
+            m = int(spec.m_or_fraction)
+            train_parts = []
+            for c in classes:
+                idx = np.flatnonzero(labels.labels == c)
+                if m >= idx.size:
+                    raise ClassTooSmallError(
+                        f"class {c!r} has {idx.size} samples, cannot hold out m={m}"
+                    )
+                train_parts.append(rng.choice(idx, size=m, replace=False))
+            train_idx = np.sort(np.concatenate(train_parts))
+        elif spec.protocol == "leave_instance_out":
+            if labels.instance_ids is None:
+                raise InvalidSpecError("leave_instance_out requires instance ids")
+            test_parts = []
+            for c in classes:
+                idx = np.flatnonzero(labels.labels == c)
+                instances = sorted(set(labels.instance_ids[idx].tolist()))
+                if len(instances) < 2:
+                    raise ClassTooSmallError(
+                        f"class {c!r} has {len(instances)} instance(s); need >= 2"
+                    )
+                held_out = instances[int(rng.integers(len(instances)))]
+                test_parts.append(idx[labels.instance_ids[idx] == held_out])
+            test_idx = np.sort(np.concatenate(test_parts))
+            train_idx = np.setdiff1d(np.arange(n), test_idx)
+            out.append((train_idx, test_idx))
+            continue
+        else:
+            n_train = int(round(spec.m_or_fraction * n))
+            n_train = min(max(n_train, 1), n - 1)
+            train_idx = np.sort(rng.choice(n, size=n_train, replace=False))
+        test_idx = np.setdiff1d(np.arange(n), train_idx)
+        out.append((train_idx, test_idx))
+    return out

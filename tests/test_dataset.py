@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,107 @@ def test_csv_ragged_rows_rejected(tmp_path):
     path.write_text("1,2,3\n4,5\n")
     with pytest.raises(DimensionMismatchError):
         load_features(path)
+
+
+def write_csv(tmp_path, text, newline="\n"):
+    path = tmp_path / "f.csv"
+    path.write_bytes(text.encode("utf-8").replace(b"\n", newline.encode("ascii")))
+    return path
+
+
+def test_csv_skips_blank_and_whitespace_lines(tmp_path):
+    path = write_csv(tmp_path, "\n1,2\n\n   \n3,4\n\t\n \t \n5,6\n\n")
+    np.testing.assert_array_equal(load_features(path).data, [[1, 2], [3, 4], [5, 6]])
+
+
+def test_csv_accepts_crlf_line_endings(tmp_path):
+    path = write_csv(tmp_path, "1,2\n3,4\n", newline="\r\n")
+    np.testing.assert_array_equal(load_features(path).data, [[1, 2], [3, 4]])
+
+
+def test_csv_without_final_newline(tmp_path):
+    path = write_csv(tmp_path, "1,2\n3,4")
+    np.testing.assert_array_equal(load_features(path).data, [[1, 2], [3, 4]])
+
+
+def test_csv_header_followed_by_a_blank_line(tmp_path):
+    path = write_csv(tmp_path, "a,b\n\n1,2\n3,4\n")
+    np.testing.assert_array_equal(load_features(path, header=True).data, [[1, 2], [3, 4]])
+
+
+def test_csv_single_column(tmp_path):
+    mat = load_features(write_csv(tmp_path, "1\n2\n3\n"))
+    assert mat.data.shape == (3, 1)
+    np.testing.assert_array_equal(mat.data[:, 0], [1, 2, 3])
+
+
+def test_csv_single_row_embedding(tmp_path):
+    emb = load_embeddings(write_csv(tmp_path, "1.5,2.5,3.5\n"), "csv")
+    assert emb.vectors.shape == (1, 3)
+    np.testing.assert_array_equal(emb.vectors[0], [1.5, 2.5, 3.5])
+
+
+@pytest.mark.parametrize("text, header", [("", False), ("\n \n\t\n", False), ("a,b\n", True)])
+def test_csv_without_data_rows_is_a_parse_error(tmp_path, text, header):
+    with pytest.raises(ParseError) as exc:
+        load_features(write_csv(tmp_path, text), header=header)
+    assert exc.value.line == 0
+
+
+def test_csv_fields_read_as_python_floats(tmp_path):
+    fields = ["+1.5", "1_0.5", " 2.0 ", "1e-5", "-0.0", ".5", "7."]
+    path = write_csv(tmp_path, ",".join(fields) + "\n" + ",".join(["0"] * len(fields)) + "\n")
+    got = load_features(path).data[0]
+    assert got.tobytes() == np.array([float(f) for f in fields]).tobytes()
+
+
+def test_csv_parse_error_line_and_offset_deep_in_a_file(tmp_path):
+    lines = [f"{q}.5,{q + 1}.25,-{q}" for q in range(60_000)]
+    lines[50_001] = "1.0,2.0,x3"
+    with pytest.raises(ParseError) as exc:
+        load_features(write_csv(tmp_path, "\n".join(lines) + "\n"))
+    assert (exc.value.line, exc.value.offset) == (50_001, 2)
+
+
+def test_csv_non_finite_row_counts_data_rows_only(tmp_path):
+    # line 5, but data row 2: blank lines and the header are not rows
+    path = write_csv(tmp_path, "h1,h2\n1,2\n\n3,4\n  \n5,inf\n6,nan\n")
+    with pytest.raises(NonFiniteValueError) as exc:
+        load_features(path, header=True)
+    assert (exc.value.row, exc.value.col) == (2, 1)
+
+
+@pytest.mark.parametrize("after", ["7,8,9", "x,8", "8"], ids=["ragged", "garbage", "short"])
+def test_csv_non_finite_value_wins_over_a_later_bad_row(tmp_path, after):
+    path = write_csv(tmp_path, f"1,2\n3,-inf\nnan,5\n{after}\n")
+    with pytest.raises(NonFiniteValueError) as exc:
+        load_features(path)
+    assert (exc.value.row, exc.value.col) == (1, 1)
+
+
+def test_csv_mixed_comma_and_tab_rows(tmp_path):
+    path = write_csv(tmp_path, "1,2\t3\n4\t5,6\n\t7\t8,9\t\n")
+    np.testing.assert_array_equal(load_features(path).data, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+
+
+@pytest.mark.parametrize("line", ["1\t,2", "1,\t2", "1,,2"])
+def test_csv_empty_field_between_separators(tmp_path, line):
+    with pytest.raises(ParseError) as exc:
+        load_features(write_csv(tmp_path, f"1,2,3\n{line}\n"))
+    assert (exc.value.line, exc.value.offset) == (1, 1)
+
+
+def test_csv_loadtxt_warning_is_not_trusted(tmp_path, monkeypatch):
+    """A warning from numpy's reader means its result is not used."""
+    lenient = np.loadtxt
+
+    def warning_loadtxt(fname, **kwargs):
+        warnings.warn("loadtxt(): stand-in for an old numpy's lenient parse", DeprecationWarning)
+        return lenient(["9,9", "9,9"], **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    path = write_csv(tmp_path, "1,2\n3,4\n")
+    np.testing.assert_array_equal(load_features(path).data, [[1, 2], [3, 4]])
 
 
 def test_missing_file(tmp_path):

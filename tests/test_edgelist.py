@@ -1,6 +1,8 @@
 """Edge-list files shared by graphs and affinities: CSV parsing, binary id
 checks and non-finite values."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,51 @@ def test_csv_rows_keep_file_order(tmp_path, kind):
     lines = ["2,1,1.0", "0,2,0.75", "1,0,1.0", "0,1,0.25"]
     loaded = load_text(tmp_path, kind, "\n".join(lines))
     assert rows_of(loaded) == [[(2, 0.75), (1, 0.25)], [(0, 1.0)], [(1, 1.0)]]
+
+
+def ring_lines(n):
+    return [f"{q},{(q + 1) % n},1.0" for q in range(n)]
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+@pytest.mark.parametrize(
+    "spelling, node", [("+5", 5), (" 5 ", 5), ("5_0", 50), ("\u0665", 5), ("005", 5)]
+)
+def test_csv_ids_read_as_python_ints(tmp_path, kind, spelling, node):
+    lines = ring_lines(51)
+    lines[node] = f"{spelling},{(node + 1) % 51},1.0"
+    lines[node - 1] = f"{node - 1},{spelling},1.0"
+    loaded = load_text(tmp_path, kind, "\n".join(lines) + "\n")
+    assert loaded.n == 51
+    assert rows_of(loaded) == [[((q + 1) % 51, 1.0)] for q in range(51)]
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+@pytest.mark.parametrize("bad_line", ["5.0,1,1.0", "1e3,1,1.0", "1,5.0,1.0", "1,1e3,1.0"])
+def test_csv_ids_that_python_int_rejects(tmp_path, kind, bad_line):
+    lines = ring_lines(8)
+    lines[5] = bad_line
+    with pytest.raises(ParseError) as exc:
+        load_text(tmp_path, kind, "\n".join(lines) + "\n")
+    assert exc.value.line == 5
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_csv_loadtxt_warning_is_not_trusted(tmp_path, kind, monkeypatch):
+    """numpy 1.23-1.26 read the id "5.0" as 5 and only warn; the loaders must
+    then parse the file themselves and reject it."""
+    lenient = np.loadtxt
+
+    def warning_loadtxt(fname, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return lenient(ring_lines(8), **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    lines = ring_lines(8)
+    lines[5] = "5.0,6,1.0"
+    with pytest.raises(ParseError) as exc:
+        load_text(tmp_path, kind, "\n".join(lines) + "\n")
+    assert exc.value.line == 5
 
 
 def test_graph_csv_infers_n_from_the_largest_id(tmp_path):

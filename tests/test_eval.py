@@ -29,6 +29,8 @@ from fgfusion.errors import (
     PipelineStageError,
 )
 
+from bruteforce import brute_splits
+
 
 def labels_of(seq, instances=None):
     return LabelVector(np.array(list(seq), dtype=object),
@@ -83,6 +85,48 @@ def test_leave_instance_out():
         assert len(held) == 2  # one instance per class
         assert held & {"a1", "a2", "a3"} and held & {"b1", "b2"}
         assert not set(labels.instance_ids[train].tolist()) & held
+
+
+def shuffled_labels(seed, n_classes, per_class, instances_per_class):
+    """Unsorted labels with unevenly sized classes and instance ids."""
+    rng = np.random.default_rng(seed)
+    sizes = per_class + rng.integers(0, 4, size=n_classes)
+    labels = np.repeat([f"c{c:02d}" for c in range(n_classes)], sizes)
+    order = rng.permutation(labels.size)
+    instances = [f"{lab}-i{rng.integers(instances_per_class)}" for lab in labels]
+    return labels_of(labels[order], [instances[i] for i in order])
+
+
+@pytest.mark.parametrize(
+    "protocol, m_or_fraction",
+    [("per_class_train_m", 3), ("leave_instance_out", 0), ("random_fraction", 0.4)],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_splits_match_the_per_class_mask_loop(protocol, m_or_fraction, seed):
+    labels = shuffled_labels(seed, n_classes=7, per_class=6, instances_per_class=3)
+    spec = SplitSpec(protocol, m_or_fraction, repeats=6, seed=seed)
+    got = make_splits(labels, spec)
+    want = brute_splits(labels, spec)
+    assert len(got) == len(want)
+    for (train, test), (want_train, want_test) in zip(got, want):
+        np.testing.assert_array_equal(train, want_train)
+        np.testing.assert_array_equal(test, want_test)
+
+
+@pytest.mark.parametrize(
+    "protocol, labels",
+    [
+        ("per_class_train_m", labels_of("bbbbaaacc", list("xyzxyzxyz"))),
+        ("leave_instance_out", labels_of("bbbbaaacc", list("xxyyzzzvv"))),
+    ],
+)
+def test_splits_report_the_same_small_class(protocol, labels):
+    spec = SplitSpec(protocol, 3, repeats=2, seed=0)
+    with pytest.raises(ClassTooSmallError) as got:
+        make_splits(labels, spec)
+    with pytest.raises(ClassTooSmallError) as want:
+        brute_splits(labels, spec)
+    assert str(got.value) == str(want.value)
 
 
 def test_leave_instance_out_requires_ids():
