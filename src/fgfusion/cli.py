@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .dataset import (
+    _check_label_count,
     load_embeddings,
     load_features,
     load_labels,
@@ -231,6 +232,7 @@ def _cmd_eval(args) -> int:
         data = load_embeddings(args.embeddings, args.format)
         source = args.embeddings
     labels = load_labels(args.labels)
+    _check_label_count(labels, data.n)
     if args.protocol == "random_fraction":
         if args.fraction is None:
             raise ConfigError("random_fraction requires --fraction")

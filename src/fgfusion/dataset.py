@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,7 +63,7 @@ class FeatureMatrix:
             raise DimensionMismatchError(
                 f"need n >= 2 and D >= 1, got n={arr.shape[0]}, D={arr.shape[1]}"
             )
-        _check_finite(arr, self.modality_name or "features")
+        _check_finite(arr, f" in {self.modality_name or 'features'}")
 
     @property
     def n(self) -> int:
@@ -86,7 +87,7 @@ class EmbeddingMatrix:
             raise DimensionMismatchError(
                 f"embedding matrix must be 2-D with d >= 1, got shape {arr.shape}"
             )
-        _check_finite(arr, "embeddings")
+        _check_finite(arr, " in embeddings")
 
     @property
     def n(self) -> int:
@@ -130,12 +131,13 @@ class LabelVector:
         return len(set(self.labels.tolist()))
 
 
-def _check_finite(arr: np.ndarray, what: str) -> None:
+def _check_finite(arr: np.ndarray, where: str = "") -> None:
+    """Raise for the first NaN or infinity in row-major order."""
     finite = np.isfinite(arr)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         raise NonFiniteValueError(
-            f"non-finite value in {what} at row {row}, col {col}",
+            f"non-finite value{where} at row {row}, col {col}",
             row=int(row),
             col=int(col),
         )
@@ -146,11 +148,39 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _read_csv_table(source, dtype, ndmin: int, skiprows: int = 0) -> np.ndarray | None:
+    """Comma-separated ``source`` (a path or a list of lines) read by numpy's
+    C reader, whose float parser is the one ``float()`` uses. None where it
+    raises or warns (on empty input, and numpy 1.23-1.26 read the int ``5.0``
+    with only a DeprecationWarning): the caller's per-line parser decides."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(
+                source, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+                encoding="utf-8", ndmin=ndmin, skiprows=skiprows,
+            )
+    except (ValueError, OverflowError, Warning):
+        return None
+
+
 def _parse_numeric_csv(path: Path, skip_header: bool) -> np.ndarray:
-    rows: list[list[float]] = []
-    width = None
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
+    # Tabs become commas, so an empty field beside a tab fails the fast read.
+    data = _read_csv_table(
+        [line.replace("\t", ",") for line in lines], np.float64, ndmin=2, skiprows=int(skip_header)
+    )
+    if data is None:
+        return _parse_csv_lines(lines, skip_header, path)
+    _check_finite(data)  # the only error a successful read leaves
+    return data
+
+
+def _parse_csv_lines(lines: list[str], skip_header: bool, path: Path) -> np.ndarray:
+    """Per-line parser: the CSV format's definition, raising its first error."""
+    rows: list[list[float]] = []
+    width = None
     start = 1 if skip_header else 0
     data_row = 0
     for lineno, line in enumerate(lines[start:], start=start):
@@ -335,7 +365,12 @@ def validate_alignment(
             raise DimensionMismatchError(
                 f"modality {m.modality_name!r} has {m.n} samples, expected {n}"
             )
-    if labels is not None and labels.n != n:
+    if labels is not None:
+        _check_label_count(labels, n)
+
+
+def _check_label_count(labels: LabelVector, n: int) -> None:
+    if labels.n != n:
         raise LengthMismatchError(f"{labels.n} labels for {n} samples")
 
 

@@ -19,11 +19,11 @@ the full KNN support of every row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
+from .dataset import _read_csv_table
 from .errors import (
     BothEmptyError,
     ContextIncompleteError,
@@ -227,8 +227,11 @@ def _first_bad_row(*failing_rows) -> tuple[int, int] | None:
 EDGE_FORMAT_VERSION = 1
 _EDGE_HEADER = np.dtype([("magic", "S4"), ("version", "<u4"), ("n", "<u8"), ("edges", "<u8")])
 _EDGE_RECORD = np.dtype([("src", "<u8"), ("dst", "<u8"), ("value", "<f8")])
+_CSV_EDGE = np.dtype([("src", "<i8"), ("dst", "<i8"), ("value", "<f8")])
 _CSV_WRITE_EDGES = 1 << 13  # edges formatted per write
-_CSV_READ_BYTES = 1 << 18  # text parsed per chunk, which bounds the parser's memory
+# int() and float() keep these separators around an all-ASCII field, while
+# numpy's reader strips them: files holding one are read line by line.
+_UNSTRIPPED_BYTES = b"\x1c\x1d\x1e\x1f"
 
 
 def _write_edges(path, fmt, n, id_rows, value_rows, magic, node_values=None) -> None:
@@ -254,36 +257,40 @@ def _write_edges(path, fmt, n, id_rows, value_rows, magic, node_values=None) -> 
         raise InvalidConfigError(f"unknown format {fmt!r}")
 
 
-def _parse_lines(lines, first_line: int, value_name: str):
-    """(src, dst, value) arrays of a block of CSV lines; blank lines are skipped."""
-    records = [rec for rec in map(str.strip, lines) if rec]
-    count = len(records)
-    try:
-        if set(map(str.count, records, repeat(","))) - {2}:
-            raise ValueError("expected three fields per line")
-        fields = ",".join(records).split(",") if count else []
-        src, dst = (np.fromiter(map(int, fields[i::3]), np.int64, count) for i in (0, 1))
-        if count and min(src.min(), dst.min()) < 0:
-            raise ValueError("negative node id")
-        return src, dst, np.fromiter(map(float, fields[2::3]), np.float64, count)
-    except (ValueError, OverflowError):
-        _raise_at_first_bad_line(lines, first_line, value_name)
-        raise
-
-
-def _raise_at_first_bad_line(lines, first_line: int, value_name: str) -> None:
-    for lineno, line in enumerate(lines, first_line):
+def _parse_edge_lines(lines, value_name: str):
+    """(src, dst, value) arrays of CSV edge lines, parsed one line at a time:
+    the format's definition, raising at its first bad line. Blank lines are
+    skipped; ids are read by ``int()``, values by ``float()``."""
+    src, dst, val = [], [], []
+    for lineno, line in enumerate(lines):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 3:
             raise ParseError(f"line {lineno}: expected src,dst,{value_name}", line=lineno)
         try:
-            src, dst, _ = int(parts[0]), int(parts[1]), float(parts[2])
+            s, d, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise ParseError(f"line {lineno}: bad edge record", line=lineno) from None
-        if not (0 <= src < 2**63 and 0 <= dst < 2**63):
+        if not (0 <= s < 2**63 and 0 <= d < 2**63):
             raise ParseError(f"line {lineno}: node id negative or too large", line=lineno)
+        src.append(s)
+        dst.append(d)
+        val.append(v)
+    return np.array(src, np.int64), np.array(dst, np.int64), np.array(val, np.float64)
+
+
+def _read_csv_edges(path: Path, value_name: str):
+    """(src, dst, value) columns of a CSV edge file."""
+    blob = path.read_bytes()
+    edges = None
+    if not any(byte in blob for byte in _UNSTRIPPED_BYTES):
+        del blob  # the reader opens the file itself
+        edges = _read_csv_table(path, _CSV_EDGE, ndmin=1)
+    if edges is None or min(edges["src"].min(), edges["dst"].min()) < 0:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_edge_lines(fh, value_name)
+    return edges["src"], edges["dst"], edges["value"]
 
 
 def _read_edges(path, fmt, magic, value_name, with_node_values=False):
@@ -297,16 +304,9 @@ def _read_edges(path, fmt, magic, value_name, with_node_values=False):
         raise FileNotFoundError(path)
     node_values = None
     if fmt == "csv":
-        blocks = []
-        with open(path, "r", encoding="utf-8") as fh:
-            line = 0
-            while lines := fh.readlines(_CSV_READ_BYTES):
-                blocks.append(_parse_lines(lines, line, value_name))
-                line += len(lines)
-        columns = [np.concatenate(column) for column in zip(*blocks)]
-        if not columns or not columns[0].size:
+        src, dst, val = _read_csv_edges(path, value_name)
+        if not src.size:
             raise ParseError(f"{path}: no edges", line=0)
-        src, dst, val = columns
         n = int(max(src.max(), dst.max())) + 1
     elif fmt == "binary":
         blob = path.read_bytes()

@@ -23,6 +23,7 @@ from .dataset import (
     EmbeddingMatrix,
     FeatureMatrix,
     LabelVector,
+    _check_label_count,
     load_features,
     load_labels,
     validate_alignment,
@@ -76,34 +77,34 @@ def make_splits(labels: LabelVector, spec: SplitSpec) -> list[tuple[np.ndarray, 
     if labels.n_classes < 2:
         raise InvalidSpecError("evaluation needs at least 2 distinct classes")
     n = labels.n
-    classes = labels.classes
+    # each class's sample indices, ascending, classes in sorted order
+    classes, inverse = np.unique(labels.labels, return_inverse=True)
+    members = ejgraph._split_rows(np.argsort(inverse, kind="stable"), np.bincount(inverse))
+    if spec.protocol == "per_class_train_m":
+        m = int(spec.m_or_fraction)
+        for c, idx in zip(classes, members):
+            if m >= idx.size:
+                raise ClassTooSmallError(f"class {c!r} has {idx.size} samples, cannot hold out m={m}")
+    elif spec.protocol == "leave_instance_out":
+        if labels.instance_ids is None:
+            raise InvalidSpecError("leave_instance_out requires instance ids")
+        class_instances = [labels.instance_ids[idx] for idx in members]
+        instance_names = [sorted(set(inst.tolist())) for inst in class_instances]
+        for c, names in zip(classes, instance_names):
+            if len(names) < 2:
+                raise ClassTooSmallError(f"class {c!r} has {len(names)} instance(s); need >= 2")
     out: list[tuple[np.ndarray, np.ndarray]] = []
     for r in range(spec.repeats):
         rng = rng_stream(spec.seed, "splits", r)
         if spec.protocol == "per_class_train_m":
-            m = int(spec.m_or_fraction)
-            train_parts = []
-            for c in classes:
-                idx = np.flatnonzero(labels.labels == c)
-                if m >= idx.size:
-                    raise ClassTooSmallError(
-                        f"class {c!r} has {idx.size} samples, cannot hold out m={m}"
-                    )
-                train_parts.append(rng.choice(idx, size=m, replace=False))
-            train_idx = np.sort(np.concatenate(train_parts))
+            train_idx = np.sort(np.concatenate(
+                [rng.choice(idx, size=m, replace=False) for idx in members]
+            ))
         elif spec.protocol == "leave_instance_out":
-            if labels.instance_ids is None:
-                raise InvalidSpecError("leave_instance_out requires instance ids")
             test_parts = []
-            for c in classes:
-                idx = np.flatnonzero(labels.labels == c)
-                instances = sorted(set(labels.instance_ids[idx].tolist()))
-                if len(instances) < 2:
-                    raise ClassTooSmallError(
-                        f"class {c!r} has {len(instances)} instance(s); need >= 2"
-                    )
-                held_out = instances[int(rng.integers(len(instances)))]
-                test_parts.append(idx[labels.instance_ids[idx] == held_out])
+            for idx, inst, names in zip(members, class_instances, instance_names):
+                held_out = names[int(rng.integers(len(names)))]
+                test_parts.append(idx[inst == held_out])
             test_idx = np.sort(np.concatenate(test_parts))
             train_idx = np.setdiff1d(np.arange(n), test_idx)
             out.append((train_idx, test_idx))
@@ -144,6 +145,7 @@ def knn_classify(
     appears earliest in the distance-ordered vote list.
     """
     matrix = _as_matrix(data)
+    _check_label_count(labels, len(matrix))
     train_idx = np.asarray(train_idx, dtype=np.int64)
     test_idx = np.asarray(test_idx, dtype=np.int64)
     if train_idx.size == 0:

@@ -55,23 +55,26 @@ def fuse_graphs(graphs: list[SparseGraph], combine: str = "sum") -> SparseGraph:
             raise NodeCountMismatchError(f"graph {g.modality_name!r} has {g.n} nodes, expected {n}")
 
     id_rows = [row for g in graphs for row in g.neighbor_ids]
-    src = np.repeat(np.tile(np.arange(n), len(graphs)), _row_lengths(id_rows))
-    ids = _flat(id_rows, np.int64)
-    ws = _flat([row for g in graphs for row in g.weights], np.float64)
-    # sorted by (row, id); equal edges stay in graph order
-    order = np.lexsort((ids, src))
-    src, ids, ws = src[order], ids[order], ws[order]
-    first = np.flatnonzero((np.diff(src, prepend=-1) != 0) | (np.diff(ids, prepend=-1) != 0))
-    sizes = np.diff(first, append=ids.size)
+    # one key per edge, row * n + id, laid out in graph order; the stable sort
+    # orders the edges by (row, id) and keeps equal edges in graph order
+    key = np.repeat(np.tile(np.arange(n) * n, len(graphs)), _row_lengths(id_rows))
+    key += _flat(id_rows, np.int64)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    ws = _flat([row for g in graphs for row in g.weights], np.float64)[order]
+    del order  # permuted copies are made one at a time, which bounds the peak
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    key = key[first]
+    sizes = np.diff(first, append=ws.size)
     # fold each edge's weights in graph order, as a sequential scan would
     op = np.add if combine == "sum" else np.maximum
-    merged = np.full(first.size, 0.0 if combine == "sum" else -np.inf)
-    for r in range(sizes.max(initial=0)):
+    merged = op(0.0 if combine == "sum" else -np.inf, ws[first])
+    for r in range(1, sizes.max(initial=0)):
         live = sizes > r
         merged[live] = op(merged[live], ws[first[live] + r])
-    counts = np.bincount(src[first], minlength=n)
+    counts = np.bincount(key // n, minlength=n)
     name = "+".join(g.modality_name for g in graphs if g.modality_name)
-    return SparseGraph(n, _split_rows(ids[first], counts), _split_rows(merged, counts), name)
+    return SparseGraph(n, _split_rows(key % n, counts), _split_rows(merged, counts), name)
 
 
 @dataclass

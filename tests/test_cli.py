@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from fgfusion import load_affinity, load_embeddings, load_features, load_graph
+from fgfusion import load_affinity, load_embeddings, load_features, load_graph, save_embeddings
+from fgfusion.dataset import EmbeddingMatrix
 
 
 def run_cli(*args, cwd=None):
@@ -177,3 +178,23 @@ def test_exit_code_4_on_divergence(fixture_dir, tmp_path):
         "--seed", 1, "--out", tmp_path / "emb.bin",
     )
     assert proc.returncode == 4
+
+
+@pytest.mark.parametrize("source", ["--features", "--embeddings"])
+@pytest.mark.parametrize("label_count", [20, 64], ids=["fewer", "more"])
+def test_eval_rejects_a_label_count_that_differs_from_the_rows(
+    fixture_dir, tmp_path, source, label_count
+):
+    data = fixture_dir / "modality_a.csv"
+    if source == "--embeddings":
+        data = tmp_path / "emb.csv"
+        save_embeddings(EmbeddingMatrix(load_features(fixture_dir / "modality_a.csv").data), data)
+    labels = (fixture_dir / "labels.txt").read_text().splitlines() * 2
+    (tmp_path / "labels.txt").write_text("\n".join(labels[:label_count]) + "\n")
+    # with 20 labels the last class holds 4 samples, too few for m = 5: the
+    # count is checked before the splits are drawn
+    proc = run_cli(
+        "eval", source, data, "--labels", tmp_path / "labels.txt", "--m", 5, "--repeats", 2,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert f"{label_count} labels for 32 samples" in proc.stderr

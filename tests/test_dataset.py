@@ -1,7 +1,10 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgfusion import (
     FeatureMatrix,
@@ -14,6 +17,7 @@ from fgfusion import (
     synth_multimodal,
     validate_alignment,
 )
+from fgfusion import dataset
 from fgfusion.dataset import EmbeddingMatrix
 from fgfusion.errors import (
     DimensionMismatchError,
@@ -168,6 +172,59 @@ def test_csv_loadtxt_warning_is_not_trusted(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
     path = write_csv(tmp_path, "1,2\n3,4\n")
     np.testing.assert_array_equal(load_features(path).data, [[1, 2], [3, 4]])
+
+
+# Fields and separators around the edges of what float() and numpy's reader
+# accept; the odd ones are drawn rarely, so that many texts read fast.
+FLOAT_TOKENS = ["1", "-2.5", "+1.5", " 2.0 ", "1e-5", "1e500", "5.", ".5", "-0.0", "nan", "-inf",
+                "Infinity", "\x0b3\x0c", "\x1c4", "\xa06"]
+ODD_FLOAT_TOKENS = ["1_0", "0x10", "", " ", "\u0665", "1\x00", "1 2", "1e", "--1"]
+SEPARATORS = ["\t", " ,", ",\t", "\t,", ",,", ";"]
+EDGES = ["", " ", "\t", "\x0c"]
+
+
+def rarely(draw, common, odd, one_in=8):
+    return draw(st.sampled_from(odd if draw(st.integers(1, one_in)) == 1 else common))
+
+
+@st.composite
+def csv_texts(draw, columns):
+    """Text of rows with one field per entry of ``columns``, a (common, odd)
+    pair of token lists, plus blank lines, rare ragged rows and odd fields."""
+    width = len(columns)
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(1, 6)) == 1:
+            lines.append(draw(st.sampled_from(EDGES)))
+            continue
+        size = width if draw(st.integers(1, 8)) > 1 else draw(st.integers(0, 4))
+        fields = [rarely(draw, *columns[min(i, width - 1)]) for i in range(size)]
+        text = fields[0] if fields else ""
+        for f in fields[1:]:
+            text += rarely(draw, [","], SEPARATORS) + f
+        lines.append(rarely(draw, [""], EDGES, 4) + text + rarely(draw, [""], EDGES, 4))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+def outcome(call):
+    """A call's result bits, or its error with everything the error reports."""
+    try:
+        result = call()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc), vars(exc)
+    return result.shape, result.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda w: csv_texts([(FLOAT_TOKENS, ODD_FLOAT_TOKENS)] * w)),
+       st.booleans())
+def test_fast_csv_read_matches_the_per_line_parser(tmp_path_factory, text, header):
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    got = outcome(lambda: dataset._parse_numeric_csv(path, header))
+    with mock.patch.object(dataset, "_read_csv_table", return_value=None):
+        want = outcome(lambda: dataset._parse_numeric_csv(path, header))
+    assert got == want
 
 
 def test_missing_file(tmp_path):

@@ -2,9 +2,11 @@
 checks and non-finite values."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from fgfusion import (
     AffinityMatrix,
@@ -14,8 +16,10 @@ from fgfusion import (
     save_affinity,
     save_graph,
 )
+from fgfusion import ejgraph
 from fgfusion.errors import ParseError
 
+from test_dataset import FLOAT_TOKENS, ODD_FLOAT_TOKENS, csv_texts, outcome
 from test_fusion import graph_from_rows
 
 LOADERS = {"graph": load_graph, "affinity": load_affinity}
@@ -133,6 +137,26 @@ def test_csv_loadtxt_warning_is_not_trusted(tmp_path, kind, monkeypatch):
     with pytest.raises(ParseError) as exc:
         load_text(tmp_path, kind, "\n".join(lines) + "\n")
     assert exc.value.line == 5
+
+
+ID_TOKENS = ["0", "1", "2", "3", "+1", " 2 ", "00", "\x0c1", "\xa02"]
+ODD_ID_TOKENS = ["-1", "5.0", "1e3", "0_1", "\u0665", str(2**63), "", "x", "1 2", "-0", "\x1f1"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts([(ID_TOKENS, ODD_ID_TOKENS)] * 2 + [(FLOAT_TOKENS, ODD_FLOAT_TOKENS)]))
+def test_fast_edge_read_matches_the_per_line_parser(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("edges") / "e.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+
+    def read():
+        n, ids, values, _ = ejgraph._read_edges(path, "csv", b"EJGG", "weight")
+        return np.array([n, *map(len, ids)] + [v for row in ids + values for v in row.tolist()])
+
+    got = outcome(read)
+    with mock.patch.object(ejgraph, "_read_csv_table", return_value=None):
+        want = outcome(read)
+    assert got == want
 
 
 def test_graph_csv_infers_n_from_the_largest_id(tmp_path):

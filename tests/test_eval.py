@@ -26,6 +26,7 @@ from fgfusion.errors import (
     InsufficientDataError,
     InvalidConfigError,
     InvalidSpecError,
+    LengthMismatchError,
     PipelineStageError,
 )
 
@@ -203,6 +204,13 @@ def test_overlapping_indices_rejected():
     labels = labels_of(["a", "b", "a", "b"])
     with pytest.raises(InvalidSpecError):
         knn_classify(np.eye(4), labels, np.array([0, 1]), np.array([1, 2]))
+
+
+@pytest.mark.parametrize("label_count", [3, 5])
+def test_label_count_must_match_the_rows(label_count):
+    labels = labels_of(("ab" * 4)[:label_count])
+    with pytest.raises(LengthMismatchError):
+        knn_classify(np.eye(4), labels, np.array([0, 1]), np.array([2]))
 
 
 def test_majority_vote_with_tie_falls_back_to_nearest():
