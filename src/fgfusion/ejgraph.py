@@ -280,13 +280,18 @@ def _parse_edge_lines(lines, value_name: str):
     return np.array(src, np.int64), np.array(dst, np.int64), np.array(val, np.float64)
 
 
+def _holds_unstripped_byte(path: Path) -> bool:
+    with open(path, "rb") as fh:
+        # small reads keep this scan from raising the process's memory peak
+        while chunk := fh.read(1 << 16):
+            if any(byte in chunk for byte in _UNSTRIPPED_BYTES):
+                return True
+    return False
+
+
 def _read_csv_edges(path: Path, value_name: str):
     """(src, dst, value) columns of a CSV edge file."""
-    blob = path.read_bytes()
-    edges = None
-    if not any(byte in blob for byte in _UNSTRIPPED_BYTES):
-        del blob  # the reader opens the file itself
-        edges = _read_csv_table(path, _CSV_EDGE, ndmin=1)
+    edges = None if _holds_unstripped_byte(path) else _read_csv_table(path, _CSV_EDGE, ndmin=1)
     if edges is None or min(edges["src"].min(), edges["dst"].min()) < 0:
         with open(path, "r", encoding="utf-8") as fh:
             return _parse_edge_lines(fh, value_name)

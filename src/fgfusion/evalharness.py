@@ -77,9 +77,10 @@ def make_splits(labels: LabelVector, spec: SplitSpec) -> list[tuple[np.ndarray, 
     if labels.n_classes < 2:
         raise InvalidSpecError("evaluation needs at least 2 distinct classes")
     n = labels.n
-    # each class's sample indices, ascending, classes in sorted order
-    classes, inverse = np.unique(labels.labels, return_inverse=True)
-    members = ejgraph._split_rows(np.argsort(inverse, kind="stable"), np.bincount(inverse))
+    if spec.protocol != "random_fraction":
+        # each class's sample indices, ascending, classes in sorted order
+        classes, inverse = np.unique(labels.labels, return_inverse=True)
+        members = ejgraph._split_rows(np.argsort(inverse, kind="stable"), np.bincount(inverse))
     if spec.protocol == "per_class_train_m":
         m = int(spec.m_or_fraction)
         for c, idx in zip(classes, members):
