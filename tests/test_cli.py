@@ -1,10 +1,26 @@
+import argparse
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from fgfusion import load_affinity, load_embeddings, load_features, load_graph, save_embeddings
+from fgfusion import (
+    TrainConfig,
+    TrainReport,
+    build_ejg,
+    build_index,
+    cli,
+    fuse_graphs,
+    load_affinity,
+    load_embeddings,
+    load_features,
+    load_graph,
+    normalize_affinity,
+    save_affinity,
+    save_embeddings,
+)
 from fgfusion.dataset import EmbeddingMatrix
 
 
@@ -133,6 +149,97 @@ def test_pipeline_cli_overrides(fixture_dir, tmp_path):
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["config"]["k"] == [5] and manifest["config"]["seed"] == 9
+
+
+def _flags(command):
+    """Option strings of one subcommand's parser, help excluded."""
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        opt for action in sub.choices[command]._actions
+        if not isinstance(action, argparse._HelpAction) for opt in action.option_strings
+    }
+
+
+# flag -> (command-line values, PipelineConfig field, value in the manifest);
+# every value differs from the config below and from the default
+PIPELINE_OVERRIDES = {
+    "--k": (["5"], "k", [5]),
+    "--d": (["3"], "d", [3]),
+    "--k1": (["3"], "k1", 3),
+    "--k2": (["2"], "k2", 2),
+    "--metric": (["cosine"], "metric", "cosine"),
+    "--seed": (["9"], "seed", 9),
+    "--epochs": (["2"], "epochs", 2),
+    "--samples-per-node": (["7"], "samples_per_node", 7),
+    "--negatives": (["3"], "negatives", 3),
+    "--lr": (["0.03"], "lr_start", 0.03),
+    "--lr-end": (["0.001"], "lr_end", 0.001),
+    "--repeats": (["3"], "repeats", 3),
+    "--votes": (["2"], "votes", 2),
+    "--threads": (["2"], "threads", 2),
+    "--weight-mode": (["literal"], "weight_mode", "literal"),
+    "--combine": (["max"], "combine", "max"),
+    "--kernel": (["literal"], "kernel", "literal"),
+    "--noise-power": (["0.5"], "noise_power", 0.5),
+}
+
+
+def test_every_pipeline_override_flag_lands_in_the_manifest(fixture_dir, tmp_path):
+    assert _flags("pipeline") - {"--config", "--out-dir", "--embeddings-format"} == set(
+        PIPELINE_OVERRIDES
+    )
+    config = {
+        "features": [{"path": "data/modality_a.csv"}, {"path": "data/modality_b.csv"}],
+        "labels": "data/labels.txt",
+        "k": [4],
+        "d": [4],
+        "samples_per_node": 10,
+        "epochs": 1,
+        "m_or_fraction": 3,
+        "repeats": 2,
+        "seed": 5,
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    argv = ["pipeline", "--config", str(tmp_path / "config.json"), "--out-dir", str(tmp_path / "out")]
+    for flag, (values, _, _) in PIPELINE_OVERRIDES.items():
+        argv += [flag, *values]
+    assert cli.main(argv) == 0
+    resolved = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+    for flag, (_, key, expected) in PIPELINE_OVERRIDES.items():
+        assert resolved[key] == expected, flag
+
+
+def test_every_embed_flag_reaches_train(fixture_dir, tmp_path, monkeypatch):
+    graphs = [
+        build_ejg(build_index(load_features(fixture_dir / f"modality_{name}.csv")), 4)
+        for name in ("a", "b")
+    ]
+    save_affinity(normalize_affinity(fuse_graphs(graphs)), tmp_path / "aff.bin", "binary")
+    calls = []
+
+    def fake_train(affinity, samplers, cfg, **kwargs):
+        calls.append((samplers, cfg, kwargs))
+        return EmbeddingMatrix(np.zeros((affinity.n, cfg.d))), TrainReport()
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    training = {
+        "--dim": "6", "--samples-per-node": "7", "--negatives": "3", "--epochs": "2",
+        "--lr": "0.03", "--lr-end": "0.001", "--init-scale": "0.5", "--seed": "11",
+        "--noise-power": "0.5", "--threads": "2",
+    }
+    io_flags = {"--affinity", "--affinity-format", "--out", "--format", "--report"}
+    assert _flags("embed") - io_flags == set(training)
+    argv = ["embed", "--affinity", str(tmp_path / "aff.bin"), "--out", str(tmp_path / "emb.bin")]
+    for flag, value in training.items():
+        argv += [flag, value]
+    assert cli.main(argv) == 0
+    (samplers, cfg, kwargs), = calls
+    assert cfg == TrainConfig(
+        d=6, samples_per_node=7, negatives=3, epochs=2, lr_start=0.03, lr_end=0.001,
+        init_scale=0.5, seed=11,
+    )
+    assert samplers.noise_power == 0.5 and samplers.seed == 11
+    assert kwargs == {"threads": 2}
 
 
 def test_exit_code_2_on_bad_flag(tmp_path):
