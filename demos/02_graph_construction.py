@@ -7,7 +7,8 @@ bridging point sitting between the clusters earns weaker edges.
 
 import numpy as np
 
-from fgfusion import build_ejg, build_index, jaccard_sets, knns
+from fgfusion import build_ejg, build_index
+from fgfusion.knn import topk_arrays
 
 points = np.array([
     [0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0],   # cluster 1
@@ -16,15 +17,15 @@ points = np.array([
 ])
 index = build_index(points, "euclidean")
 
+ids, dists = topk_arrays(index, 3)
 print("3 nearest neighbors of every point:")
 for q in range(len(points)):
-    nl = knns(index, q, 3)
-    print(f"  {q}: {list(nl.neighbor_ids)}  distances {np.round(nl.distances, 2)}")
+    print(f"  {q}: {ids[q].tolist()}  distances {np.round(dists[q], 2)}")
 
 print("\nJaccard similarity of the neighbor sets of points 0 and 1:")
-set0 = set(knns(index, 0, 3).neighbor_ids.tolist())
-set1 = set(knns(index, 1, 3).neighbor_ids.tolist())
-print(f"  N(0)={sorted(set0)}  N(1)={sorted(set1)}  J={jaccard_sets(set0, set1):.3f}")
+set0, set1 = set(ids[0].tolist()), set(ids[1].tolist())
+jaccard = len(set0 & set1) / len(set0 | set1)
+print(f"  N(0)={sorted(set0)}  N(1)={sorted(set1)}  J={jaccard:.3f}")
 
 for mode in ("literal", "jaccard-scaled"):
     graph = build_ejg(index, k=3, mode=mode)

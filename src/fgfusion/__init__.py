@@ -21,16 +21,7 @@ from .dataset import (
     synth_multimodal,
     validate_alignment,
 )
-from .ejgraph import (
-    EdgeContext,
-    SparseGraph,
-    build_ejg,
-    edge_weight,
-    jaccard_sets,
-    load_graph,
-    outlier_indicator,
-    save_graph,
-)
+from .ejgraph import SparseGraph, build_ejg, load_graph, save_graph
 from .embed import TrainConfig, TrainReport, init_embeddings, sgd_step, surrogate_loss, train
 from .evalharness import (
     PipelineConfig,
@@ -53,16 +44,14 @@ from .fusion import (
     normalize_affinity,
     save_affinity,
 )
-from .knn import KnnIndex, NeighborList, all_knns, build_index, knns, pairwise_distances
+from .knn import KnnIndex, build_index, pairwise_distances
 
 __all__ = [
     "AffinityMatrix",
-    "EdgeContext",
     "EmbeddingMatrix",
     "FeatureMatrix",
     "KnnIndex",
     "LabelVector",
-    "NeighborList",
     "PipelineConfig",
     "PipelineResult",
     "ResultRow",
@@ -72,16 +61,12 @@ __all__ = [
     "SplitSpec",
     "TrainConfig",
     "TrainReport",
-    "all_knns",
     "build_ejg",
     "build_index",
     "build_samplers",
-    "edge_weight",
     "fuse_graphs",
     "init_embeddings",
-    "jaccard_sets",
     "knn_classify",
-    "knns",
     "load_affinity",
     "load_embeddings",
     "load_features",
@@ -89,7 +74,6 @@ __all__ = [
     "load_labels",
     "make_splits",
     "normalize_affinity",
-    "outlier_indicator",
     "pairwise_distances",
     "run_pipeline",
     "save_affinity",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -92,16 +93,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="train fused embeddings from an affinity matrix")
     p.add_argument("--affinity", type=Path, required=True)
     p.add_argument("--affinity-format", choices=("csv", "binary"), default="binary")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", dest="d", metavar="DIM", type=int, required=True)
     p.add_argument("--samples-per-node", type=int, default=100)
     p.add_argument("--negatives", type=int, default=5)
     p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--lr", type=float, default=0.025, help="starting learning rate")
+    p.add_argument(
+        "--lr", dest="lr_start", metavar="LR", type=float, default=0.025,
+        help="starting learning rate",
+    )
     p.add_argument("--lr-end", type=float, default=1e-4)
     p.add_argument("--init-scale", type=float, default=1.0)
     p.add_argument("--noise-power", type=float, default=0.75)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--format", choices=("csv", "binary"), default="binary")
     p.add_argument("--report", type=Path, default=None, help="write a JSON training report")
@@ -138,11 +141,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--samples-per-node", type=int, default=None)
     p.add_argument("--negatives", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None, help="override the starting learning rate")
+    p.add_argument(
+        "--lr", dest="lr_start", metavar="LR", type=float, default=None,
+        help="override the starting learning rate",
+    )
     p.add_argument("--lr-end", type=float, default=None)
     p.add_argument("--repeats", type=int, default=None)
     p.add_argument("--votes", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--weight-mode", choices=("literal", "jaccard-scaled"), default=None)
     p.add_argument("--combine", choices=("sum", "max"), default=None)
     p.add_argument("--kernel", choices=("dissimilarity", "literal"), default=None)
@@ -196,17 +201,8 @@ def _cmd_fuse(args) -> int:
 def _cmd_embed(args) -> int:
     affinity = load_affinity(args.affinity, args.affinity_format)
     samplers = build_samplers(affinity, noise_power=args.noise_power, seed=args.seed)
-    cfg = TrainConfig(
-        d=args.dim,
-        samples_per_node=args.samples_per_node,
-        negatives=args.negatives,
-        epochs=args.epochs,
-        lr_start=args.lr,
-        lr_end=args.lr_end,
-        init_scale=args.init_scale,
-        seed=args.seed,
-    )
-    embeddings, report = train(affinity, samplers, cfg, threads=args.threads)
+    cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
+    embeddings, report = train(affinity, samplers, cfg)
     save_embeddings(embeddings, args.out, args.format)
     if args.report is not None:
         args.report.write_text(
@@ -256,29 +252,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     config = PipelineConfig.from_json(args.config)
-    overrides = {
-        "k": args.k,
-        "d": args.d,
-        "k1": args.k1,
-        "k2": args.k2,
-        "metric": args.metric,
-        "seed": args.seed,
-        "epochs": args.epochs,
-        "samples_per_node": args.samples_per_node,
-        "negatives": args.negatives,
-        "lr_start": args.lr,
-        "lr_end": args.lr_end,
-        "repeats": args.repeats,
-        "votes": args.votes,
-        "threads": args.threads,
-        "weight_mode": args.weight_mode,
-        "combine": args.combine,
-        "kernel": args.kernel,
-        "noise_power": args.noise_power,
-    }
-    for key, value in overrides.items():
+    # the override flags' dests are the fields they set; None means not given
+    for f in fields(PipelineConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(config, key, value)
+            setattr(config, f.name, value)
 
     result = run_pipeline(config)
     args.out_dir.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,7 @@ Labels: one record per line, ``label[,instance_id]``. Instance ids are
 all-or-none across the file.
 
 All containers are immutable after construction (arrays are materialized
-copies); they can be shared freely across threads.
+copies); concurrent readers can share them freely.
 """
 
 from __future__ import annotations

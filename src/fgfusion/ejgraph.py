@@ -18,18 +18,13 @@ the full KNN support of every row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import _read_csv_table
-from .errors import (
-    BothEmptyError,
-    ContextIncompleteError,
-    InvalidConfigError,
-    ParseError,
-)
+from .errors import InvalidConfigError, ParseError
 from .knn import KnnIndex, topk_arrays
 
 WEIGHT_MODES = ("literal", "jaccard-scaled")
@@ -70,60 +65,6 @@ class SparseGraph:
     @property
     def edge_count(self) -> int:
         return int(_row_lengths(self.neighbor_ids).sum())
-
-
-def jaccard_sets(a, b) -> float:
-    """|A ∩ B| / |A ∪ B| for finite id sets."""
-    a = set(a)
-    b = set(b)
-    if not a and not b:
-        raise BothEmptyError("Jaccard of two empty sets is undefined")
-    return len(a & b) / len(a | b)
-
-
-def outlier_indicator(h_qc: int, h_qc_i: int, n_k1_of_qc, n_k2_of_qc_i) -> int:
-    """1 iff the second-level neighbor corroborates the first-level one.
-
-    Both conditions must hold: the neighborhoods overlap (positive Jaccard)
-    and h_qc_i actually lies in N_k1(h_qc).
-    """
-    if h_qc_i == h_qc:
-        raise InvalidConfigError("second-level neighbor equals the first-level one")
-    n_k1_of_qc = set(n_k1_of_qc)
-    if h_qc_i not in n_k1_of_qc:
-        return 0
-    return 1 if jaccard_sets(n_k1_of_qc, n_k2_of_qc_i) > 0.0 else 0
-
-
-@dataclass
-class EdgeContext:
-    """Neighbor structures needed to weight the edges of one query.
-
-    ``n_k_of_q`` is N_k of the query, ``n_k1``/``n_k2`` map sample ids to
-    their first-/second-level neighbor sets.
-    """
-
-    k1: int
-    n_k_of_q: frozenset
-    n_k1: dict = field(default_factory=dict)
-    n_k2: dict = field(default_factory=dict)
-
-
-def edge_weight(h_qc: int, q: int, ctx: EdgeContext, mode: str = "jaccard-scaled") -> float:
-    """Weight of the edge q -> h_qc under the given mode."""
-    if mode not in WEIGHT_MODES:
-        raise InvalidConfigError(f"unknown weight mode {mode!r}")
-    if h_qc not in ctx.n_k1:
-        raise ContextIncompleteError(f"missing N_k1 of sample {h_qc}")
-    n_k1_of_c = ctx.n_k1[h_qc]
-    confirmations = 0
-    for i in n_k1_of_c:
-        if i not in ctx.n_k2:
-            raise ContextIncompleteError(f"missing N_k2 of sample {i}")
-        confirmations += outlier_indicator(h_qc, i, n_k1_of_c, ctx.n_k2[i])
-    if mode == "literal":
-        return float(confirmations)
-    return jaccard_sets(n_k1_of_c, ctx.n_k_of_q) * confirmations / ctx.k1
 
 
 def _isin_rows(sets: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:

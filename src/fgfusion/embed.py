@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +116,6 @@ def train(
     affinity: AffinityMatrix,
     samplers: SamplerTable,
     cfg: TrainConfig,
-    threads: int = 1,
 ) -> tuple[EmbeddingMatrix, TrainReport]:
     """Learn fused features from the affinity's context distributions.
 
@@ -125,17 +123,9 @@ def train(
     apply one positive step per draw plus ``negatives`` noise steps (noise
     draws equal to the positive context are resampled). The learning rate
     decays linearly from lr_start to lr_end over all positive draws.
-    Single-threaded runs are bitwise deterministic in cfg.seed.
+    Runs are bitwise deterministic in cfg.seed.
     """
     cfg.validate()
-    if threads < 1:
-        raise InvalidConfigError("threads must be >= 1")
-    if threads > 1:
-        warnings.warn(
-            "parallel training is not implemented; running single-threaded",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     n = affinity.n
     if samplers.n != n:
         raise InvalidConfigError(f"sampler covers {samplers.n} nodes, affinity {n}")

@@ -72,14 +72,6 @@ class ZeroVectorError(DataError):
     """Zero-norm sample under a metric that cannot handle it."""
 
 
-class BothEmptyError(DataError):
-    """Jaccard similarity of two empty sets is undefined."""
-
-
-class ContextIncompleteError(DataError):
-    """A neighbor structure required by an edge-weight evaluation is missing."""
-
-
 class NodeCountMismatchError(DataError):
     pass
 

@@ -270,7 +270,8 @@ def sweep_report(table: ResultTable, axis: str) -> str:
 
 @dataclass
 class PipelineConfig:
-    """Everything a pipeline run needs; JSON keys mirror the CLI flags."""
+    """Everything a pipeline run needs; the JSON config's keys are the field names,
+    and each ``pipeline`` override flag sets the field its dest names."""
 
     features: list[dict]  # [{"path": ..., "format": "csv"|"binary", "name": ...}]
     labels: str
@@ -295,7 +296,6 @@ class PipelineConfig:
     repeats: int = 10
     votes: int = 1
     seed: int = 0
-    threads: int = 1
 
     def validate(self) -> None:
         for f in fields(self):  # numeric fields, by their annotations
@@ -320,8 +320,6 @@ class PipelineConfig:
             raise InvalidConfigError("votes must be >= 1")
         if not (math.isfinite(self.noise_power) and self.noise_power >= 0):
             raise InvalidConfigError("noise_power must be finite and >= 0")
-        if self.threads < 1:
-            raise InvalidConfigError("threads must be >= 1")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
@@ -424,6 +422,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     embeddings: dict[tuple[int, int], EmbeddingMatrix] = {}
     reports: dict[tuple[int, int], TrainReport] = {}
     timings: dict[str, float] = {}
+    # each (k, d) cell sets its own d and seed
+    shared = {
+        f.name: getattr(config, f.name) for f in fields(TrainConfig) if f.name not in ("d", "seed")
+    }
     for k_val in (int(v) for v in config.k):
         with _Stage(f"graphs[k={k_val}]"):
             started = time.perf_counter()
@@ -449,16 +451,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         for d_val in (int(v) for v in config.d):
             with _Stage(f"embed[k={k_val},d={d_val}]"):
                 cfg = TrainConfig(
-                    d=d_val,
-                    samples_per_node=config.samples_per_node,
-                    negatives=config.negatives,
-                    epochs=config.epochs,
-                    lr_start=config.lr_start,
-                    lr_end=config.lr_end,
-                    init_scale=config.init_scale,
-                    seed=derive_seed(config.seed, "train", k_val, d_val),
+                    **shared, d=d_val, seed=derive_seed(config.seed, "train", k_val, d_val)
                 )
-                emb, report = train(affinity, samplers, cfg, threads=config.threads)
+                emb, report = train(affinity, samplers, cfg)
                 embeddings[(k_val, d_val)] = emb
                 reports[(k_val, d_val)] = report
             with _Stage(f"classify[k={k_val},d={d_val}]"):

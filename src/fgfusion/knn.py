@@ -8,8 +8,6 @@ as a stable sort would, and a sample is never its own neighbor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import FeatureMatrix
@@ -18,13 +16,6 @@ from .errors import InvalidMetricError, KOutOfRangeError, ZeroVectorError
 METRICS = ("euclidean", "cosine")
 
 _BLOCK = 1024
-
-
-@dataclass(frozen=True)
-class NeighborList:
-    query_id: int
-    neighbor_ids: np.ndarray  # int64, nearest first
-    distances: np.ndarray  # float64, non-decreasing
 
 
 class KnnIndex:
@@ -50,23 +41,10 @@ class KnnIndex:
             self.unit = self.matrix / norms[:, None]
 
     def _distance_block(self, rows: np.ndarray) -> np.ndarray:
-        """Distances from the given query rows to every sample.
-
-        Computed in place, so at most two (rows, n) arrays are alive at once;
-        the operations and their order are those of the plain expressions
-        |a|^2 + |b|^2 - 2 a.b and 1 - cos, so results are bit-for-bit the same.
-        """
+        """Distances from the given query rows to every sample."""
         if self.metric == "euclidean":
-            sq = self.sq_norms[rows, None] + self.sq_norms[None, :]
-            dots = self.matrix[rows] @ self.matrix.T
-            dots *= 2.0
-            sq -= dots
-            del dots
-            np.maximum(sq, 0.0, out=sq)
-            return np.sqrt(sq, out=sq)
-        dists = self.unit[rows] @ self.unit.T
-        np.subtract(1.0, dists, out=dists)
-        return np.maximum(dists, 0.0, out=dists)
+            return _distances(self.matrix[rows], self.matrix, self.sq_norms[rows], self.sq_norms)
+        return _distances(self.unit[rows], self.unit)
 
     def _topk_block(self, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         dists = self._distance_block(rows)
@@ -114,26 +92,11 @@ def _check_k(index: KnnIndex, k: int) -> None:
         raise KOutOfRangeError(f"k={k} outside [1, {index.n - 1}] for n={index.n}")
 
 
-def knns(index: KnnIndex, q: int, k: int) -> NeighborList:
-    """The k samples nearest to q, excluding q itself."""
-    _check_k(index, k)
-    if not 0 <= q < index.n:
-        raise KOutOfRangeError(f"query index {q} outside [0, {index.n})")
-    ids, dists = index._topk_block(np.array([q]), k)
-    return NeighborList(query_id=q, neighbor_ids=ids[0], distances=dists[0])
-
-
-def all_knns(index: KnnIndex, k: int) -> list[NeighborList]:
-    """knns() for every sample, computed in blocks."""
-    ids, dists = topk_arrays(index, k)
-    return [
-        NeighborList(query_id=q, neighbor_ids=ids[q], distances=dists[q])
-        for q in range(index.n)
-    ]
-
-
 def topk_arrays(index: KnnIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, k) neighbor-id and distance arrays; batch form of knns()."""
+    """(n, k) neighbor ids and distances of every sample, nearest first.
+
+    Row q holds the k samples nearest to q, excluding q itself.
+    """
     _check_k(index, k)
     ids = np.empty((index.n, k), dtype=np.int64)
     dists = np.empty((index.n, k), dtype=np.float64)
@@ -141,6 +104,27 @@ def topk_arrays(index: KnnIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
         rows = np.arange(start, min(start + _BLOCK, index.n))
         ids[rows], dists[rows] = index._topk_block(rows, k)
     return ids, dists
+
+
+def _distances(queries, gallery, q_sq=None, g_sq=None) -> np.ndarray:
+    """Distances between query and gallery rows: euclidean from the rows and
+    their squared norms q_sq and g_sq, else cosine from unit-length rows.
+
+    Computed in place, so at most two (queries, gallery) arrays are alive at
+    once; the operations and their order are those of the plain expressions
+    |a|^2 + |b|^2 - 2 a.b and 1 - cos, so results are bit-for-bit the same.
+    """
+    if q_sq is not None:
+        sq = q_sq[:, None] + g_sq[None, :]
+        dots = queries @ gallery.T
+        dots *= 2.0
+        sq -= dots
+        del dots
+        np.maximum(sq, 0.0, out=sq)
+        return np.sqrt(sq, out=sq)
+    dists = queries @ gallery.T
+    np.subtract(1.0, dists, out=dists)
+    return np.maximum(dists, 0.0, out=dists)
 
 
 def pairwise_distances(
@@ -157,12 +141,9 @@ def pairwise_distances(
     queries = np.asarray(queries, dtype=np.float64)
     gallery = queries if same else np.asarray(gallery, dtype=np.float64)
     if metric == "euclidean":
-        sq = (
-            np.einsum("ij,ij->i", queries, queries)[:, None]
-            + np.einsum("ij,ij->i", gallery, gallery)[None, :]
-            - 2.0 * (queries @ gallery.T)
-        )
-        out = np.sqrt(np.maximum(sq, 0.0))
+        q_sq = np.einsum("ij,ij->i", queries, queries)
+        g_sq = q_sq if same else np.einsum("ij,ij->i", gallery, gallery)
+        out = _distances(queries, gallery, q_sq, g_sq)
     else:
         qn = np.linalg.norm(queries, axis=1)
         gn = qn if same else np.linalg.norm(gallery, axis=1)
@@ -172,8 +153,9 @@ def pairwise_distances(
                 raise ZeroVectorError(
                     f"cosine metric undefined for zero {name} vector at row {zero[0]}"
                 )
-        sims = (queries / qn[:, None]) @ (gallery / gn[:, None]).T
-        out = np.maximum(1.0 - sims, 0.0)
+        # two separate unit arrays even when same: a matrix times its own
+        # transpose takes another BLAS routine, which may round differently
+        out = _distances(queries / qn[:, None], gallery / gn[:, None])
     if same:
         np.fill_diagonal(out, 0.0)
     return out

@@ -37,6 +37,19 @@ def brute_jaccard(a, b) -> float:
     return len(a & b) / len(a | b)
 
 
+def brute_edge_weight(n_k_of_q, n_k1_of_c, n_k2, k1: int, mode: str = "literal") -> float:
+    """Weight of the edge q -> c from N_k(q), N_k1(c) and a map from each
+    i in N_k1(c) to N_k2(i): every i whose N_k2(i) overlaps N_k1(c)
+    confirms c."""
+    count = 0
+    for i in n_k1_of_c:
+        confirms = brute_jaccard(n_k1_of_c, n_k2[i]) > 0.0 and i in n_k1_of_c
+        count += 1 if confirms else 0
+    if mode == "literal":
+        return float(count)
+    return brute_jaccard(n_k1_of_c, n_k_of_q) * count / k1
+
+
 def brute_ejg_weights(
     matrix: np.ndarray,
     k: int,
@@ -54,18 +67,34 @@ def brute_ejg_weights(
     n_k1 = {q: brute_knn(matrix, q, k1, metric)[0] for q in range(n)}
     n_k2 = {q: brute_knn(matrix, q, k2, metric)[0] for q in range(n)}
 
-    weights = {}
-    for q in range(n):
-        for c in n_k[q]:
-            count = 0
-            for i in n_k1[c]:
-                confirms = brute_jaccard(n_k1[c], n_k2[i]) > 0.0 and i in n_k1[c]
-                count += 1 if confirms else 0
-            if mode == "literal":
-                weights[(q, c)] = float(count)
-            else:
-                weights[(q, c)] = brute_jaccard(n_k1[c], n_k[q]) * count / k1
-    return weights
+    return {
+        (q, c): brute_edge_weight(n_k[q], n_k1[c], n_k2, k1, mode)
+        for q in range(n)
+        for c in n_k[q]
+    }
+
+
+def brute_pairwise_distances(queries, gallery, metric: str = "euclidean") -> np.ndarray:
+    """The library's pairwise distances as plain expressions, before they were
+    computed in place: the same operations in the same order, so the same bits."""
+    same = queries is gallery
+    queries = np.asarray(queries, dtype=np.float64)
+    gallery = queries if same else np.asarray(gallery, dtype=np.float64)
+    if metric == "euclidean":
+        sq = (
+            np.einsum("ij,ij->i", queries, queries)[:, None]
+            + np.einsum("ij,ij->i", gallery, gallery)[None, :]
+            - 2.0 * (queries @ gallery.T)
+        )
+        out = np.sqrt(np.maximum(sq, 0.0))
+    else:
+        qn = np.linalg.norm(queries, axis=1)
+        gn = qn if same else np.linalg.norm(gallery, axis=1)
+        sims = (queries / qn[:, None]) @ (gallery / gn[:, None]).T
+        out = np.maximum(1.0 - sims, 0.0)
+    if same:
+        np.fill_diagonal(out, 0.0)
+    return out
 
 
 def loo_nn_accuracy(matrix: np.ndarray, labels, metric: str = "euclidean", subset=None):

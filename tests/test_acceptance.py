@@ -22,7 +22,6 @@ import numpy as np
 from fgfusion import (
     SplitSpec,
     TrainConfig,
-    all_knns,
     build_ejg,
     build_index,
     build_samplers,
@@ -37,6 +36,7 @@ from fgfusion import (
     train,
 )
 from fgfusion.ejgraph import SparseGraph
+from fgfusion.knn import topk_arrays
 
 from bruteforce import brute_ejg_weights, brute_knn
 
@@ -113,17 +113,17 @@ def test_criterion_1_graph_oracle_equivalence():
 
 
 def test_criterion_2_knn_exactness():
-    """all_knns equals the full O(n^2) sort oracle on 20 random matrices."""
+    """topk_arrays equals the full O(n^2) sort oracle on 20 random matrices."""
     with criterion(2, "knn-exactness", 10):
         rng = np.random.default_rng(202)
         for _ in range(20):
             n = int(rng.integers(10, 101))
             matrix = rng.normal(size=(n, int(rng.integers(2, 9))))
             k = int(rng.integers(1, min(11, n)))
-            batch = all_knns(build_index(matrix), k)
+            ids, _ = topk_arrays(build_index(matrix), k)
             for q in range(n):
                 expected_ids, _ = brute_knn(matrix, q, k)
-                assert list(batch[q].neighbor_ids) == expected_ids
+                assert ids[q].tolist() == expected_ids
 
 
 def test_criterion_3_affinity_contract():
@@ -251,7 +251,6 @@ def test_criterion_8_pipeline_determinism(tmp_path):
             "m_or_fraction": 3,
             "repeats": 3,
             "seed": 17,
-            "threads": 1,
         }
         (tmp_path / "config.json").write_text(json.dumps(config))
         outputs = []

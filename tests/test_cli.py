@@ -176,7 +176,6 @@ PIPELINE_OVERRIDES = {
     "--lr-end": (["0.001"], "lr_end", 0.001),
     "--repeats": (["3"], "repeats", 3),
     "--votes": (["2"], "votes", 2),
-    "--threads": (["2"], "threads", 2),
     "--weight-mode": (["literal"], "weight_mode", "literal"),
     "--combine": (["max"], "combine", "max"),
     "--kernel": (["literal"], "kernel", "literal"),
@@ -225,7 +224,7 @@ def test_every_embed_flag_reaches_train(fixture_dir, tmp_path, monkeypatch):
     training = {
         "--dim": "6", "--samples-per-node": "7", "--negatives": "3", "--epochs": "2",
         "--lr": "0.03", "--lr-end": "0.001", "--init-scale": "0.5", "--seed": "11",
-        "--noise-power": "0.5", "--threads": "2",
+        "--noise-power": "0.5",
     }
     io_flags = {"--affinity", "--affinity-format", "--out", "--format", "--report"}
     assert _flags("embed") - io_flags == set(training)
@@ -239,7 +238,7 @@ def test_every_embed_flag_reaches_train(fixture_dir, tmp_path, monkeypatch):
         init_scale=0.5, seed=11,
     )
     assert samplers.noise_power == 0.5 and samplers.seed == 11
-    assert kwargs == {"threads": 2}
+    assert kwargs == {}
 
 
 def test_exit_code_2_on_bad_flag(tmp_path):
@@ -258,6 +257,20 @@ def test_exit_code_2_on_unknown_config_key(fixture_dir, tmp_path):
     proc = run_cli("pipeline", "--config", tmp_path / "config.json", "--out-dir", tmp_path / "o")
     assert proc.returncode == 2
     assert "turbo" in proc.stderr
+
+
+def test_threads_is_rejected_as_a_flag_and_as_a_config_key(fixture_dir, tmp_path):
+    proc = run_cli("embed", "--affinity", tmp_path / "aff.bin", "--dim", 4,
+                   "--out", tmp_path / "emb.bin", "--threads", 2)
+    assert proc.returncode == 2 and "--threads" in proc.stderr
+    config = {
+        "features": [{"path": "data/modality_a.csv"}, {"path": "data/modality_b.csv"}],
+        "labels": "data/labels.txt",
+        "threads": 1,
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    proc = run_cli("pipeline", "--config", tmp_path / "config.json", "--out-dir", tmp_path / "o")
+    assert proc.returncode == 2 and "unknown config keys ['threads']" in proc.stderr
 
 
 def test_exit_code_3_on_missing_file(tmp_path):

@@ -6,45 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fgfusion import (
-    EdgeContext,
-    build_ejg,
-    build_index,
-    edge_weight,
-    fuse_graphs,
-    jaccard_sets,
-    load_graph,
-    outlier_indicator,
-    save_graph,
-    synth_multimodal,
-)
+from fgfusion import build_ejg, build_index, fuse_graphs, load_graph, save_graph, synth_multimodal
 from fgfusion import ejgraph
-from fgfusion.errors import BothEmptyError, ContextIncompleteError, InvalidConfigError
 from fgfusion.knn import topk_arrays
 
-from bruteforce import brute_ejg_weights
+from bruteforce import brute_edge_weight, brute_ejg_weights, brute_jaccard
 
 
 # ---------------------------------------------------------------------------
-# Jaccard similarity
+# The oracle's formulas, evaluated by hand
 # ---------------------------------------------------------------------------
 
 
 def test_jaccard_identical_sets():
-    assert jaccard_sets({1, 2, 3}, {1, 2, 3}) == 1.0
+    assert brute_jaccard({1, 2, 3}, {1, 2, 3}) == 1.0
 
 
 def test_jaccard_disjoint_sets():
-    assert jaccard_sets({1, 2}, {3, 4}) == 0.0
+    assert brute_jaccard({1, 2}, {3, 4}) == 0.0
 
 
 def test_jaccard_partial_overlap():
-    assert jaccard_sets({1, 2, 3, 4}, {3, 4, 5, 6}) == pytest.approx(2 / 6)
-
-
-def test_jaccard_both_empty():
-    with pytest.raises(BothEmptyError):
-        jaccard_sets(set(), set())
+    assert brute_jaccard({1, 2, 3, 4}, {3, 4, 5, 6}) == pytest.approx(2 / 6)
 
 
 def test_jaccard_range_and_symmetry():
@@ -52,70 +35,36 @@ def test_jaccard_range_and_symmetry():
     for _ in range(200):
         a = set(rng.integers(0, 20, size=rng.integers(1, 10)).tolist())
         b = set(rng.integers(0, 20, size=rng.integers(1, 10)).tolist())
-        j = jaccard_sets(a, b)
+        j = brute_jaccard(a, b)
         assert 0.0 <= j <= 1.0
-        assert j == jaccard_sets(b, a)
-        assert jaccard_sets(a, a) == 1.0
-
-
-# ---------------------------------------------------------------------------
-# Outlier indicator
-# ---------------------------------------------------------------------------
+        assert j == brute_jaccard(b, a)
+        assert brute_jaccard(a, a) == 1.0
 
 
 def test_indicator_confirms_when_overlapping_member():
-    assert outlier_indicator(0, 1, {1, 2, 3}, {2, 9}) == 1
+    # of N_k1(c) = {2, 3}, only 2's second-level neighborhood overlaps it
+    assert brute_edge_weight({1, 2}, {2, 3}, {2: {3, 9}, 3: {8, 9}}, k1=2) == 1.0
 
 
 def test_indicator_zero_when_not_a_neighbor():
-    assert outlier_indicator(0, 7, {1, 2, 3}, {1, 2, 3}) == 0
+    # 7 lies outside N_k1(c), so its overlapping neighborhood confirms nothing
+    n_k2 = {2: {8, 9}, 3: {8, 9}, 7: {2, 3}}
+    assert brute_edge_weight({1, 2}, {2, 3}, n_k2, k1=2) == 0.0
 
 
 def test_indicator_zero_when_sets_disjoint():
-    assert outlier_indicator(0, 1, {1, 2, 3}, {7, 8}) == 0
-
-
-def test_indicator_rejects_equal_samples():
-    with pytest.raises(InvalidConfigError):
-        outlier_indicator(5, 5, {5}, {1})
-
-
-# ---------------------------------------------------------------------------
-# Edge weight
-# ---------------------------------------------------------------------------
-
-
-def _ctx(k1, n_k_of_q, n_k1, n_k2):
-    return EdgeContext(k1=k1, n_k_of_q=frozenset(n_k_of_q), n_k1=n_k1, n_k2=n_k2)
+    assert brute_edge_weight({1, 2}, {2, 3}, {2: {8}, 3: {9}}, k1=2) == 0.0
 
 
 def test_edge_weight_all_confirmed_hits_upper_bound():
-    ctx = _ctx(
-        k1=3,
-        n_k_of_q={1, 2, 3},
-        n_k1={1: {2, 3, 4}},
-        n_k2={2: {3, 9}, 3: {2, 9}, 4: {2, 3}},
-    )
-    assert edge_weight(1, 0, ctx, mode="literal") == 3.0
+    n_k2 = {2: {3, 9}, 3: {2, 9}, 4: {2, 3}}
+    assert brute_edge_weight({1, 2, 3}, {2, 3, 4}, n_k2, k1=3, mode="literal") == 3.0
 
 
 def test_edge_weight_nothing_confirmed_is_zero_in_both_modes():
-    ctx = _ctx(
-        k1=2,
-        n_k_of_q={1, 2},
-        n_k1={1: {2, 3}},
-        n_k2={2: {8, 9}, 3: {8, 9}},
-    )
-    assert edge_weight(1, 0, ctx, mode="literal") == 0.0
-    assert edge_weight(1, 0, ctx, mode="jaccard-scaled") == 0.0
-
-
-def test_edge_weight_missing_context():
-    ctx = _ctx(k1=2, n_k_of_q={1, 2}, n_k1={1: {2, 3}}, n_k2={2: {1}})
-    with pytest.raises(ContextIncompleteError):
-        edge_weight(1, 0, ctx)
-    with pytest.raises(ContextIncompleteError):
-        edge_weight(9, 0, ctx)
+    n_k2 = {2: {8, 9}, 3: {8, 9}}
+    assert brute_edge_weight({1, 2}, {2, 3}, n_k2, k1=2, mode="literal") == 0.0
+    assert brute_edge_weight({1, 2}, {2, 3}, n_k2, k1=2, mode="jaccard-scaled") == 0.0
 
 
 def test_edge_weight_monotone_in_confirmations():
@@ -124,8 +73,8 @@ def test_edge_weight_monotone_in_confirmations():
     base_n_k2 = {2: {8, 9}, 3: {8, 9}, 4: {8, 9}}
     richer_n_k2 = {2: {3, 9}, 3: {8, 9}, 4: {8, 9}}
     for mode in ("literal", "jaccard-scaled"):
-        lo = edge_weight(1, 0, _ctx(3, {1, 2, 3}, {1: {2, 3, 4}}, base_n_k2), mode)
-        hi = edge_weight(1, 0, _ctx(3, {1, 2, 3}, {1: {2, 3, 4}}, richer_n_k2), mode)
+        lo = brute_edge_weight({1, 2, 3}, {2, 3, 4}, base_n_k2, 3, mode)
+        hi = brute_edge_weight({1, 2, 3}, {2, 3, 4}, richer_n_k2, 3, mode)
         assert hi >= lo
 
 

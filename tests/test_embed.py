@@ -220,13 +220,11 @@ def test_concentrated_noise_distribution_raises_instead_of_hanging():
         train(aff, samplers, TrainConfig(d=4, samples_per_node=5, epochs=1, seed=0))
 
 
-def test_parallel_request_warns_and_falls_back(two_block_affinity):
+def test_train_rejects_a_threads_argument(two_block_affinity):
     samplers = build_samplers(two_block_affinity, seed=2)
     cfg = TrainConfig(d=4, samples_per_node=10, epochs=2, seed=2)
-    with pytest.warns(RuntimeWarning):
-        emb_threads, _ = train(two_block_affinity, samplers, cfg, threads=4)
-    emb_serial, _ = train(two_block_affinity, samplers, cfg)
-    assert emb_threads.vectors.tobytes() == emb_serial.vectors.tobytes()
+    with pytest.raises(TypeError):
+        train(two_block_affinity, samplers, cfg, threads=2)
 
 
 def test_config_validation():

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fgfusion import FeatureMatrix, all_knns, build_index, knns, pairwise_distances
+from fgfusion import FeatureMatrix, build_index, knn, pairwise_distances
 from fgfusion.knn import stable_topk, topk_arrays
 from fgfusion.errors import InvalidMetricError, KOutOfRangeError, ZeroVectorError
 
-from bruteforce import brute_knn
+from bruteforce import brute_knn, brute_pairwise_distances
 
 
 def test_index_covers_all_samples():
@@ -19,68 +19,65 @@ def test_index_covers_all_samples():
 
 def test_points_on_a_line():
     matrix = np.array([[0.0], [1.0], [2.0], [3.0]])
-    index = build_index(matrix)
-    result = knns(index, 0, 2)
-    assert list(result.neighbor_ids) == [1, 2]
-    np.testing.assert_allclose(result.distances, [1.0, 2.0])
+    ids, dists = topk_arrays(build_index(matrix), 2)
+    assert ids[0].tolist() == [1, 2]
+    np.testing.assert_allclose(dists[0], [1.0, 2.0])
 
 
 def test_equidistant_tie_goes_to_lower_index():
     matrix = np.array([[0.0], [-1.0], [1.0]])
-    index = build_index(matrix)
-    result = knns(index, 0, 1)
-    assert list(result.neighbor_ids) == [1]
+    ids, _ = topk_arrays(build_index(matrix), 1)
+    assert ids[0].tolist() == [1]
 
 
 def test_distances_nondecreasing_and_no_self():
     rng = np.random.default_rng(11)
-    index = build_index(rng.normal(size=(30, 4)))
+    ids, dists = topk_arrays(build_index(rng.normal(size=(30, 4))), 10)
     for q in range(30):
-        res = knns(index, q, 10)
-        assert q not in res.neighbor_ids
-        assert np.all(np.diff(res.distances) >= 0)
-        assert np.unique(res.neighbor_ids).size == 10
+        assert q not in ids[q]
+        assert np.all(np.diff(dists[q]) >= 0)
+        assert np.unique(ids[q]).size == 10
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
 def test_matches_brute_force_sort(metric):
     rng = np.random.default_rng(5)
     matrix = rng.normal(size=(20, 5))
-    index = build_index(matrix, metric)
+    ids, dists = topk_arrays(build_index(matrix, metric), 5)
     for q in range(20):
         expected_ids, expected_d = brute_knn(matrix, q, 5, metric)
-        got = knns(index, q, 5)
-        assert list(got.neighbor_ids) == expected_ids
-        np.testing.assert_allclose(got.distances, expected_d, atol=1e-9)
+        assert ids[q].tolist() == expected_ids
+        np.testing.assert_allclose(dists[q], expected_d, atol=1e-9)
 
 
-def test_all_knns_agrees_with_per_query():
+def test_topk_arrays_agrees_with_per_query_blocks(monkeypatch):
     rng = np.random.default_rng(6)
     matrix = rng.normal(size=(50, 8))
     index = build_index(matrix)
-    batch = all_knns(index, 10)
-    assert len(batch) == 50
+    ids, dists = topk_arrays(index, 10)
+    assert ids.shape == dists.shape == (50, 10)
+    monkeypatch.setattr(knn, "_BLOCK", 1)  # one query per distance block
+    single_ids, single_dists = topk_arrays(index, 10)
+    assert single_ids.tolist() == ids.tolist()
+    np.testing.assert_allclose(single_dists, dists, rtol=1e-12)
     for q in range(50):
-        single = knns(index, q, 10)
-        assert list(batch[q].neighbor_ids) == list(single.neighbor_ids)
         expected_ids, _ = brute_knn(matrix, q, 10)
-        assert list(batch[q].neighbor_ids) == expected_ids
+        assert ids[q].tolist() == expected_ids
 
 
 def test_k3_lists_never_contain_query():
     rng = np.random.default_rng(1)
-    index = build_index(rng.normal(size=(4, 2)))
-    lists = all_knns(index, 3)
-    assert all(len(nl.neighbor_ids) == 3 and nl.query_id not in nl.neighbor_ids for nl in lists)
+    ids, _ = topk_arrays(build_index(rng.normal(size=(4, 2))), 3)
+    assert ids.shape == (4, 3)
+    assert all(q not in row for q, row in enumerate(ids))
 
 
 def test_build_is_deterministic():
     rng = np.random.default_rng(9)
     matrix = rng.normal(size=(25, 3))
-    first = all_knns(build_index(matrix), 6)
-    second = all_knns(build_index(matrix), 6)
-    for a, b in zip(first, second):
-        assert list(a.neighbor_ids) == list(b.neighbor_ids)
+    first, _ = topk_arrays(build_index(matrix), 6)
+    second, _ = topk_arrays(build_index(matrix), 6)
+    assert first.tolist() == second.tolist()
 
 
 def test_cosine_rejects_zero_vector():
@@ -97,11 +94,9 @@ def test_unknown_metric():
 def test_k_out_of_range():
     index = build_index(np.eye(4))
     with pytest.raises(KOutOfRangeError):
-        knns(index, 0, 4)
+        topk_arrays(index, 4)
     with pytest.raises(KOutOfRangeError):
-        knns(index, 0, 0)
-    with pytest.raises(KOutOfRangeError):
-        knns(index, 7, 1)
+        topk_arrays(index, 0)
 
 
 def test_accepts_feature_matrix():
@@ -124,6 +119,37 @@ def test_euclidean_metric_contract():
 def test_pairwise_cosine_zero_vector():
     with pytest.raises(ZeroVectorError):
         pairwise_distances(np.zeros((2, 2)), np.eye(2), "cosine")
+
+
+# integer-valued rows make exact distance ties and zero distances common
+small_rows = st.integers(0, 7).flatmap(
+    lambda d: st.tuples(
+        *(arrays(np.float64, st.tuples(st.integers(1, 9), st.just(d + 1)),
+                 elements=st.one_of(st.integers(-3, 3).map(float),
+                                    st.floats(-1e3, 1e3, allow_nan=False)))
+          for _ in range(2))
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_rows, st.sampled_from(["euclidean", "cosine"]), st.booleans())
+def test_pairwise_distances_bit_equal_to_the_plain_expressions(rows, metric, same):
+    queries, gallery = rows
+    if same:
+        gallery = queries
+    if metric == "cosine":
+        # the library rejects rows of norm 0 under cosine; the reference divides by 0
+        queries[np.linalg.norm(queries, axis=1) == 0.0, 0] = 1.0
+        gallery[np.linalg.norm(gallery, axis=1) == 0.0, 0] = 1.0
+    got = pairwise_distances(queries, gallery, metric)
+    assert got.tobytes() == brute_pairwise_distances(queries, gallery, metric).tobytes()
+    # the index's blocks share the kernel: a block of rows equals those rows'
+    # pairwise distances against the whole matrix
+    block = np.arange(0, len(gallery), 2)
+    assert build_index(gallery, metric)._distance_block(block).tobytes() == pairwise_distances(
+        gallery[block], gallery, metric
+    ).tobytes()
 
 
 # ---------------------------------------------------------------------------
