@@ -97,10 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples-per-node", type=int, default=100)
     p.add_argument("--negatives", type=int, default=5)
     p.add_argument("--epochs", type=int, default=50)
-    p.add_argument(
-        "--lr", dest="lr_start", metavar="LR", type=float, default=0.025,
-        help="starting learning rate",
-    )
+    p.add_argument("--lr", dest="lr_start", metavar="LR", type=float, default=0.025,
+                   help="starting learning rate")
     p.add_argument("--lr-end", type=float, default=1e-4)
     p.add_argument("--init-scale", type=float, default=1.0)
     p.add_argument("--noise-power", type=float, default=0.75)
@@ -141,10 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--samples-per-node", type=int, default=None)
     p.add_argument("--negatives", type=int, default=None)
-    p.add_argument(
-        "--lr", dest="lr_start", metavar="LR", type=float, default=None,
-        help="override the starting learning rate",
-    )
+    p.add_argument("--lr", dest="lr_start", metavar="LR", type=float, default=None,
+                   help="override the starting learning rate")
     p.add_argument("--lr-end", type=float, default=None)
     p.add_argument("--repeats", type=int, default=None)
     p.add_argument("--votes", type=int, default=None)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -148,6 +149,17 @@ def _check_finite(arr: np.ndarray, where: str = "") -> None:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _open_text(path: Path):
+    """``path`` opened as UTF-8 text; bytes that are not UTF-8 raise
+    ParseError wherever the reader meets them."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_csv_table(source, dtype, ndmin: int, skiprows: int = 0) -> np.ndarray | None:
     """Comma-separated ``source`` (a path or a list of lines) read by numpy's
     C reader, whose float parser is the one ``float()`` uses. None where it
@@ -165,7 +177,7 @@ def _read_csv_table(source, dtype, ndmin: int, skiprows: int = 0) -> np.ndarray 
 
 
 def _parse_numeric_csv(path: Path, skip_header: bool) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         lines = fh.readlines()
     # Tabs become commas, so an empty field beside a tab fails the fast read.
     data = _read_csv_table(
@@ -318,7 +330,7 @@ def load_labels(path: str | Path) -> LabelVector:
         raise FileNotFoundError(path)
     labels: list[str] = []
     instances: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh):
             stripped = line.strip()
             if not stripped:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import _read_csv_table
+from .dataset import _open_text, _read_csv_table
 from .errors import InvalidConfigError, ParseError
 from .knn import KnnIndex, topk_arrays
 
@@ -234,7 +234,7 @@ def _read_csv_edges(path: Path, value_name: str):
     """(src, dst, value) columns of a CSV edge file."""
     edges = None if _holds_unstripped_byte(path) else _read_csv_table(path, _CSV_EDGE, ndmin=1)
     if edges is None or min(edges["src"].min(), edges["dst"].min()) < 0:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _open_text(path) as fh:
             return _parse_edge_lines(fh, value_name)
     return edges["src"], edges["dst"], edges["value"]
 

@@ -31,7 +31,7 @@ class InvalidMetricError(ConfigError):
 
 
 class KOutOfRangeError(ConfigError):
-    """Neighbor count or query index outside the valid range."""
+    """Neighbor count outside the valid range."""
 
 
 class DataError(FgfError):

@@ -328,14 +328,23 @@ class PipelineConfig:
             raise FileNotFoundError(path)
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InvalidConfigError(f"{path}: invalid JSON ({exc})") from exc
+        if not isinstance(raw, dict):
+            raise InvalidConfigError(f"{path}: the config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise InvalidConfigError(f"{path}: unknown config keys {sorted(unknown)}")
         if "features" not in raw or "labels" not in raw:
             raise InvalidConfigError(f"{path}: 'features' and 'labels' are required")
+        specs = raw["features"]
+        if not isinstance(specs, list) or not all(
+            isinstance(spec, dict) and isinstance(spec.get("path"), str) for spec in specs
+        ):
+            raise InvalidConfigError(f"{path}: 'features' must list objects with a 'path' string")
+        if not isinstance(raw["labels"], str):
+            raise InvalidConfigError(f"{path}: 'labels' must be a path string")
         cfg = cls(**raw)
         base = path.parent
         for spec in cfg.features:

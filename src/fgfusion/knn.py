@@ -87,17 +87,13 @@ def build_index(features: FeatureMatrix | np.ndarray, metric: str = "euclidean")
     return KnnIndex(matrix, metric)
 
 
-def _check_k(index: KnnIndex, k: int) -> None:
-    if not 1 <= k <= index.n - 1:
-        raise KOutOfRangeError(f"k={k} outside [1, {index.n - 1}] for n={index.n}")
-
-
 def topk_arrays(index: KnnIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(n, k) neighbor ids and distances of every sample, nearest first.
 
     Row q holds the k samples nearest to q, excluding q itself.
     """
-    _check_k(index, k)
+    if not 1 <= k <= index.n - 1:
+        raise KOutOfRangeError(f"k={k} outside [1, {index.n - 1}] for n={index.n}")
     ids = np.empty((index.n, k), dtype=np.int64)
     dists = np.empty((index.n, k), dtype=np.float64)
     for start in range(0, index.n, _BLOCK):

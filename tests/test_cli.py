@@ -286,6 +286,29 @@ def test_exit_code_3_on_malformed_data(tmp_path):
     assert proc.returncode == 3
 
 
+# a subcommand reading the non-UTF-8 file {bad}, and its exit code
+NON_UTF8_READS = {
+    "features-csv": (["build-graph", "--features", "{bad}", "--k", "1", "--out", "{tmp}/g.csv"], 3),
+    "graph-csv": (["fuse", "--graphs", "{bad}", "--out", "{tmp}/aff.bin"], 3),
+    "affinity-csv": (["embed", "--affinity", "{bad}", "--affinity-format", "csv", "--dim", "2",
+                      "--out", "{tmp}/emb.bin"], 3),
+    "embeddings-csv": (["eval", "--embeddings", "{bad}", "--labels", "{tmp}/labels.txt",
+                        "--m", "1"], 3),
+    "labels": (["eval", "--features", "{tmp}/features.csv", "--labels", "{bad}", "--m", "1"], 3),
+    "config": (["pipeline", "--config", "{bad}", "--out-dir", "{tmp}/out"], 2),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(NON_UTF8_READS))
+def test_non_utf8_input_is_a_typed_error(tmp_path, capsys, reader):
+    (tmp_path / "bad").write_bytes(b"0,1,0.5\n1,0,\xff\n")
+    (tmp_path / "features.csv").write_text("1,2\n3,4\n")
+    (tmp_path / "labels.txt").write_text("a\nb\n")
+    argv, code = NON_UTF8_READS[reader]
+    assert cli.main([arg.format(bad=tmp_path / "bad", tmp=tmp_path) for arg in argv]) == code
+    assert "utf-8" in capsys.readouterr().err.lower()
+
+
 def test_exit_code_4_on_divergence(fixture_dir, tmp_path):
     for name in ("a", "b"):
         run_cli("build-graph", "--features", fixture_dir / f"modality_{name}.csv",

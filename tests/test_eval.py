@@ -476,6 +476,25 @@ def test_pipeline_config_from_json(tmp_path):
         PipelineConfig.from_json(config_path)
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("5", "must be a JSON object"),
+        ('["a.csv", "b.csv"]', "must be a JSON object"),
+        ('{"features": ["a.csv", "b.csv"], "labels": "labels.txt"}', "'features' must list"),
+        ('{"features": [{"name": "a"}, {"name": "b"}], "labels": "l.txt"}', "'features' must list"),
+        ('{"features": {"path": "a.csv"}, "labels": "labels.txt"}', "'features' must list"),
+        ('{"features": [{"path": "a.csv"}, {"path": "b.csv"}], "labels": 5}', "'labels' must"),
+    ],
+    ids=["number", "list", "feature-strings", "no-path", "features-object", "labels-number"],
+)
+def test_pipeline_config_from_json_rejects_a_malformed_shape(tmp_path, text, problem):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(text)
+    with pytest.raises(InvalidConfigError, match=problem):
+        PipelineConfig.from_json(config_path)
+
+
 def test_pipeline_manifest_contents(tmp_path):
     result = run_pipeline(PipelineConfig(**write_fixture(tmp_path)))
     manifest = result.manifest
