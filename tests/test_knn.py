@@ -152,6 +152,17 @@ def test_pairwise_distances_bit_equal_to_the_plain_expressions(rows, metric, sam
     ).tobytes()
 
 
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+@pytest.mark.parametrize("shape", [(50, 30), (300, 100)])
+def test_pairwise_distances_bit_equal_at_blas_sizes(metric, shape):
+    # at these sizes a matrix times its own transpose (BLAS syrk) and times
+    # another array's transpose (gemm) can round differently
+    matrix = np.random.default_rng(shape[0]).normal(size=shape)
+    for gallery in (matrix, matrix.copy(), matrix[::3].copy()):
+        got = pairwise_distances(matrix, gallery, metric)
+        assert got.tobytes() == brute_pairwise_distances(matrix, gallery, metric).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Selection: stable_topk must equal the full stable sort, ties included
 # ---------------------------------------------------------------------------
