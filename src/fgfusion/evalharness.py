@@ -340,9 +340,12 @@ class PipelineConfig:
             raise InvalidConfigError(f"{path}: 'features' and 'labels' are required")
         specs = raw["features"]
         if not isinstance(specs, list) or not all(
-            isinstance(spec, dict) and isinstance(spec.get("path"), str) for spec in specs
+            isinstance(spec, dict) and isinstance(spec.get("path"), str)
+            and isinstance(spec.get("name", ""), str) for spec in specs
         ):
-            raise InvalidConfigError(f"{path}: 'features' must list objects with a 'path' string")
+            raise InvalidConfigError(
+                f"{path}: 'features' must list objects with a 'path' and an optional 'name' string"
+            )
         if not isinstance(raw["labels"], str):
             raise InvalidConfigError(f"{path}: 'labels' must be a path string")
         cfg = cls(**raw)

@@ -75,8 +75,8 @@ def brute_ejg_weights(
 
 
 def brute_pairwise_distances(queries, gallery, metric: str = "euclidean") -> np.ndarray:
-    """The library's pairwise distances as plain expressions, before they were
-    computed in place: the same operations in the same order, so the same bits."""
+    """Pairwise distances as plain expressions, in the operations and order the
+    library's in-place kernel must match bit for bit."""
     same = queries is gallery
     queries = np.asarray(queries, dtype=np.float64)
     gallery = queries if same else np.asarray(gallery, dtype=np.float64)

@@ -235,7 +235,7 @@ def _write_pipeline_fixture(tmp_path, n_classes, per_class, seed):
 
 def test_criterion_8_pipeline_determinism(tmp_path):
     """The pipeline subcommand run twice on one manifest produces
-    bitwise-identical results.csv files (single-threaded mode)."""
+    bitwise-identical results.csv files."""
     with criterion(8, "pipeline-determinism", 60):
         _write_pipeline_fixture(tmp_path, n_classes=4, per_class=10, seed=21)
         config = {

@@ -216,8 +216,8 @@ def test_every_embed_flag_reaches_train(fixture_dir, tmp_path, monkeypatch):
     save_affinity(normalize_affinity(fuse_graphs(graphs)), tmp_path / "aff.bin", "binary")
     calls = []
 
-    def fake_train(affinity, samplers, cfg, **kwargs):
-        calls.append((samplers, cfg, kwargs))
+    def fake_train(affinity, samplers, cfg):
+        calls.append((samplers, cfg))
         return EmbeddingMatrix(np.zeros((affinity.n, cfg.d))), TrainReport()
 
     monkeypatch.setattr(cli, "train", fake_train)
@@ -232,13 +232,12 @@ def test_every_embed_flag_reaches_train(fixture_dir, tmp_path, monkeypatch):
     for flag, value in training.items():
         argv += [flag, value]
     assert cli.main(argv) == 0
-    (samplers, cfg, kwargs), = calls
+    (samplers, cfg), = calls
     assert cfg == TrainConfig(
         d=6, samples_per_node=7, negatives=3, epochs=2, lr_start=0.03, lr_end=0.001,
         init_scale=0.5, seed=11,
     )
     assert samplers.noise_power == 0.5 and samplers.seed == 11
-    assert kwargs == {}
 
 
 def test_exit_code_2_on_bad_flag(tmp_path):

@@ -484,9 +484,12 @@ def test_pipeline_config_from_json(tmp_path):
         ('{"features": ["a.csv", "b.csv"], "labels": "labels.txt"}', "'features' must list"),
         ('{"features": [{"name": "a"}, {"name": "b"}], "labels": "l.txt"}', "'features' must list"),
         ('{"features": {"path": "a.csv"}, "labels": "labels.txt"}', "'features' must list"),
+        ('{"features": [{"path": "a.csv", "name": 5}, {"path": "b.csv"}], "labels": "l.txt"}',
+         "'features' must list"),
         ('{"features": [{"path": "a.csv"}, {"path": "b.csv"}], "labels": 5}', "'labels' must"),
     ],
-    ids=["number", "list", "feature-strings", "no-path", "features-object", "labels-number"],
+    ids=["number", "list", "feature-strings", "no-path", "features-object", "name-number",
+         "labels-number"],
 )
 def test_pipeline_config_from_json_rejects_a_malformed_shape(tmp_path, text, problem):
     config_path = tmp_path / "config.json"
