@@ -47,10 +47,10 @@ class TrainConfig:
             raise InvalidConfigError("negatives must be >= 1")
         if self.epochs < 0:
             raise InvalidConfigError("epochs must be >= 0")
-        if not (self.lr_start >= self.lr_end > 0):
-            raise InvalidConfigError("need lr_start >= lr_end > 0")
-        if self.init_scale <= 0:
-            raise InvalidConfigError("init_scale must be > 0")
+        if not (math.isfinite(self.lr_start) and self.lr_start >= self.lr_end > 0):
+            raise InvalidConfigError("need finite lr_start >= lr_end > 0")
+        if not (math.isfinite(self.init_scale) and self.init_scale > 0):
+            raise InvalidConfigError("init_scale must be finite and > 0")
 
 
 @dataclass
@@ -63,18 +63,10 @@ class TrainReport:
     context: "EmbeddingMatrix | None" = None
 
 
-def _sigmoid(x: float) -> float:
-    if x > 60.0:
-        return 1.0
-    if x < -60.0:
-        return 0.0
-    return 1.0 / (1.0 + math.exp(-x))
-
-
-def _log_sigmoid(x: float) -> float:
-    if x >= 0.0:
-        return -math.log1p(math.exp(-x)) if x < 60.0 else 0.0
-    return x - math.log1p(math.exp(x)) if x > -60.0 else x
+def _pair_loss(y: np.ndarray) -> np.ndarray:
+    """-log sigmoid(y), elementwise: the loss of a pair with signed score y
+    (the dot product for an observed pair, its negation for a noise pair)."""
+    return np.logaddexp(0.0, -y)
 
 
 def init_embeddings(
@@ -83,8 +75,8 @@ def init_embeddings(
     """Target rows uniform in [-init_scale/d, +init_scale/d]; context zeros."""
     if n < 1 or d < 1:
         raise InvalidConfigError("need n >= 1 and d >= 1")
-    if init_scale <= 0:
-        raise InvalidConfigError("init_scale must be > 0")
+    if not (math.isfinite(init_scale) and init_scale > 0):
+        raise InvalidConfigError(f"init_scale must be finite and > 0, got {init_scale!r}")
     target, context = _init_arrays(n, d, init_scale, seed)
     return EmbeddingMatrix(target), EmbeddingMatrix(context)
 
@@ -104,12 +96,36 @@ def sgd_step(f_i: np.ndarray, g_j: np.ndarray, label: int, lr: float) -> tuple[n
     updated from each other's pre-step values.
     """
     x = float(np.dot(f_i, g_j))
-    err = float(label) - _sigmoid(x)
+    with np.errstate(over="ignore"):  # exp(-x) = inf gives sigmoid(x) = 0
+        err = float(label) - 1.0 / (1.0 + np.exp(-x))
     delta = lr * err
     df = delta * g_j
     g_j += delta * f_i
     f_i += df
     return f_i, g_j
+
+
+def _draw_negatives(
+    samplers: SamplerTable, ctx: np.ndarray, negatives: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``negatives`` noise nodes per context in ctx, shape ctx.shape + (negatives,).
+
+    Noise draws equal to their context are resampled, at most
+    MAX_RESAMPLE_ROUNDS times.
+    """
+    negs = samplers.draw_noise(ctx.size * negatives, rng).reshape(*ctx.shape, negatives)
+    clash = negs == ctx[..., None]
+    rounds = 0
+    while clash.any():
+        if rounds == MAX_RESAMPLE_ROUNDS:
+            raise InvalidConfigError(
+                f"noise draws still equal the positive context after "
+                f"{rounds} resample rounds; lower noise_power"
+            )
+        rounds += 1
+        negs[clash] = samplers.draw_noise(int(clash.sum()), rng)
+        clash = negs == ctx[..., None]
+    return negs
 
 
 def train(
@@ -119,11 +135,16 @@ def train(
 ) -> tuple[EmbeddingMatrix, TrainReport]:
     """Learn fused features from the affinity's context distributions.
 
-    Per epoch and node i: draw ``samples_per_node`` contexts from row i,
-    apply one positive step per draw plus ``negatives`` noise steps (noise
-    draws equal to the positive context are resampled). The learning rate
-    decays linearly from lr_start to lr_end over all positive draws.
-    Runs are bitwise deterministic in cfg.seed.
+    Per epoch, nodes are visited in a random order, in blocks of
+    ``min(32, max(1, n // 8))``. Each node draws ``samples_per_node``
+    contexts from its row and ``negatives`` noise nodes per context (noise
+    draws equal to the context are resampled). The block then takes one
+    synchronous step per draw: every node's positive and noise pairs are
+    scored against the block's current rows, the target rows move by the
+    sum of their pair gradients and the context rows by the sum over every
+    pair that names them. The learning rate decays linearly from lr_start
+    to lr_end over all positive draws. Runs are bitwise deterministic in
+    cfg.seed.
     """
     cfg.validate()
     n = affinity.n
@@ -136,10 +157,19 @@ def train(
     draw_rng = rng_stream(cfg.seed, "draws")
 
     m = cfg.samples_per_node
-    negatives = cfg.negatives
     total_draws = cfg.epochs * n * m
     lr_span = cfg.lr_end - cfg.lr_start
     denom = max(total_draws - 1, 1)
+    # Reads within a block are stale by at most one block's updates; keep
+    # the block a small share of the nodes.
+    block = min(32, max(1, n // 8))
+    # +1 scores an observed pair, -1 a noise pair
+    signs = np.full(1 + cfg.negatives, -1.0)
+    signs[0] = 1.0
+    # context entry (row, j) sits at row * d + j of this view; ufunc.at adds
+    # repeated entries one at a time in pair order, so sums repeat bit for bit
+    context_flat = context.reshape(-1)
+    dims = np.arange(cfg.d)
 
     report = TrainReport(positive_pairs=total_draws)
     step = 0
@@ -148,39 +178,36 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
             epoch_loss = 0.0
-            for i in order_rng.permutation(n):
-                js = samplers.draw_row(i, m, draw_rng)
-                negs = samplers.draw_noise(m * negatives, draw_rng).reshape(m, negatives)
-                clash = negs == js[:, None]
-                rounds = 0
-                while clash.any():
-                    if rounds == MAX_RESAMPLE_ROUNDS:
-                        raise InvalidConfigError(
-                            f"noise draws still equal the positive context after "
-                            f"{rounds} resample rounds; lower noise_power"
-                        )
-                    rounds += 1
-                    negs[clash] = samplers.draw_noise(int(clash.sum()), draw_rng)
-                    clash = negs == js[:, None]
-                f_i = target[i]
+            order = order_rng.permutation(n)
+            for lo in range(0, n, block):
+                nodes = order[lo : lo + block]
+                ctx = samplers.draw_rows(nodes, m, draw_rng)
+                negs = _draw_negatives(samplers, ctx, cfg.negatives, draw_rng)
+                # pairs[t, b] lists node b's t-th context, then its noise nodes
+                pairs = np.concatenate((ctx.T[:, :, None], negs.transpose(1, 0, 2)), axis=2)
+                offsets = pairs[..., None] * cfg.d
+                # node b's t-th positive draw is draw number step + b * m + t
+                draw_no = step + np.arange(m)[:, None, None] + m * np.arange(nodes.size)[:, None]
+                rates = (cfg.lr_start + lr_span * (draw_no / denom)) * signs
+                step += nodes.size * m
+                scores = np.empty(pairs.shape)
+                # only this block moves its own target rows
+                f = target[nodes]
                 for t in range(m):
-                    lr = cfg.lr_start + lr_span * (step / denom)
-                    step += 1
-                    g = context[js[t]]
-                    x = float(np.dot(f_i, g))
-                    epoch_loss -= _log_sigmoid(x)
-                    delta = lr * (1.0 - _sigmoid(x))
-                    df = delta * g
-                    g += delta * f_i
-                    f_i += df
-                    for v in negs[t]:
-                        g = context[v]
-                        x = float(np.dot(f_i, g))
-                        epoch_loss -= _log_sigmoid(-x)
-                        delta = lr * -_sigmoid(x)
-                        df = delta * g
-                        g += delta * f_i
-                        f_i += df
+                    g = context[pairs[t]]
+                    y = np.einsum("bd,bkd->bk", f, g)
+                    y *= signs
+                    scores[t] = y
+                    # lr * (label - sigmoid(x)) for score x is lr * sign * sigmoid(-y)
+                    delta = rates[t] / (1.0 + np.exp(y))
+                    np.add.at(
+                        context_flat,
+                        (offsets[t] + dims).ravel(),
+                        (delta[:, :, None] * f[:, None, :]).ravel(),
+                    )
+                    f += np.einsum("bk,bkd->bd", delta, g)
+                target[nodes] = f
+                epoch_loss += float(_pair_loss(scores).sum())
             report.epoch_loss.append(epoch_loss / (n * m))
             if not np.isfinite(target).all() or not np.isfinite(context).all():
                 raise DivergenceError("non-finite embedding values during training")
@@ -215,14 +242,9 @@ def surrogate_loss(
     if sample_count < 1:
         raise InvalidConfigError("sample_count must be >= 1")
     rng = rng_stream(seed, "loss")
-    total = 0.0
-    for _ in range(sample_count):
-        i = int(rng.integers(affinity.n))
-        j = int(samplers.draw_row(i, 1, rng)[0])
-        total -= _log_sigmoid(float(np.dot(f[i], g[j])))
-        for _ in range(negatives):
-            v = int(samplers.draw_noise(1, rng)[0])
-            while v == j:
-                v = int(samplers.draw_noise(1, rng)[0])
-            total -= _log_sigmoid(-float(np.dot(f[i], g[v])))
-    return total / sample_count
+    nodes = rng.integers(affinity.n, size=sample_count)
+    ctx = samplers.draw_rows(nodes, 1, rng)
+    cols = np.concatenate((ctx, _draw_negatives(samplers, ctx[:, 0], negatives, rng)), axis=1)
+    y = np.einsum("bd,bkd->bk", f[nodes], g[cols])
+    y[:, 1:] *= -1.0
+    return float(_pair_loss(y).sum()) / sample_count

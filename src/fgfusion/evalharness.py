@@ -42,6 +42,15 @@ from .randomness import rng_stream
 
 PROTOCOLS = ("per_class_train_m", "leave_instance_out", "random_fraction")
 
+# PipelineConfig's string fields and the values each accepts
+_CHOICES = {
+    "metric": knn.METRICS,
+    "weight_mode": ejgraph.WEIGHT_MODES,
+    "combine": fusion.COMBINE_RULES,
+    "kernel": fusion.KERNEL_INPUTS,
+    "protocol": PROTOCOLS,
+}
+
 FGF_METHOD = "fgf"
 JOINT_METHOD = "joint"
 
@@ -298,13 +307,21 @@ class PipelineConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for f in fields(self):  # numeric fields, by their annotations
-            kind = Integral if "int" in f.type else Real if f.type == "float" else None
+        for f in fields(self):  # bool and numeric fields, by their annotations
+            kind = (
+                bool if f.type == "bool"
+                else Integral if "int" in f.type
+                else Real if f.type == "float"
+                else None
+            )
             value = getattr(self, f.name)
             values = value if f.type.startswith("list") else [value]
             if kind is None or (value is None and f.type.endswith("None")):
                 continue
-            if not isinstance(values, (list, tuple)) or not all(isinstance(v, kind) for v in values):
+            # JSON's true and false are bools, and a bool is an Integral too
+            if not isinstance(values, (list, tuple)) or not all(
+                isinstance(v, kind) and isinstance(v, bool) == (kind is bool) for v in values
+            ):
                 raise InvalidConfigError(f"{f.name} must hold {kind.__name__} values, got {value!r}")
         if len(self.features) < 2:
             raise InvalidConfigError("pipeline needs at least two modalities")
@@ -315,11 +332,22 @@ class PipelineConfig:
             raise InvalidConfigError("k sweep must be a nonempty list of positive ints")
         if not self.d or any(int(v) < 1 for v in self.d):
             raise InvalidConfigError("d sweep must be a nonempty list of positive ints")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise InvalidConfigError(
+                    f"{name} must be one of {allowed}, got {getattr(self, name)!r}"
+                )
         SplitSpec(self.protocol, self.m_or_fraction, self.repeats, self.seed).validate()
+        self.train_config(int(self.d[0]), self.seed).validate()
         if self.votes < 1:
             raise InvalidConfigError("votes must be >= 1")
         if not (math.isfinite(self.noise_power) and self.noise_power >= 0):
             raise InvalidConfigError("noise_power must be finite and >= 0")
+
+    def train_config(self, d: int, seed: int) -> TrainConfig:
+        """The training settings of a cell of the sweep with dimension d."""
+        shared = {f.name: getattr(self, f.name) for f in fields(TrainConfig)}
+        return TrainConfig(**{**shared, "d": d, "seed": seed})
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
@@ -434,10 +462,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     embeddings: dict[tuple[int, int], EmbeddingMatrix] = {}
     reports: dict[tuple[int, int], TrainReport] = {}
     timings: dict[str, float] = {}
-    # each (k, d) cell sets its own d and seed
-    shared = {
-        f.name: getattr(config, f.name) for f in fields(TrainConfig) if f.name not in ("d", "seed")
-    }
     for k_val in (int(v) for v in config.k):
         with _Stage(f"graphs[k={k_val}]"):
             started = time.perf_counter()
@@ -462,9 +486,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             timings[f"graphs_k{k_val}"] = time.perf_counter() - started
         for d_val in (int(v) for v in config.d):
             with _Stage(f"embed[k={k_val},d={d_val}]"):
-                cfg = TrainConfig(
-                    **shared, d=d_val, seed=derive_seed(config.seed, "train", k_val, d_val)
-                )
+                cfg = config.train_config(d_val, derive_seed(config.seed, "train", k_val, d_val))
                 emb, report = train(affinity, samplers, cfg)
                 embeddings[(k_val, d_val)] = emb
                 reports[(k_val, d_val)] = report

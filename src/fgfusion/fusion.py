@@ -180,13 +180,18 @@ def _build_alias(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(accept, dtype=np.float64), np.array(alias, dtype=np.int64)
 
 
-def _alias_draw(
-    accept: np.ndarray, alias: np.ndarray, size: int, rng: np.random.Generator
+def _alias_pick(
+    accept: np.ndarray, alias: np.ndarray, lo, size, u: np.ndarray
 ) -> np.ndarray:
-    r = rng.random(size) * accept.size
+    """Positions in flat alias tables picked by uniforms u in [0, 1).
+
+    The table of each draw holds ``size`` entries from position ``lo``;
+    ``alias`` holds positions within that table.
+    """
+    r = u * size
     idx = r.astype(np.int64)
-    frac = r - idx
-    return np.where(frac < accept[idx], idx, alias[idx])
+    at = lo + idx
+    return np.where(r - idx < accept[at], at, lo + alias[at])
 
 
 class SamplerTable:
@@ -202,15 +207,15 @@ class SamplerTable:
         self.n = affinity.n
         self.seed = int(seed)
         self.noise_power = float(noise_power)
-        self._row_ids = [ids.copy() for ids in affinity.neighbor_ids]
+        # the per-row alias tables laid end to end, row i at indptr[i]:indptr[i + 1]
+        self._indptr = np.concatenate(([0], np.cumsum(_row_lengths(affinity.neighbor_ids))))
+        self._ids = _flat(affinity.neighbor_ids, np.int64)
         tables = [_build_alias(p) for p in affinity.probs]
-        self._row_accept = [t[0] for t in tables]
-        self._row_alias = [t[1] for t in tables]
+        self._accept = _flat([t[0] for t in tables], np.float64)
+        self._alias = _flat([t[1] for t in tables], np.int64)
 
         strength = np.bincount(
-            _flat(affinity.neighbor_ids, np.int64),
-            weights=_flat(affinity.probs, np.float64),
-            minlength=self.n,
+            self._ids, weights=_flat(affinity.probs, np.float64), minlength=self.n
         )
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
             noise = strength**self.noise_power
@@ -227,12 +232,22 @@ class SamplerTable:
 
     def draw_row(self, i: int, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``size`` context nodes from the distribution of row i."""
-        picks = _alias_draw(self._row_accept[i], self._row_alias[i], size, rng)
-        return self._row_ids[i][picks]
+        lo, hi = self._indptr[i], self._indptr[i + 1]
+        return self._ids[_alias_pick(self._accept, self._alias, lo, hi - lo, rng.random(size))]
+
+    def draw_rows(self, nodes: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw ``size`` context nodes from each listed row, one row per node.
+
+        Bit for bit the rows that consecutive ``draw_row`` calls return.
+        """
+        lo = self._indptr[nodes][:, None]
+        sizes = self._indptr[nodes + 1][:, None] - lo
+        u = rng.random(nodes.size * size).reshape(nodes.size, size)
+        return self._ids[_alias_pick(self._accept, self._alias, lo, sizes, u)]
 
     def draw_noise(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``size`` nodes from the in-strength^power noise distribution."""
-        return _alias_draw(self._noise_accept, self._noise_alias, size, rng)
+        return _alias_pick(self._noise_accept, self._noise_alias, 0, self.n, rng.random(size))
 
 
 def build_samplers(

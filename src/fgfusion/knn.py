@@ -96,8 +96,13 @@ def topk_arrays(index: KnnIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise KOutOfRangeError(f"k={k} outside [1, {index.n - 1}] for n={index.n}")
     ids = np.empty((index.n, k), dtype=np.int64)
     dists = np.empty((index.n, k), dtype=np.float64)
-    for start in range(0, index.n, _BLOCK):
-        rows = np.arange(start, min(start + _BLOCK, index.n))
+    starts = list(range(0, index.n, _BLOCK))
+    if len(starts) > 1 and index.n - starts[-1] == 1:
+        # a one-row block would go through BLAS gemv, which rounds unlike
+        # gemm; the row joins the block before it
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [index.n]):
+        rows = np.arange(start, stop)
         ids[rows], dists[rows] = index._topk_block(rows, k)
     return ids, dists
 

@@ -272,6 +272,33 @@ def test_threads_is_rejected_as_a_flag_and_as_a_config_key(fixture_dir, tmp_path
     assert proc.returncode == 2 and "unknown config keys ['threads']" in proc.stderr
 
 
+@pytest.mark.parametrize("flag, value", [("--init-scale", "nan"), ("--init-scale", "inf"),
+                                         ("--lr", "inf")])
+def test_embed_exits_2_on_a_non_finite_scale_or_rate(tmp_path, capsys, flag, value):
+    matrix = np.random.default_rng(0).normal(size=(12, 3))
+    affinity = normalize_affinity(fuse_graphs([build_ejg(build_index(matrix), 3)] * 2))
+    save_affinity(affinity, tmp_path / "aff.bin", "binary")
+    argv = ["embed", "--affinity", str(tmp_path / "aff.bin"), "--dim", "4",
+            "--out", str(tmp_path / "emb.bin"), flag, value]
+    assert cli.main(argv) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("header", "false"), ("metric", "hamming"),
+                                          ("init_scale", float("nan"))])
+def test_pipeline_exits_2_on_a_bad_config_value(fixture_dir, tmp_path, capsys, field, value):
+    config = {
+        "features": [{"path": "data/modality_a.csv"}, {"path": "data/modality_b.csv"}],
+        "labels": "data/labels.txt",
+        field: value,
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    argv = ["pipeline", "--config", str(tmp_path / "config.json"), "--out-dir", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_code_3_on_missing_file(tmp_path):
     proc = run_cli("build-graph", "--features", tmp_path / "absent.csv",
                    "--k", 3, "--out", tmp_path / "g.csv")

@@ -46,8 +46,9 @@ def test_init_bound_scales_inversely_with_d():
 def test_init_rejects_bad_args():
     with pytest.raises(InvalidConfigError):
         init_embeddings(0, 4)
-    with pytest.raises(InvalidConfigError):
-        init_embeddings(4, 4, init_scale=0.0)
+    for init_scale in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidConfigError, match="init_scale"):
+            init_embeddings(4, 4, init_scale=init_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +126,28 @@ def test_zero_epochs_returns_initialization(two_block_affinity):
     init_target, _ = init_embeddings(10, 4, cfg.init_scale, cfg.seed)
     assert emb.vectors.tobytes() == init_target.vectors.tobytes()
     assert report.epoch_loss == [] and report.positive_pairs == 0
+
+
+def ring_affinity(n):
+    """Each node's context is its two ring neighbors (one when n = 2)."""
+    ids = [np.unique([(i - 1) % n, (i + 1) % n]) for i in range(n)]
+    probs = [np.full(row.size, 1.0 / row.size) for row in ids]
+    return AffinityMatrix(n=n, neighbor_ids=ids, probs=probs, sigma_sq=np.ones(n))
+
+
+# 50 nodes train in blocks of 6, the last block holding 2
+@pytest.mark.parametrize("n", [2, 3, 10, 50])
+def test_training_repeats_bit_for_bit_at_any_node_count(n):
+    aff = ring_affinity(n)
+    samplers = build_samplers(aff, seed=n)
+    cfg = TrainConfig(d=3, samples_per_node=4, negatives=2, epochs=3, seed=n)
+    emb1, rep1 = train(aff, samplers, cfg)
+    emb2, rep2 = train(aff, samplers, cfg)
+    assert emb1.vectors.shape == rep1.context.vectors.shape == (n, 3)
+    assert np.isfinite(emb1.vectors).all() and len(rep1.epoch_loss) == 3
+    assert emb1.vectors.tobytes() == emb2.vectors.tobytes()
+    assert rep1.context.vectors.tobytes() == rep2.context.vectors.tobytes()
+    assert rep1.epoch_loss == rep2.epoch_loss
 
 
 def test_training_is_bitwise_deterministic(two_block_affinity):
@@ -236,6 +259,10 @@ def test_config_validation():
         TrainConfig(d=4, lr_start=0.01, lr_end=0.02).validate()
     with pytest.raises(InvalidConfigError):
         TrainConfig(d=4, lr_start=0.01, lr_end=0.0).validate()
+    for field, value in [("init_scale", math.nan), ("init_scale", math.inf),
+                         ("lr_start", math.inf), ("lr_start", math.nan), ("lr_end", math.nan)]:
+        with pytest.raises(InvalidConfigError, match=field.split("_")[0]):
+            TrainConfig(d=4, **{field: value}).validate()
 
 
 # ---------------------------------------------------------------------------

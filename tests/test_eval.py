@@ -440,12 +440,38 @@ def test_pipeline_config_rejects_bad_noise_power(tmp_path, power):
         ("lr_start", None),
         ("m_or_fraction", "4"),
         ("repeats", "3"),
+        ("epochs", True),
+        ("k", [True]),
+        ("noise_power", False),
+        ("header", "false"),
+        ("header", 0),
     ],
 )
 def test_pipeline_config_rejects_wrongly_typed_fields(tmp_path, field, value):
     params = write_fixture(tmp_path)
     params[field] = value
     with pytest.raises(InvalidConfigError, match=field):
+        PipelineConfig(**params).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("metric", "manhattan"),
+        ("weight_mode", "jaccard"),
+        ("combine", "mean"),
+        ("kernel", ["literal"]),
+        ("protocol", "leave_one_out"),
+        ("init_scale", float("nan")),
+        ("init_scale", float("inf")),
+        ("lr_start", float("inf")),
+        ("epochs", -1),
+    ],
+)
+def test_pipeline_config_rejects_bad_values_before_any_stage(tmp_path, field, value):
+    params = write_fixture(tmp_path)
+    params[field] = value
+    with pytest.raises(InvalidConfigError, match=field.split("_")[0]):
         PipelineConfig(**params).validate()
 
 

@@ -320,8 +320,9 @@ def test_sampler_tables_are_bit_equal_to_the_oracle(graph):
     table = build_samplers(aff)
     for q in range(aff.n):
         accept, alias = brute_alias(aff.probs[q])
-        assert same_bits(table._row_accept[q], accept)
-        assert same_bits(table._row_alias[q], alias)
+        row = slice(table._indptr[q], table._indptr[q + 1])
+        assert same_bits(table._accept[row], accept)
+        assert same_bits(table._alias[row], alias)
     strength = np.zeros(aff.n)
     for ids, p in zip(aff.neighbor_ids, aff.probs):
         np.add.at(strength, ids, p)
@@ -329,6 +330,25 @@ def test_sampler_tables_are_bit_equal_to_the_oracle(graph):
     assert same_bits(table.noise_probs, noise / noise.sum())
     accept, alias = brute_alias(table.noise_probs)
     assert same_bits(table._noise_accept, accept) and same_bits(table._noise_alias, alias)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 9).flatmap(lambda n: st.tuples(
+        random_graph(n, min_support=1),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=12),
+    )),
+    st.sampled_from([1, 2, 7]),
+    st.integers(0, 2**32 - 1),
+)
+def test_draw_rows_is_bit_equal_to_consecutive_draw_row_calls(graph_nodes, size, seed):
+    graph, nodes = graph_nodes
+    table = build_samplers(normalize_affinity(graph))
+    rows = table.draw_rows(np.array(nodes), size, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    expected = np.array([table.draw_row(i, size, rng) for i in nodes])
+    assert rows.shape == (len(nodes), size)
+    assert same_bits(rows, expected)
 
 
 @pytest.mark.parametrize("power", [float("nan"), -1.0, float("inf")])

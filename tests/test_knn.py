@@ -65,6 +65,20 @@ def test_topk_arrays_agrees_with_per_query_blocks(monkeypatch):
         assert ids[q].tolist() == expected_ids
 
 
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_a_one_row_tail_block_matches_a_single_block(monkeypatch, metric):
+    # n = 1 025 leaves one row after the first 1 024-row block; a one-row
+    # distance block goes through BLAS gemv, which rounds unlike gemm
+    assert knn._BLOCK == 1024
+    matrix = np.random.default_rng(12).normal(size=(1025, 30))
+    index = build_index(matrix, metric)
+    ids, dists = topk_arrays(index, 5)
+    monkeypatch.setattr(knn, "_BLOCK", 2048)
+    single_ids, single_dists = topk_arrays(index, 5)
+    assert np.array_equal(ids, single_ids)
+    assert dists.tobytes() == single_dists.tobytes()
+
+
 def test_k3_lists_never_contain_query():
     rng = np.random.default_rng(1)
     ids, _ = topk_arrays(build_index(rng.normal(size=(4, 2))), 3)
