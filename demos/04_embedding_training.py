@@ -17,13 +17,10 @@ from fgfusion import (
     train,
 )
 
-neighbor_ids, probs = [], []
-for i in range(10):
-    block = range(0, 5) if i < 5 else range(5, 10)
-    ids = np.array([j for j in block if j != i], dtype=np.int64)
-    neighbor_ids.append(ids)
-    probs.append(np.full(ids.size, 0.25))
-affinity = AffinityMatrix(n=10, neighbor_ids=neighbor_ids, probs=probs, sigma_sq=np.ones(10))
+# CSR arrays: row i holds indices[indptr[i]:indptr[i + 1]], its 4 block mates
+indptr = np.arange(11) * 4
+indices = np.array([j for i in range(10) for j in range(i // 5 * 5, i // 5 * 5 + 5) if j != i])
+affinity = AffinityMatrix(indptr, indices, np.full(40, 0.25), sigma_sq=np.ones(10))
 
 samplers = build_samplers(affinity, seed=0)
 cfg = TrainConfig(d=4, samples_per_node=50, epochs=20, seed=0)

@@ -42,7 +42,8 @@ from .evalharness import (
     run_pipeline,
     sweep_report,
 )
-from .fusion import build_samplers, fuse_graphs, load_affinity, normalize_affinity, save_affinity
+from .fusion import build_samplers, check_noise_power, fuse_graphs, load_affinity
+from .fusion import normalize_affinity, save_affinity
 from .knn import build_index
 
 EXIT_OK = 0
@@ -181,7 +182,7 @@ def _cmd_build_graph(args) -> int:
         modality_name=features.modality_name,
     )
     save_graph(graph, args.out, args.graph_format)
-    print(f"{args.out}: {graph.n} nodes, {graph.edge_count} edges")
+    print(f"{args.out}: {graph.n} nodes, {graph.indices.size} edges")
     return EXIT_OK
 
 
@@ -195,23 +196,17 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
+    cfg.validate()
+    check_noise_power(args.noise_power)
     affinity = load_affinity(args.affinity, args.affinity_format)
     samplers = build_samplers(affinity, noise_power=args.noise_power, seed=args.seed)
-    cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     embeddings, report = train(affinity, samplers, cfg)
     save_embeddings(embeddings, args.out, args.format)
     if args.report is not None:
-        args.report.write_text(
-            json.dumps(
-                {
-                    "epoch_loss": report.epoch_loss,
-                    "positive_pairs": report.positive_pairs,
-                    "wall_seconds": report.wall_seconds,
-                },
-                indent=2,
-            ),
-            encoding="utf-8",
-        )
+        summary = {key: getattr(report, key)
+                   for key in ("epoch_loss", "positive_pairs", "wall_seconds")}
+        args.report.write_text(json.dumps(summary, indent=2), encoding="utf-8")
     print(f"{args.out}: {embeddings.n} x {embeddings.dim}")
     return EXIT_OK
 

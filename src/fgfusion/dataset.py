@@ -5,12 +5,11 @@ File formats
 CSV features/embeddings: one sample per row, numeric fields separated by
 commas or tabs, ``.`` decimal, no header unless explicitly skipped.
 
-Binary features/embeddings: a fixed little-endian layout —
-
-    magic (4 bytes: ``EJGF`` for features, ``EJGE`` for embeddings)
-    u32 version (currently 1)
-    u64 n, u64 D
-    n * D IEEE-754 float64 values, row-major
+Binary files share one little-endian 24-byte header: a 4-byte magic
+(``EJGF`` features, ``EJGE`` embeddings, ``EJGG`` graphs, ``EJGA``
+affinities), u32 version (currently 1), then u64 n and u64 D here (n and
+the edge count for graphs and affinities). n * D IEEE-754 float64 values
+follow, row-major.
 
 Labels: one record per line, ``label[,instance_id]``. Instance ids are
 all-or-none across the file.
@@ -239,88 +238,80 @@ def _write_numeric_csv(arr: np.ndarray, path: Path) -> None:
             fh.write("\n")
 
 
-def _read_binary_matrix(path: Path, magic: bytes) -> np.ndarray:
+_HEADER = np.dtype([("magic", "S4"), ("version", "<u4"), ("a", "<u8"), ("b", "<u8")])
+
+
+def _write_binary(path, magic: bytes, a: int, b: int, payload: bytes) -> None:
+    """Write the 24-byte header (magic, u32 version, u64 a, u64 b), then ``payload``."""
+    header = np.array([(magic, BINARY_VERSION, a, b)], dtype=_HEADER)
+    Path(path).write_bytes(header.tobytes() + payload)
+
+
+def _read_binary(path, magic: bytes, payload_size) -> tuple[int, int, bytes]:
+    """(a, b, whole file) of a file written by :func:`_write_binary`.
+
+    The magic, the version and the file's length, 24 + ``payload_size(a, b)``
+    bytes, are checked before the caller allocates anything.
+    """
     blob = Path(path).read_bytes()
-    if len(blob) < 24:
+    if len(blob) < _HEADER.itemsize:
         raise ParseError(f"{path}: truncated header", line=0)
     if blob[:4] != magic:
-        raise ParseError(
-            f"{path}: bad magic {blob[:4]!r}, expected {magic!r}", line=0
-        )
-    version = int(np.frombuffer(blob, dtype="<u4", count=1, offset=4)[0])
+        raise ParseError(f"{path}: bad magic {blob[:4]!r}, expected {magic!r}", line=0)
+    _, version, a, b = np.frombuffer(blob, dtype=_HEADER, count=1)[0].item()
     if version != BINARY_VERSION:
         raise ParseError(f"{path}: unsupported version {version}", line=0)
-    n, d = (int(v) for v in np.frombuffer(blob, dtype="<u8", count=2, offset=8))
-    expected = 24 + 8 * n * d
+    expected = _HEADER.itemsize + payload_size(a, b)
     if len(blob) != expected:
-        raise ParseError(
-            f"{path}: payload is {len(blob)} bytes, expected {expected}", line=0
-        )
-    data = np.frombuffer(blob, dtype="<f8", count=n * d, offset=24)
-    return data.reshape(n, d).copy()
+        raise ParseError(f"{path}: payload is {len(blob)} bytes, expected {expected}", line=0)
+    return a, b, blob
 
 
-def _write_binary_matrix(arr: np.ndarray, path: Path, magic: bytes) -> None:
-    header = (
-        magic
-        + np.asarray([BINARY_VERSION], dtype="<u4").tobytes()
-        + np.asarray(arr.shape, dtype="<u8").tobytes()
-    )
-    Path(path).write_bytes(header + np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _check_format(fmt: str) -> str:
+def _check_format(fmt: str) -> None:
     if fmt not in ("csv", "binary"):
         raise InvalidConfigError(f"unknown format {fmt!r}, expected 'csv' or 'binary'")
-    return fmt
 
 
-def load_features(
-    path: str | Path,
-    fmt: str = "csv",
-    header: bool = False,
-    modality_name: str | None = None,
-) -> FeatureMatrix:
-    """Load a feature matrix from ``path`` in the declared format."""
-    path = Path(path)
+def _load_matrix(path: Path, fmt: str, magic: bytes, header: bool = False) -> np.ndarray:
     _check_format(fmt)
     if not path.exists():
         raise FileNotFoundError(path)
     if fmt == "csv":
-        data = _parse_numeric_csv(path, skip_header=header)
+        return _parse_numeric_csv(path, skip_header=header)
+    n, d, blob = _read_binary(path, magic, lambda n, d: 8 * n * d)
+    if not n * d:
+        raise ParseError(f"{path}: no values", line=0)
+    return np.frombuffer(blob, dtype="<f8", count=n * d, offset=24).reshape(n, d).copy()
+
+
+def _save_matrix(arr: np.ndarray, path: Path, fmt: str, magic: bytes) -> None:
+    _check_format(fmt)
+    if fmt == "csv":
+        _write_numeric_csv(arr, path)
     else:
-        data = _read_binary_matrix(path, FEATURE_MAGIC)
+        _write_binary(path, magic, *arr.shape, np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def load_features(path: str | Path, fmt: str = "csv", header: bool = False,
+                  modality_name: str | None = None) -> FeatureMatrix:
+    """Load a feature matrix from ``path`` in the declared format."""
+    path = Path(path)
+    data = _load_matrix(path, fmt, FEATURE_MAGIC, header)
     name = modality_name if modality_name is not None else path.stem
     return FeatureMatrix(data, modality_name=name)
 
 
 def save_features(features: FeatureMatrix, path: str | Path, fmt: str = "csv") -> None:
-    _check_format(fmt)
-    if fmt == "csv":
-        _write_numeric_csv(features.data, Path(path))
-    else:
-        _write_binary_matrix(features.data, Path(path), FEATURE_MAGIC)
+    _save_matrix(features.data, Path(path), fmt, FEATURE_MAGIC)
 
 
 def load_embeddings(path: str | Path, fmt: str = "csv") -> EmbeddingMatrix:
-    path = Path(path)
-    _check_format(fmt)
-    if not path.exists():
-        raise FileNotFoundError(path)
-    if fmt == "csv":
-        data = _parse_numeric_csv(path, skip_header=False)
-    else:
-        data = _read_binary_matrix(path, EMBEDDING_MAGIC)
-    return EmbeddingMatrix(data)
+    return EmbeddingMatrix(_load_matrix(Path(path), fmt, EMBEDDING_MAGIC))
 
 
 def save_embeddings(embeddings: EmbeddingMatrix, path: str | Path, fmt: str = "csv") -> None:
     """Persist embeddings; binary round-trips bitwise, CSV value-exact."""
-    _check_format(fmt)
-    if fmt == "csv":
-        _write_numeric_csv(embeddings.vectors, Path(path))
-    else:
-        _write_binary_matrix(embeddings.vectors, Path(path), EMBEDDING_MAGIC)
+    _save_matrix(embeddings.vectors, Path(path), fmt, EMBEDDING_MAGIC)
 
 
 def load_labels(path: str | Path) -> LabelVector:

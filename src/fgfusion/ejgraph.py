@@ -18,12 +18,14 @@ the full KNN support of every row.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import _open_text, _read_csv_table
+from .dataset import _open_text, _read_binary, _read_csv_table, _write_binary
 from .errors import InvalidConfigError, ParseError
 from .knn import KnnIndex, topk_arrays
 
@@ -32,39 +34,88 @@ WEIGHT_MODES = ("literal", "jaccard-scaled")
 GRAPH_MAGIC = b"EJGG"
 
 
-@dataclass
-class SparseGraph:
-    """Weighted directed adjacency with per-row neighbor lists."""
+class RowView(Sequence):
+    """Rows of a CSR array: item q is the numpy view ``values[indptr[q]:indptr[q + 1]]``.
 
-    n: int
-    neighbor_ids: list[np.ndarray]  # per row, int64, distinct, no self
-    weights: list[np.ndarray]  # per row, float64, >= 0
+    Assigning to an item writes that row's values in place.
+    """
+
+    def __init__(self, indptr: np.ndarray, values: np.ndarray):
+        self._indptr = indptr
+        self._values = values
+
+    def __len__(self) -> int:
+        return self._indptr.size - 1
+
+    def __getitem__(self, q) -> np.ndarray:
+        q = range(len(self))[operator.index(q)]
+        return self._values[self._indptr[q] : self._indptr[q + 1]]
+
+    def __setitem__(self, q, row) -> None:
+        view, row = self[q], np.asarray(row)
+        if row.shape != view.shape:
+            raise ValueError(f"row {q} holds {view.size} values, got shape {row.shape}")
+        view[...] = row
+
+
+def row_offsets(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR ``indptr`` of n rows holding entries whose rows are ``rows``."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+
+
+@dataclass
+class _Csr:
+    """A sparse matrix as CSR arrays: row q holds the neighbor ids
+    ``indices[indptr[q]:indptr[q + 1]]`` and their values in ``data``."""
+
+    indptr: np.ndarray  # int64, n + 1 nondecreasing offsets from 0
+    indices: np.ndarray  # int64
+    data: np.ndarray  # float64
+
+    @property
+    def n(self) -> int:
+        return self.indptr.size - 1
+
+    @property
+    def neighbor_ids(self) -> RowView:
+        return RowView(self.indptr, self.indices)
+
+    def _entry_rows(self) -> np.ndarray:
+        """The row of every entry."""
+        counts = np.diff(self.indptr)
+        if not (self.indptr[0] == 0 and counts.min(initial=0) >= 0
+                and self.indptr[-1] == self.indices.size == self.data.size):
+            raise InvalidConfigError("indptr, indices and data do not form a CSR matrix")
+        return np.repeat(np.arange(self.n), counts)
+
+
+@dataclass
+class SparseGraph(_Csr):
+    """Weighted directed adjacency: per row distinct neighbor ids, no
+    self-loops, and finite weights >= 0."""
+
     modality_name: str = ""
 
+    @property
+    def weights(self) -> RowView:
+        return RowView(self.indptr, self.data)
+
     def validate(self) -> None:
-        if len(self.neighbor_ids) != self.n or len(self.weights) != self.n:
-            raise InvalidConfigError("row count does not match n")
-        src, ids = _edges(self.neighbor_ids, np.int64)
-        w_src, w = _edges(self.weights, np.float64)
+        src, ids, w = self._entry_rows(), self.indices, self.data
         in_range = (ids >= 0) & (ids < self.n)
         keys = np.sort((src * self.n + ids)[in_range])
         bad = _first_bad_row(
-            np.flatnonzero(_row_lengths(self.neighbor_ids) != _row_lengths(self.weights)),
             src[~in_range],
             src[ids == src],
             keys[1:][keys[1:] == keys[:-1]] // self.n,
-            w_src[w < 0],
-            w_src[~np.isfinite(w)],
+            src[w < 0],
+            src[~np.isfinite(w)],
         )
         if bad is not None:
             q, check = bad
-            problem = ("ids and weights differ in length", "neighbor id out of range", "self-loop",
-                       "duplicate neighbor ids", "negative weight", "non-finite weight")
+            problem = ("neighbor id out of range", "self-loop", "duplicate neighbor ids",
+                       "negative weight", "non-finite weight")
             raise InvalidConfigError(f"row {q}: {problem[check]}")
-
-    @property
-    def edge_count(self) -> int:
-        return int(_row_lengths(self.neighbor_ids).sum())
 
 
 def _isin_rows(sets: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
@@ -126,33 +177,13 @@ def build_ejg(
             ic = _isin_rows(cs, nbrs_k1[cs], n).sum(axis=2)
             jac = ic / (k1 + k - ic)
             weights[rows] = jac * confirmations[cs] / k1
-    return SparseGraph(
-        n=n, neighbor_ids=list(nbrs_k), weights=list(weights), modality_name=modality_name
-    )
+    indptr = np.arange(n + 1, dtype=np.int64) * k
+    return SparseGraph(indptr, nbrs_k.reshape(-1), weights.reshape(-1), modality_name)
 
 
 # ---------------------------------------------------------------------------
-# Flat edge arrays and the edge-list codec shared with affinity files
+# Row checks and the edge-list codec shared with affinity files
 # ---------------------------------------------------------------------------
-
-
-def _row_lengths(rows) -> np.ndarray:
-    return np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-
-
-def _flat(rows, dtype) -> np.ndarray:
-    """The per-row arrays laid end to end."""
-    return np.concatenate(rows, dtype=dtype) if len(rows) else np.empty(0, dtype)
-
-
-def _split_rows(flat: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
-    """Per-row views of a flat array holding counts[q] entries for row q."""
-    return np.split(flat, np.cumsum(counts)[:-1]) if counts.size else []
-
-
-def _edges(rows, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """(row of each entry, entries) of per-row arrays laid end to end."""
-    return np.repeat(np.arange(len(rows)), _row_lengths(rows)), _flat(rows, dtype)
 
 
 def _first_bad_row(*failing_rows) -> tuple[int, int] | None:
@@ -165,8 +196,6 @@ def _first_bad_row(*failing_rows) -> tuple[int, int] | None:
     return min(found) if found else None
 
 
-EDGE_FORMAT_VERSION = 1
-_EDGE_HEADER = np.dtype([("magic", "S4"), ("version", "<u4"), ("n", "<u8"), ("edges", "<u8")])
 _EDGE_RECORD = np.dtype([("src", "<u8"), ("dst", "<u8"), ("value", "<f8")])
 _CSV_EDGE = np.dtype([("src", "<i8"), ("dst", "<i8"), ("value", "<f8")])
 _CSV_WRITE_EDGES = 1 << 13  # edges formatted per write
@@ -175,11 +204,11 @@ _CSV_WRITE_EDGES = 1 << 13  # edges formatted per write
 _UNSTRIPPED_BYTES = b"\x1c\x1d\x1e\x1f"
 
 
-def _write_edges(path, fmt, n, id_rows, value_rows, magic, node_values=None) -> None:
-    """Write rows as `src,dst,value` lines, or as the binary edge table: the
-    header, one record per edge, then n f64 ``node_values`` if given."""
-    src, dst = _edges(id_rows, np.int64)
-    val = _flat(value_rows, np.float64)
+def _write_edges(path, fmt, matrix: _Csr, magic, node_values=None) -> None:
+    """Write a CSR matrix's entries as `src,dst,value` lines, or as the binary
+    edge table: the header (n, edge count), one record per edge, then n f64
+    ``node_values`` if given."""
+    src, dst, val = matrix._entry_rows(), matrix.indices, matrix.data
     if fmt == "csv":
         with open(path, "w", encoding="utf-8") as fh:
             for at in range(0, src.size, _CSV_WRITE_EDGES):
@@ -189,11 +218,10 @@ def _write_edges(path, fmt, n, id_rows, value_rows, magic, node_values=None) -> 
                     for s, d, v in zip(src[part].tolist(), dst[part].tolist(), val[part].tolist())
                 ))
     elif fmt == "binary":
-        header = np.array([(magic, EDGE_FORMAT_VERSION, n, src.size)], dtype=_EDGE_HEADER)
         body = np.empty(src.size, dtype=_EDGE_RECORD)
         body["src"], body["dst"], body["value"] = src, dst, val
         trailer = b"" if node_values is None else np.asarray(node_values, dtype="<f8").tobytes()
-        Path(path).write_bytes(header.tobytes() + body.tobytes() + trailer)
+        _write_binary(path, magic, matrix.n, src.size, body.tobytes() + trailer)
     else:
         raise InvalidConfigError(f"unknown format {fmt!r}")
 
@@ -239,11 +267,13 @@ def _read_csv_edges(path: Path, value_name: str):
     return edges["src"], edges["dst"], edges["value"]
 
 
-def _read_edges(path, fmt, magic, value_name, with_node_values=False):
+def _read_edges(path, fmt, magic, value_name, affinity=False):
     """Read a file written by :func:`_write_edges`.
 
-    Returns (n, id rows, value rows, node values or None); each row keeps
-    its edges in file order. CSV infers n as the largest id + 1.
+    Returns CSR arrays (indptr, indices, data) and the node values or None;
+    each row keeps its edges in file order. CSV infers n as the largest id
+    + 1. An ``affinity`` file has no empty row, and its binary form ends in
+    n f64 node values.
     """
     path = Path(path)
     if not path.exists():
@@ -251,31 +281,27 @@ def _read_edges(path, fmt, magic, value_name, with_node_values=False):
     node_values = None
     if fmt == "csv":
         src, dst, val = _read_csv_edges(path, value_name)
-        if not src.size:
-            raise ParseError(f"{path}: no edges", line=0)
-        n = int(max(src.max(), dst.max())) + 1
+        n = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
     elif fmt == "binary":
-        blob = path.read_bytes()
-        if len(blob) < 24 or blob[:4] != magic:
-            raise ParseError(f"{path}: not a {magic.decode()} file", line=0)
-        _, version, n, n_edges = np.frombuffer(blob, dtype=_EDGE_HEADER, count=1)[0].item()
-        if version != EDGE_FORMAT_VERSION:
-            raise ParseError(f"{path}: unsupported version {version}", line=0)
-        if len(blob) != 24 + 24 * n_edges + (8 * n if with_node_values else 0):
-            raise ParseError(f"{path}: payload length does not match header", line=0)
+        n, n_edges, blob = _read_binary(path, magic, lambda n, e: 24 * e + 8 * n * affinity)
+        if n > 2 * n_edges:  # some node would be the end of no edge
+            raise ParseError(f"{path}: {n} nodes but only {n_edges} edges", line=0)
         body = np.frombuffer(blob, dtype=_EDGE_RECORD, count=n_edges, offset=24)
         for col in ("src", "dst"):
             if n_edges and body[col].max() >= n:
                 raise ParseError(f"{path}: {col} node id outside [0, {n})", line=0)
         src, dst, val = body["src"].astype(np.int64), body["dst"].astype(np.int64), body["value"]
-        if with_node_values:
+        if affinity:
             node_values = np.frombuffer(blob, dtype="<f8", count=n, offset=24 + 24 * n_edges).copy()
     else:
         raise InvalidConfigError(f"unknown format {fmt!r}")
+    if not src.size:
+        raise ParseError(f"{path}: no edges", line=0)
+    if affinity and n > src.size:
+        raise ParseError(f"{path}: {n} rows but {src.size} edges: some row is empty", line=0)
     # a stable sort by src groups the rows and keeps each row in file order
     order = np.argsort(src, kind="stable")
-    counts = np.bincount(src, minlength=n)
-    return n, _split_rows(dst[order], counts), _split_rows(val[order], counts), node_values
+    return row_offsets(src, n), dst[order], val[order], node_values
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +310,13 @@ def _read_edges(path, fmt, magic, value_name, with_node_values=False):
 
 
 def save_graph(graph: SparseGraph, path: str | Path, fmt: str = "csv") -> None:
-    _write_edges(path, fmt, graph.n, graph.neighbor_ids, graph.weights, GRAPH_MAGIC)
+    _write_edges(path, fmt, graph, GRAPH_MAGIC)
 
 
 def load_graph(path: str | Path, fmt: str = "csv", modality_name: str = "") -> SparseGraph:
     """Load a graph. CSV infers n as max node id + 1 (EJG rows are never empty)."""
-    n, ids, weights, _ = _read_edges(path, fmt, GRAPH_MAGIC, "weight")
-    return _validated(SparseGraph(n, ids, weights, modality_name), path)
+    indptr, ids, weights, _ = _read_edges(path, fmt, GRAPH_MAGIC, "weight")
+    return _validated(SparseGraph(indptr, ids, weights, modality_name), path)
 
 
 def _validated(graph, path):

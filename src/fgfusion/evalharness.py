@@ -10,7 +10,6 @@ accuracies with mean and sample standard deviation per row.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
@@ -89,7 +88,8 @@ def make_splits(labels: LabelVector, spec: SplitSpec) -> list[tuple[np.ndarray, 
     if spec.protocol != "random_fraction":
         # each class's sample indices, ascending, classes in sorted order
         classes, inverse = np.unique(labels.labels, return_inverse=True)
-        members = ejgraph._split_rows(np.argsort(inverse, kind="stable"), np.bincount(inverse))
+        order = np.argsort(inverse, kind="stable")
+        members = ejgraph.RowView(ejgraph.row_offsets(inverse, classes.size), order)
     if spec.protocol == "per_class_train_m":
         m = int(spec.m_or_fraction)
         for c, idx in zip(classes, members):
@@ -341,8 +341,7 @@ class PipelineConfig:
         self.train_config(int(self.d[0]), self.seed).validate()
         if self.votes < 1:
             raise InvalidConfigError("votes must be >= 1")
-        if not (math.isfinite(self.noise_power) and self.noise_power >= 0):
-            raise InvalidConfigError("noise_power must be finite and >= 0")
+        fusion.check_noise_power(self.noise_power)
 
     def train_config(self, d: int, seed: int) -> TrainConfig:
         """The training settings of a cell of the sweep with dimension d."""

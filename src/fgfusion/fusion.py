@@ -15,17 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ejgraph import (
-    SparseGraph,
-    _edges,
-    _first_bad_row,
-    _flat,
-    _read_edges,
-    _row_lengths,
-    _split_rows,
-    _validated,
-    _write_edges,
-)
+from .ejgraph import RowView, SparseGraph, _Csr, _first_bad_row, _read_edges, _validated
+from .ejgraph import _write_edges, row_offsets
 from .errors import EmptyRowError, InvalidConfigError, NodeCountMismatchError
 from .randomness import rng_stream
 
@@ -54,14 +45,12 @@ def fuse_graphs(graphs: list[SparseGraph], combine: str = "sum") -> SparseGraph:
         if g.n != n:
             raise NodeCountMismatchError(f"graph {g.modality_name!r} has {g.n} nodes, expected {n}")
 
-    id_rows = [row for g in graphs for row in g.neighbor_ids]
     # one key per edge, row * n + id, laid out in graph order; the stable sort
     # orders the edges by (row, id) and keeps equal edges in graph order
-    key = np.repeat(np.tile(np.arange(n) * n, len(graphs)), _row_lengths(id_rows))
-    key += _flat(id_rows, np.int64)
+    key = np.concatenate([g._entry_rows() * n + g.indices for g in graphs], dtype=np.int64)
     order = np.argsort(key, kind="stable")
     key = key[order]
-    ws = _flat([row for g in graphs for row in g.weights], np.float64)[order]
+    ws = np.concatenate([g.data for g in graphs], dtype=np.float64)[order]
     del order  # permuted copies are made one at a time, which bounds the peak
     first = np.flatnonzero(np.diff(key, prepend=-1))
     key = key[first]
@@ -72,44 +61,39 @@ def fuse_graphs(graphs: list[SparseGraph], combine: str = "sum") -> SparseGraph:
     for r in range(1, sizes.max(initial=0)):
         live = sizes > r
         merged[live] = op(merged[live], ws[first[live] + r])
-    counts = np.bincount(key // n, minlength=n)
     name = "+".join(g.modality_name for g in graphs if g.modality_name)
-    return SparseGraph(n, _split_rows(key % n, counts), _split_rows(merged, counts), name)
+    return SparseGraph(row_offsets(key // n, n), key % n, merged, name)
 
 
 @dataclass
-class AffinityMatrix:
+class AffinityMatrix(_Csr):
     """Row-stochastic affinity over the fused KNN support.
 
     ``sigma_sq`` holds the per-row Gaussian bandwidth: the variance of the
     row's kernel inputs, floored at SIGMA_FLOOR.
     """
 
-    n: int
-    neighbor_ids: list[np.ndarray]
-    probs: list[np.ndarray]
     sigma_sq: np.ndarray | None = None
 
+    @property
+    def probs(self) -> RowView:
+        return RowView(self.indptr, self.data)
+
     def validate(self) -> None:
-        if len(self.neighbor_ids) != self.n or len(self.probs) != self.n:
-            raise InvalidConfigError("row count does not match n")
-        counts = _row_lengths(self.neighbor_ids)
-        src, ids = _edges(self.neighbor_ids, np.int64)
-        p_src, p = _edges(self.probs, np.float64)
-        sums = np.bincount(p_src, weights=p, minlength=self.n)
+        src, ids, p = self._entry_rows(), self.indices, self.data
+        sums = np.bincount(src, weights=p, minlength=self.n)
         bad = _first_bad_row(
-            np.flatnonzero(counts == 0),
-            np.flatnonzero(counts != _row_lengths(self.probs)),
+            np.flatnonzero(np.diff(self.indptr) == 0),
             src[(ids < 0) | (ids >= self.n)],
-            p_src[~((p >= 0.0) & (p <= 1.0))],
+            src[~((p >= 0.0) & (p <= 1.0))],
             np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-9)),
         )
         if bad is not None:
             i, check = bad
             if check == 0:
                 raise EmptyRowError(f"row {i} is empty")
-            problem = ("ids and probabilities differ in length", "neighbor id out of range",
-                       "probability outside [0, 1]", f"probabilities sum to {self.probs[i].sum()}")
+            problem = ("neighbor id out of range", "probability outside [0, 1]",
+                       f"probabilities sum to {self.probs[i].sum()}")
             raise InvalidConfigError(f"row {i}: {problem[check - 1]}")
         if self.sigma_sq is not None and not np.all(self.sigma_sq >= SIGMA_FLOOR):
             raise InvalidConfigError("bandwidth below floor or not a number")
@@ -123,16 +107,16 @@ def normalize_affinity(graph: SparseGraph, kernel_input: str = "dissimilarity") 
     probability. ``literal`` mode feeds the raw weights to the kernel,
     which reverses that ordering. Either way the kernel is
     exp(-x / (2 * var)) with var the variance of the row's kernel inputs,
-    floored at SIGMA_FLOOR, and the row is normalized to sum to 1.
+    floored at SIGMA_FLOOR, and the row is normalized to sum to 1. The
+    affinity shares the graph's ``indptr`` and ``indices``.
     """
     if kernel_input not in KERNEL_INPUTS:
         raise InvalidConfigError(f"unknown kernel input mode {kernel_input!r}")
-    counts = _row_lengths(graph.weights)
+    counts = np.diff(graph.indptr)
     if not counts.all():
         raise EmptyRowError(f"row {int(np.argmin(counts))} has no edges")
-    w = _flat(graph.weights, np.float64)
-    starts = np.cumsum(counts) - counts
-    probs = np.empty_like(w)
+    w, starts = graph.data, graph.indptr[:-1]
+    probs = np.empty(w.size)
     sigma_sq = np.empty(graph.n, dtype=np.float64)
     # Rows of one support size form a dense block whose per-row reductions
     # run over the contiguous last axis: the same sums as one row at a time.
@@ -146,8 +130,7 @@ def normalize_affinity(graph: SparseGraph, kernel_input: str = "dissimilarity") 
         sigma_sq[rows] = var
         e = np.exp(-(x - x.min(axis=1, keepdims=True)) / (2.0 * var[:, None]))
         probs[at] = e / e.sum(axis=1, keepdims=True)
-    ids = _split_rows(_flat(graph.neighbor_ids, np.int64), counts)
-    return AffinityMatrix(graph.n, ids, _split_rows(probs, counts), sigma_sq)
+    return AffinityMatrix(graph.indptr, graph.indices, probs, sigma_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +177,12 @@ def _alias_pick(
     return np.where(r - idx < accept[at], at, lo + alias[at])
 
 
+def check_noise_power(noise_power: float) -> float:
+    if not (math.isfinite(noise_power) and noise_power >= 0):
+        raise InvalidConfigError(f"noise_power must be finite and >= 0, got {noise_power!r}")
+    return float(noise_power)
+
+
 class SamplerTable:
     """Per-row context samplers plus the global noise distribution.
 
@@ -202,21 +191,20 @@ class SamplerTable:
     """
 
     def __init__(self, affinity: AffinityMatrix, noise_power: float = 0.75, seed: int = 0):
-        if not (math.isfinite(noise_power) and noise_power >= 0):
-            raise InvalidConfigError(f"noise_power must be finite and >= 0, got {noise_power!r}")
+        self.noise_power = check_noise_power(noise_power)
         self.n = affinity.n
         self.seed = int(seed)
-        self.noise_power = float(noise_power)
-        # the per-row alias tables laid end to end, row i at indptr[i]:indptr[i + 1]
-        self._indptr = np.concatenate(([0], np.cumsum(_row_lengths(affinity.neighbor_ids))))
-        self._ids = _flat(affinity.neighbor_ids, np.int64)
-        tables = [_build_alias(p) for p in affinity.probs]
-        self._accept = _flat([t[0] for t in tables], np.float64)
-        self._alias = _flat([t[1] for t in tables], np.int64)
+        # own copies keep the table immutable; the per-row alias tables are
+        # laid end to end beside them, row i at indptr[i]:indptr[i + 1]
+        self._indptr = np.array(affinity.indptr, dtype=np.int64)
+        self._ids = np.array(affinity.indices, dtype=np.int64)
+        self._accept = np.empty(self._ids.size, dtype=np.float64)
+        self._alias = np.empty(self._ids.size, dtype=np.int64)
+        bounds = self._indptr.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            self._accept[lo:hi], self._alias[lo:hi] = _build_alias(affinity.data[lo:hi])
 
-        strength = np.bincount(
-            self._ids, weights=_flat(affinity.probs, np.float64), minlength=self.n
-        )
+        strength = np.bincount(self._ids, weights=affinity.data, minlength=self.n)
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
             noise = strength**self.noise_power
             self.noise_probs = noise / noise.sum()
@@ -232,8 +220,7 @@ class SamplerTable:
 
     def draw_row(self, i: int, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``size`` context nodes from the distribution of row i."""
-        lo, hi = self._indptr[i], self._indptr[i + 1]
-        return self._ids[_alias_pick(self._accept, self._alias, lo, hi - lo, rng.random(size))]
+        return self.draw_rows(np.array([i]), size, rng)[0]
 
     def draw_rows(self, nodes: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``size`` context nodes from each listed row, one row per node.
@@ -264,11 +251,11 @@ def build_samplers(
 def save_affinity(aff: AffinityMatrix, path: str | Path, fmt: str = "csv") -> None:
     """CSV carries edges only; the binary format also stores the bandwidths."""
     sigma = aff.sigma_sq if aff.sigma_sq is not None else np.full(aff.n, np.nan)
-    _write_edges(path, fmt, aff.n, aff.neighbor_ids, aff.probs, AFFINITY_MAGIC, sigma)
+    _write_edges(path, fmt, aff, AFFINITY_MAGIC, sigma)
 
 
 def load_affinity(path: str | Path, fmt: str = "csv") -> AffinityMatrix:
-    n, ids, probs, sigma = _read_edges(path, fmt, AFFINITY_MAGIC, "prob", with_node_values=True)
+    indptr, ids, probs, sigma = _read_edges(path, fmt, AFFINITY_MAGIC, "prob", affinity=True)
     if sigma is not None and np.isnan(sigma).all():
         sigma = None
-    return _validated(AffinityMatrix(n=n, neighbor_ids=ids, probs=probs, sigma_sq=sigma), path)
+    return _validated(AffinityMatrix(indptr, ids, probs, sigma), path)

@@ -114,6 +114,15 @@ def loo_nn_accuracy(matrix: np.ndarray, labels, metric: str = "euclidean", subse
     return correct / total
 
 
+def csr(rows):
+    """(indptr, indices, data) CSR arrays of rows given as (neighbor ids, values) pairs."""
+    rows = list(rows)
+    indptr = np.cumsum([0] + [len(ids) for ids, _ in rows], dtype=np.int64)
+    indices = np.array([j for ids, _ in rows for j in ids], dtype=np.int64)
+    data = np.array([v for _, values in rows for v in values], dtype=np.float64)
+    return indptr, indices, data
+
+
 # ---------------------------------------------------------------------------
 # Per-row fusion, normalization and alias construction: the library's
 # row-at-a-time versions from before they worked on flat edge arrays.

@@ -8,6 +8,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from fgfusion import AffinityMatrix
 
+from bruteforce import csr
+
 
 @pytest.fixture
 def two_block_affinity():
@@ -19,8 +21,7 @@ def two_block_affinity():
         ids = np.array([j for j in block if j != i], dtype=np.int64)
         neighbor_ids.append(ids)
         probs.append(np.full(ids.size, 0.25))
-    aff = AffinityMatrix(n=10, neighbor_ids=neighbor_ids, probs=probs,
-                         sigma_sq=np.full(10, 1.0))
+    aff = AffinityMatrix(*csr(zip(neighbor_ids, probs)), sigma_sq=np.full(10, 1.0))
     aff.validate()
     return aff
 

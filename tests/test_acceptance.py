@@ -38,7 +38,7 @@ from fgfusion import (
 from fgfusion.ejgraph import SparseGraph
 from fgfusion.knn import topk_arrays
 
-from bruteforce import brute_ejg_weights, brute_knn
+from bruteforce import brute_ejg_weights, brute_knn, csr
 
 
 @contextlib.contextmanager
@@ -139,7 +139,7 @@ def test_criterion_3_affinity_contract():
             ids = np.where(others >= q, others + 1, others).astype(np.int64)
             neighbor_ids.append(ids)
             weights.append(np.round(rng.random(size) * 4, 1))  # ties and zeros
-        graph = SparseGraph(n=n, neighbor_ids=neighbor_ids, weights=weights)
+        graph = SparseGraph(*csr(zip(neighbor_ids, weights)))
         affinity = normalize_affinity(graph, "dissimilarity")
         for q in range(n):
             p = affinity.probs[q]

@@ -367,3 +367,30 @@ def test_eval_rejects_a_label_count_that_differs_from_the_rows(
     )
     assert proc.returncode == 3, proc.stderr
     assert f"{label_count} labels for 32 samples" in proc.stderr
+
+
+@pytest.mark.parametrize("flag, value", [("--init-scale", "nan"), ("--noise-power", "nan"),
+                                         ("--noise-power", "-1")])
+def test_embed_checks_its_settings_before_reading_the_affinity(tmp_path, capsys, flag, value):
+    argv = ["embed", "--affinity", str(tmp_path / "missing.bin"), "--dim", "4",
+            "--out", str(tmp_path / "emb.bin"), flag, value]
+    assert cli.main(argv) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_embed_exits_3_on_an_affinity_with_more_rows_than_edges(tmp_path, capsys):
+    (tmp_path / "aff.csv").write_text("0,1099511627776,1.0\n")
+    argv = ["embed", "--affinity", str(tmp_path / "aff.csv"), "--affinity-format", "csv",
+            "--dim", "4", "--out", str(tmp_path / "emb.bin")]
+    assert cli.main(argv) == 3
+    assert "some row is empty" in capsys.readouterr().err
+
+
+def test_fuse_exits_3_on_a_binary_graph_without_edges(tmp_path, capsys):
+    graph = tmp_path / "g.bin"
+    graph.write_bytes(b"EJGG" + np.asarray([1], "<u4").tobytes()
+                      + np.asarray([2**62, 0], "<u8").tobytes())
+    argv = ["fuse", "--graphs", str(graph), str(graph), "--graph-format", "binary",
+            "--out", str(tmp_path / "aff.bin")]
+    assert cli.main(argv) == 3
+    assert "edges" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import struct
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -9,8 +11,10 @@ from hypothesis import strategies as st
 from fgfusion import (
     FeatureMatrix,
     LabelVector,
+    load_affinity,
     load_embeddings,
     load_features,
+    load_graph,
     load_labels,
     save_embeddings,
     save_features,
@@ -20,6 +24,7 @@ from fgfusion import (
 from fgfusion import dataset
 from fgfusion.dataset import EmbeddingMatrix
 from fgfusion.errors import (
+    DataError,
     DimensionMismatchError,
     InvalidConfigError,
     LengthMismatchError,
@@ -255,6 +260,59 @@ def test_binary_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ParseError):
         load_features(path, "binary")
+
+
+def test_binary_without_values_is_a_parse_error(tmp_path):
+    path = tmp_path / "e.bin"
+    for shape in [(0, 2**62), (2**62, 0), (0, 3)]:
+        path.write_bytes(b"EJGE" + struct.pack("<IQQ", 1, *shape))
+        with pytest.raises(ParseError, match="no values"):
+            load_embeddings(path, "binary")
+
+
+# u64 header fields and ids, mostly small; payload words are these or f64 values
+HEADER_FIELDS = st.one_of(st.integers(0, 6), st.integers(0, 2**64 - 1))
+PAYLOAD_WORDS = st.one_of(
+    HEADER_FIELDS.map(lambda v: struct.pack("<Q", v)),
+    st.floats().map(lambda v: struct.pack("<d", v)),
+)
+# magic -> (loader, payload words the header (a, b) implies)
+BINARY_LOADERS = {
+    b"EJGF": (lambda p: load_features(p, "binary"), lambda n, d: n * d),
+    b"EJGE": (lambda p: load_embeddings(p, "binary"), lambda n, d: n * d),
+    b"EJGG": (lambda p: load_graph(p, "binary"), lambda n, edges: 3 * edges),
+    b"EJGA": (lambda p: load_affinity(p, "binary"), lambda n, edges: 3 * edges + n),
+}
+
+
+@st.composite
+def binary_files(draw, magic):
+    """A valid magic and version, arbitrary header fields, then payload words,
+    often as many as the header implies, and a few stray bytes."""
+    a, b = draw(HEADER_FIELDS), draw(HEADER_FIELDS)
+    implied = BINARY_LOADERS[magic][1](a, b)
+    count = implied if implied <= 40 and draw(st.booleans()) else draw(st.integers(0, 40))
+    words = draw(st.lists(PAYLOAD_WORDS, min_size=count, max_size=count))
+    stray = draw(st.binary(max_size=7))
+    return magic + struct.pack("<IQQ", 1, a, b) + b"".join(words) + stray
+
+
+@pytest.mark.parametrize("magic", BINARY_LOADERS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_binary_loaders_give_an_object_or_a_data_error(tmp_path_factory, magic, data):
+    blob = data.draw(binary_files(magic))
+    path = tmp_path_factory.mktemp("bin") / "f.bin"
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        BINARY_LOADERS[magic][0](path)
+    except DataError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"{peak} bytes allocated for a {len(blob)}-byte file"
 
 
 def test_embedding_csv_roundtrip_exact(tmp_path):

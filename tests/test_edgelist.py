@@ -150,8 +150,8 @@ def test_fast_edge_read_matches_the_per_line_parser(tmp_path_factory, text):
     path.write_text(text, encoding="utf-8", newline="")
 
     def read():
-        n, ids, values, _ = ejgraph._read_edges(path, "csv", b"EJGG", "weight")
-        return np.array([n, *map(len, ids)] + [v for row in ids + values for v in row.tolist()])
+        indptr, ids, values, _ = ejgraph._read_edges(path, "csv", b"EJGG", "weight")
+        return np.concatenate([indptr, ids, values])
 
     got = outcome(read)
     with mock.patch.object(ejgraph, "_read_csv_table", return_value=None):
@@ -194,7 +194,7 @@ def test_csv_write_is_one_repr_line_per_edge(tmp_path, kind):
     if kind == "graph":
         save_graph(g, path, "csv")
     else:
-        save_affinity(AffinityMatrix(g.n, g.neighbor_ids, g.weights), path, "csv")
+        save_affinity(AffinityMatrix(g.indptr, g.indices, g.data), path, "csv")
     assert path.read_text() == "0,2,0.1\n0,1,0.9\n1,0,1.0\n2,1,1.0\n"
 
 
@@ -243,3 +243,31 @@ def test_binary_affinity_rejects_nan_probabilities(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(ParseError):
         load_affinity(path, "binary")
+
+
+@pytest.mark.parametrize("kind, magic", [("graph", b"EJGG"), ("affinity", b"EJGA")])
+@pytest.mark.parametrize("n", [0, 2, 2**62])
+def test_binary_edge_file_without_edges_is_rejected(tmp_path, kind, magic, n):
+    # an affinity's bandwidths follow its edges; at n = 2^62 the length check rejects the file
+    trailer = np.ones(n, "<f8").tobytes() if kind == "affinity" and n < 2**62 else b""
+    path = tmp_path / "e.bin"
+    path.write_bytes(magic + np.asarray([1], "<u4").tobytes() + np.asarray([n, 0], "<u8").tobytes()
+                     + trailer)
+    with pytest.raises(ParseError):
+        LOADERS[kind](path, "binary")
+
+
+def test_binary_graph_rejects_more_nodes_than_edge_ends(tmp_path):
+    assert load_graph(binary_graph(tmp_path, [(0, 1, 1.0)], n=2), "binary").n == 2
+    with pytest.raises(ParseError, match="3 nodes but only 1 edges"):
+        load_graph(binary_graph(tmp_path, [(0, 1, 1.0)], n=3), "binary")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_affinity_with_more_rows_than_edges_is_rejected(tmp_path, fmt):
+    """Rows 1 and 2 are empty: caught before the rows are grouped."""
+    g = graph_from_rows(3, {0: [(1, 0.5), (2, 0.5)]})
+    path = tmp_path / "a.bin"
+    save_affinity(AffinityMatrix(g.indptr, g.indices, g.data), path, fmt)
+    with pytest.raises(ParseError, match="3 rows but 2 edges"):
+        load_affinity(path, fmt)

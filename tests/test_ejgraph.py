@@ -6,11 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fgfusion import build_ejg, build_index, fuse_graphs, load_graph, save_graph, synth_multimodal
+from fgfusion import (
+    SparseGraph,
+    build_ejg,
+    build_index,
+    fuse_graphs,
+    load_graph,
+    save_graph,
+    synth_multimodal,
+)
 from fgfusion import ejgraph
+from fgfusion.errors import InvalidConfigError
 from fgfusion.knn import topk_arrays
 
-from bruteforce import brute_edge_weight, brute_ejg_weights, brute_jaccard
+from bruteforce import brute_edge_weight, brute_ejg_weights, brute_jaccard, csr
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +244,54 @@ def test_cluster_separation_on_fused_synthetic_graphs():
         for j, w in zip(graph.neighbor_ids[q], graph.weights[q]):
             (intra if lab[q] == lab[j] else inter).append(w)
     assert np.mean(intra) > np.mean(inter)
+
+
+# ---------------------------------------------------------------------------
+# CSR arrays and their row views
+# ---------------------------------------------------------------------------
+
+
+def three_row_graph():
+    return SparseGraph(*csr([([1, 2], [0.5, 0.25]), ([], []), ([0], [1.0])]))
+
+
+def test_row_view_items_are_views_of_the_csr_rows():
+    graph = three_row_graph()
+    weights, ids = graph.weights, graph.neighbor_ids
+    assert graph.n == len(weights) == len(ids) == 3
+    assert weights[0].tolist() == [0.5, 0.25] and weights[1].size == 0
+    assert weights[-1].tolist() == [1.0] and ids[-3].tolist() == [1, 2]
+    assert ids[np.int64(2)].tolist() == [0]
+    assert np.shares_memory(weights[0], graph.data)
+    for q in (3, -4):
+        with pytest.raises(IndexError):
+            weights[q]
+    assert [row.tolist() for row in ids] == [[1, 2], [], [0]]
+    assert [row.tolist() for row in weights] == [[0.5, 0.25], [], [1.0]]
+
+
+def test_row_view_assignment_writes_the_row_in_place():
+    graph = three_row_graph()
+    graph.weights[0] = graph.weights[0] + 0.5
+    graph.neighbor_ids[-1] = [1]
+    assert graph.data.tolist() == [1.0, 0.75, 1.0]
+    assert graph.indices.tolist() == [1, 2, 1]
+    for q, row in [(0, [1.0]), (0, 2.0), (1, [0.5]), (2, [[1.0]])]:
+        with pytest.raises(ValueError):
+            graph.weights[q] = row
+    assert graph.data.tolist() == [1.0, 0.75, 1.0]
+
+
+@pytest.mark.parametrize(
+    "indptr, indices, data",
+    [([0, 2, 1, 3], [1, 2, 0], [1.0] * 3), ([1, 2, 3], [1, 2], [1.0] * 2),
+     ([0, 1, 2], [1, 2, 0], [1.0] * 3), ([0, 1, 3], [1, 2, 0], [1.0] * 2)],
+    ids=["decreasing", "not-from-0", "short-indptr", "short-data"],
+)
+def test_validate_rejects_arrays_that_are_not_csr(indptr, indices, data):
+    graph = SparseGraph(np.array(indptr), np.array(indices), np.array(data))
+    with pytest.raises(InvalidConfigError, match="CSR"):
+        graph.validate()
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from fgfusion import (
 )
 from fgfusion.errors import DivergenceError, InvalidConfigError
 
+from bruteforce import csr
+
 
 def norm_rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
@@ -132,7 +134,7 @@ def ring_affinity(n):
     """Each node's context is its two ring neighbors (one when n = 2)."""
     ids = [np.unique([(i - 1) % n, (i + 1) % n]) for i in range(n)]
     probs = [np.full(row.size, 1.0 / row.size) for row in ids]
-    return AffinityMatrix(n=n, neighbor_ids=ids, probs=probs, sigma_sq=np.ones(n))
+    return AffinityMatrix(*csr(zip(ids, probs)), sigma_sq=np.ones(n))
 
 
 # 50 nodes train in blocks of 6, the last block holding 2
@@ -189,8 +191,7 @@ def test_three_block_recovery():
         ids = np.array([j for j in block if j != i], dtype=np.int64)
         neighbor_ids.append(ids)
         probs.append(np.full(ids.size, 1 / 3))
-    aff = AffinityMatrix(n=12, neighbor_ids=neighbor_ids, probs=probs,
-                         sigma_sq=np.ones(12))
+    aff = AffinityMatrix(*csr(zip(neighbor_ids, probs)), sigma_sq=np.ones(12))
     for seed in range(3):
         samplers = build_samplers(aff, seed=seed)
         emb, _ = train(aff, samplers, TrainConfig(d=4, samples_per_node=50, epochs=20, seed=seed))
@@ -236,7 +237,7 @@ def test_concentrated_noise_distribution_raises_instead_of_hanging():
     n = 5
     ids = [np.array([1, 2, 3, 4])] + [np.array([0]) for _ in range(1, n)]
     probs = [np.full(4, 0.25)] + [np.ones(1) for _ in range(1, n)]
-    aff = AffinityMatrix(n=n, neighbor_ids=ids, probs=probs, sigma_sq=np.ones(n))
+    aff = AffinityMatrix(*csr(zip(ids, probs)), sigma_sq=np.ones(n))
     samplers = build_samplers(aff, noise_power=200.0, seed=0)
     assert samplers.noise_probs[0] > 1 - 1e-12
     with time_limit(20), pytest.raises(InvalidConfigError, match="noise_power"):

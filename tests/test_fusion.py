@@ -22,7 +22,7 @@ from fgfusion.errors import (
 )
 from fgfusion.fusion import SIGMA_FLOOR
 
-from bruteforce import brute_alias, brute_fuse, brute_normalize
+from bruteforce import brute_alias, brute_fuse, brute_normalize, csr
 
 # chi-square critical values at alpha = 0.01 by degrees of freedom
 CHI2_CRIT = {1: 6.635, 2: 9.210, 3: 11.345, 4: 13.277, 5: 15.086}
@@ -31,7 +31,7 @@ CHI2_CRIT = {1: 6.635, 2: 9.210, 3: 11.345, 4: 13.277, 5: 15.086}
 def graph_from_rows(n, rows, name=""):
     ids = [np.array([j for j, _ in rows.get(q, [])], dtype=np.int64) for q in range(n)]
     ws = [np.array([w for _, w in rows.get(q, [])], dtype=np.float64) for q in range(n)]
-    return SparseGraph(n=n, neighbor_ids=ids, weights=ws, modality_name=name)
+    return SparseGraph(*csr(zip(ids, ws)), modality_name=name)
 
 
 def row_dict(graph, q):
@@ -249,7 +249,7 @@ def test_empty_row_rejected():
 def make_affinity(rows, n):
     ids = [np.array([j for j, _ in rows[i]], dtype=np.int64) for i in range(n)]
     ps = [np.array([p for _, p in rows[i]], dtype=np.float64) for i in range(n)]
-    return AffinityMatrix(n=n, neighbor_ids=ids, probs=ps, sigma_sq=np.ones(n))
+    return AffinityMatrix(*csr(zip(ids, ps)), sigma_sq=np.ones(n))
 
 
 def test_even_row_frequencies():
@@ -356,6 +356,22 @@ def test_noise_power_must_be_finite_and_nonnegative(power):
     aff = make_affinity({0: [(1, 1.0)], 1: [(0, 1.0)]}, 2)
     with pytest.raises(InvalidConfigError):
         build_samplers(aff, noise_power=power)
+
+
+def test_sampler_keeps_its_own_copy_of_the_affinity():
+    aff = make_affinity({0: [(1, 0.25), (2, 0.75)], 1: [(0, 0.5), (2, 0.5)], 2: [(1, 1.0)]}, 3)
+    table = build_samplers(aff, seed=5)
+
+    def draws():
+        rng = table.stream(0)
+        return np.concatenate([table.draw_rows(np.arange(3), 40, rng).ravel(),
+                               table.draw_row(0, 40, rng), table.draw_noise(40, rng)])
+
+    before = draws()
+    aff.indptr[1:] = aff.indptr[-1]
+    aff.indices[:] = 0
+    aff.data[:] = 1.0
+    assert same_bits(draws(), before)
 
 
 def test_noise_power_that_overflows_is_rejected():
