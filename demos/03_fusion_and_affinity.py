@@ -16,6 +16,7 @@ from fgfusion import (
     normalize_affinity,
     synth_multimodal,
 )
+from fgfusion.randomness import rng_stream
 
 mat_a, mat_b, labels = synth_multimodal(4, 10, noise=0.2, complementarity=1.0, seed=5)
 graph_a = build_ejg(build_index(mat_a), k=5, modality_name="a")
@@ -35,13 +36,13 @@ print(f"\nrow {q} probabilities (sum={affinity.probs[q].sum():.12f}):")
 print("  ", dict(zip(affinity.neighbor_ids[q].tolist(), np.round(affinity.probs[q], 3))))
 print(f"row {q} kernel bandwidth (variance of inputs): {affinity.sigma_sq[q]:.4f}")
 
-samplers = build_samplers(affinity, noise_power=0.75, seed=0)
-draws = samplers.draw_row(q, 100_000, samplers.stream(0))
+samplers = build_samplers(affinity, noise_power=0.75)
+draws = samplers.draw_row(q, 100_000, rng_stream(0, "sampler", 0))
 print(f"\nempirical frequencies of 1e5 draws from row {q}:")
 ids, counts = np.unique(draws, return_counts=True)
 print("  ", dict(zip(ids.tolist(), np.round(counts / draws.size, 3))))
 
-noise_draws = samplers.draw_noise(100_000, samplers.stream(1))
+noise_draws = samplers.draw_noise(100_000, rng_stream(0, "sampler", 1))
 top = np.argsort(-samplers.noise_probs)[:5]
 print("\nnoise distribution, five heaviest nodes (expected vs empirical):")
 for v in top:

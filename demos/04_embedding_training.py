@@ -22,7 +22,7 @@ indptr = np.arange(11) * 4
 indices = np.array([j for i in range(10) for j in range(i // 5 * 5, i // 5 * 5 + 5) if j != i])
 affinity = AffinityMatrix(indptr, indices, np.full(40, 0.25), sigma_sq=np.ones(10))
 
-samplers = build_samplers(affinity, seed=0)
+samplers = build_samplers(affinity)
 cfg = TrainConfig(d=4, samples_per_node=50, epochs=20, seed=0)
 
 target0, context0 = init_embeddings(10, cfg.d, cfg.init_scale, cfg.seed)

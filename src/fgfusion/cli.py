@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .dataset import (
+    FORMATS,
     _check_label_count,
     load_embeddings,
     load_features,
@@ -24,7 +25,7 @@ from .dataset import (
     save_labels,
     synth_multimodal,
 )
-from .ejgraph import build_ejg, load_graph, save_graph
+from .ejgraph import WEIGHT_MODES, build_ejg, load_graph, save_graph
 from .embed import TrainConfig, train
 from .errors import (
     ConfigError,
@@ -33,6 +34,7 @@ from .errors import (
     PipelineStageError,
 )
 from .evalharness import (
+    PROTOCOLS,
     PipelineConfig,
     ResultRow,
     ResultTable,
@@ -42,9 +44,9 @@ from .evalharness import (
     run_pipeline,
     sweep_report,
 )
-from .fusion import build_samplers, check_noise_power, fuse_graphs, load_affinity
-from .fusion import normalize_affinity, save_affinity
-from .knn import build_index
+from .fusion import COMBINE_RULES, KERNEL_INPUTS, NOISE_POWER, build_samplers, check_noise_power
+from .fusion import fuse_graphs, load_affinity, normalize_affinity, save_affinity
+from .knn import METRICS, build_index
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,63 +70,58 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complementarity", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--format", choices=("csv", "binary"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
 
     p = sub.add_parser("build-graph", help="build one modality's extended Jaccard graph")
     p.add_argument("--features", type=Path, required=True)
-    p.add_argument("--format", choices=("csv", "binary"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--header", action="store_true", help="skip the first CSV line")
-    p.add_argument("--metric", choices=("euclidean", "cosine"), default="euclidean")
+    p.add_argument("--metric", choices=METRICS, default=PipelineConfig.metric)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--k1", type=int, default=None)
     p.add_argument("--k2", type=int, default=None)
-    p.add_argument("--weight-mode", choices=("literal", "jaccard-scaled"), default="jaccard-scaled")
-    p.add_argument("--modality", default=None, help="modality name (default: file stem)")
+    p.add_argument("--weight-mode", choices=WEIGHT_MODES, default=PipelineConfig.weight_mode)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--graph-format", choices=("csv", "binary"), default="csv")
+    p.add_argument("--graph-format", choices=FORMATS, default="csv")
 
     p = sub.add_parser("fuse", help="fuse modality graphs and emit the affinity matrix")
     p.add_argument("--graphs", type=Path, nargs="+", required=True)
-    p.add_argument("--graph-format", choices=("csv", "binary"), default="csv")
-    p.add_argument("--combine", choices=("sum", "max"), default="sum")
-    p.add_argument("--kernel", choices=("dissimilarity", "literal"), default="dissimilarity")
+    p.add_argument("--graph-format", choices=FORMATS, default="csv")
+    p.add_argument("--combine", choices=COMBINE_RULES, default=PipelineConfig.combine)
+    p.add_argument("--kernel", choices=KERNEL_INPUTS, default=PipelineConfig.kernel)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--affinity-format", choices=("csv", "binary"), default="binary")
+    p.add_argument("--affinity-format", choices=FORMATS, default="binary")
 
     p = sub.add_parser("embed", help="train fused embeddings from an affinity matrix")
     p.add_argument("--affinity", type=Path, required=True)
-    p.add_argument("--affinity-format", choices=("csv", "binary"), default="binary")
+    p.add_argument("--affinity-format", choices=FORMATS, default="binary")
     p.add_argument("--dim", dest="d", metavar="DIM", type=int, required=True)
-    p.add_argument("--samples-per-node", type=int, default=100)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--lr", dest="lr_start", metavar="LR", type=float, default=0.025,
-                   help="starting learning rate")
-    p.add_argument("--lr-end", type=float, default=1e-4)
-    p.add_argument("--init-scale", type=float, default=1.0)
-    p.add_argument("--noise-power", type=float, default=0.75)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples-per-node", type=int, default=TrainConfig.samples_per_node)
+    p.add_argument("--negatives", type=int, default=TrainConfig.negatives)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", dest="lr_start", metavar="LR", type=float,
+                   default=TrainConfig.lr_start, help="starting learning rate")
+    p.add_argument("--lr-end", type=float, default=TrainConfig.lr_end)
+    p.add_argument("--init-scale", type=float, default=TrainConfig.init_scale)
+    p.add_argument("--noise-power", type=float, default=NOISE_POWER)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--format", choices=("csv", "binary"), default="binary")
+    p.add_argument("--format", choices=FORMATS, default="binary")
     p.add_argument("--report", type=Path, default=None, help="write a JSON training report")
 
     p = sub.add_parser("eval", help="split-and-classify a feature or embedding file")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--features", type=Path)
     src.add_argument("--embeddings", type=Path)
-    p.add_argument("--format", choices=("csv", "binary"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--header", action="store_true")
     p.add_argument("--labels", type=Path, required=True)
-    p.add_argument(
-        "--protocol",
-        choices=("per_class_train_m", "leave_instance_out", "random_fraction"),
-        default="per_class_train_m",
-    )
+    p.add_argument("--protocol", choices=PROTOCOLS, default=PipelineConfig.protocol)
     p.add_argument("--m", type=int, default=None, help="training samples per class")
     p.add_argument("--fraction", type=float, default=None, help="training fraction")
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--votes", type=int, default=1)
-    p.add_argument("--classify-metric", choices=("euclidean", "cosine"), default="euclidean")
+    p.add_argument("--repeats", type=int, default=PipelineConfig.repeats)
+    p.add_argument("--votes", type=int, default=PipelineConfig.votes)
+    p.add_argument("--classify-metric", choices=METRICS, default="euclidean")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=None, help="write results CSV here")
 
@@ -135,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, nargs="+", default=None, help="override the d sweep")
     p.add_argument("--k1", type=int, default=None)
     p.add_argument("--k2", type=int, default=None)
-    p.add_argument("--metric", choices=("euclidean", "cosine"), default=None)
+    p.add_argument("--metric", choices=METRICS, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--samples-per-node", type=int, default=None)
@@ -145,12 +142,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-end", type=float, default=None)
     p.add_argument("--repeats", type=int, default=None)
     p.add_argument("--votes", type=int, default=None)
-    p.add_argument("--weight-mode", choices=("literal", "jaccard-scaled"), default=None)
-    p.add_argument("--combine", choices=("sum", "max"), default=None)
-    p.add_argument("--kernel", choices=("dissimilarity", "literal"), default=None)
+    p.add_argument("--weight-mode", choices=WEIGHT_MODES, default=None)
+    p.add_argument("--combine", choices=COMBINE_RULES, default=None)
+    p.add_argument("--kernel", choices=KERNEL_INPUTS, default=None)
     p.add_argument("--noise-power", type=float, default=None)
     p.add_argument(
-        "--embeddings-format", choices=("csv", "binary"), default="binary",
+        "--embeddings-format", choices=FORMATS, default="binary",
         help="format of the emitted embedding files",
     )
     return parser
@@ -175,11 +172,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_build_graph(args) -> int:
-    features = load_features(args.features, args.format, args.header, args.modality)
-    index = build_index(features, args.metric)
+    features = load_features(args.features, args.format, args.header)
     graph = build_ejg(
-        index, args.k, k1=args.k1, k2=args.k2, mode=args.weight_mode,
-        modality_name=features.modality_name,
+        build_index(features, args.metric), args.k, k1=args.k1, k2=args.k2, mode=args.weight_mode
     )
     save_graph(graph, args.out, args.graph_format)
     print(f"{args.out}: {graph.n} nodes, {graph.indices.size} edges")
@@ -200,7 +195,7 @@ def _cmd_embed(args) -> int:
     cfg.validate()
     check_noise_power(args.noise_power)
     affinity = load_affinity(args.affinity, args.affinity_format)
-    samplers = build_samplers(affinity, noise_power=args.noise_power, seed=args.seed)
+    samplers = build_samplers(affinity, noise_power=args.noise_power)
     embeddings, report = train(affinity, samplers, cfg)
     save_embeddings(embeddings, args.out, args.format)
     if args.report is not None:

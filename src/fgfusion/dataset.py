@@ -38,6 +38,8 @@ from .errors import (
 )
 from .randomness import rng_stream
 
+FORMATS = ("csv", "binary")  # of every file holding a matrix, a graph or an affinity
+
 FEATURE_MAGIC = b"EJGF"
 EMBEDDING_MAGIC = b"EJGE"
 BINARY_VERSION = 1
@@ -268,8 +270,9 @@ def _read_binary(path, magic: bytes, payload_size) -> tuple[int, int, bytes]:
 
 
 def _check_format(fmt: str) -> None:
-    if fmt not in ("csv", "binary"):
-        raise InvalidConfigError(f"unknown format {fmt!r}, expected 'csv' or 'binary'")
+    if fmt not in FORMATS:
+        expected = " or ".join(map(repr, FORMATS))
+        raise InvalidConfigError(f"unknown format {fmt!r}, expected {expected}")
 
 
 def _load_matrix(path: Path, fmt: str, magic: bytes, header: bool = False) -> np.ndarray:

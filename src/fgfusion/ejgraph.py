@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import _open_text, _read_binary, _read_csv_table, _write_binary
+from .dataset import _check_format, _open_text, _read_binary, _read_csv_table, _write_binary
 from .errors import InvalidConfigError, ParseError
 from .knn import KnnIndex, topk_arrays
 
@@ -208,6 +208,7 @@ def _write_edges(path, fmt, matrix: _Csr, magic, node_values=None) -> None:
     """Write a CSR matrix's entries as `src,dst,value` lines, or as the binary
     edge table: the header (n, edge count), one record per edge, then n f64
     ``node_values`` if given."""
+    _check_format(fmt)
     src, dst, val = matrix._entry_rows(), matrix.indices, matrix.data
     if fmt == "csv":
         with open(path, "w", encoding="utf-8") as fh:
@@ -217,13 +218,11 @@ def _write_edges(path, fmt, matrix: _Csr, magic, node_values=None) -> None:
                     f"{s},{d},{v!r}\n"
                     for s, d, v in zip(src[part].tolist(), dst[part].tolist(), val[part].tolist())
                 ))
-    elif fmt == "binary":
+    else:
         body = np.empty(src.size, dtype=_EDGE_RECORD)
         body["src"], body["dst"], body["value"] = src, dst, val
         trailer = b"" if node_values is None else np.asarray(node_values, dtype="<f8").tobytes()
         _write_binary(path, magic, matrix.n, src.size, body.tobytes() + trailer)
-    else:
-        raise InvalidConfigError(f"unknown format {fmt!r}")
 
 
 def _parse_edge_lines(lines, value_name: str):
@@ -272,9 +271,10 @@ def _read_edges(path, fmt, magic, value_name, affinity=False):
 
     Returns CSR arrays (indptr, indices, data) and the node values or None;
     each row keeps its edges in file order. CSV infers n as the largest id
-    + 1. An ``affinity`` file has no empty row, and its binary form ends in
-    n f64 node values.
+    + 1, at most the file's size in bytes. An ``affinity`` file has no empty
+    row, and its binary form ends in n f64 node values.
     """
+    _check_format(fmt)
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
@@ -282,7 +282,7 @@ def _read_edges(path, fmt, magic, value_name, affinity=False):
     if fmt == "csv":
         src, dst, val = _read_csv_edges(path, value_name)
         n = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
-    elif fmt == "binary":
+    else:
         n, n_edges, blob = _read_binary(path, magic, lambda n, e: 24 * e + 8 * n * affinity)
         if n > 2 * n_edges:  # some node would be the end of no edge
             raise ParseError(f"{path}: {n} nodes but only {n_edges} edges", line=0)
@@ -293,12 +293,13 @@ def _read_edges(path, fmt, magic, value_name, affinity=False):
         src, dst, val = body["src"].astype(np.int64), body["dst"].astype(np.int64), body["value"]
         if affinity:
             node_values = np.frombuffer(blob, dtype="<f8", count=n, offset=24 + 24 * n_edges).copy()
-    else:
-        raise InvalidConfigError(f"unknown format {fmt!r}")
     if not src.size:
         raise ParseError(f"{path}: no edges", line=0)
     if affinity and n > src.size:
         raise ParseError(f"{path}: {n} rows but {src.size} edges: some row is empty", line=0)
+    # CSV graph rows may be empty, so the file's size bounds the n rows allocated
+    if fmt == "csv" and n > path.stat().st_size:
+        raise ParseError(f"{path}: {n} nodes but only {path.stat().st_size} bytes", line=0)
     # a stable sort by src groups the rows and keeps each row in file order
     order = np.argsort(src, kind="stable")
     return row_offsets(src, n), dst[order], val[order], node_values

@@ -70,23 +70,16 @@ def _pair_loss(y: np.ndarray) -> np.ndarray:
 
 
 def init_embeddings(
-    n: int, d: int, init_scale: float = 1.0, seed: int = 0
+    n: int, d: int, init_scale: float = TrainConfig.init_scale, seed: int = TrainConfig.seed
 ) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
     """Target rows uniform in [-init_scale/d, +init_scale/d]; context zeros."""
     if n < 1 or d < 1:
         raise InvalidConfigError("need n >= 1 and d >= 1")
     if not (math.isfinite(init_scale) and init_scale > 0):
         raise InvalidConfigError(f"init_scale must be finite and > 0, got {init_scale!r}")
-    target, context = _init_arrays(n, d, init_scale, seed)
-    return EmbeddingMatrix(target), EmbeddingMatrix(context)
-
-
-def _init_arrays(n: int, d: int, init_scale: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = rng_stream(seed, "init")
     bound = init_scale / d
-    target = rng.uniform(-bound, bound, size=(n, d))
-    context = np.zeros((n, d), dtype=np.float64)
-    return target, context
+    target = rng_stream(seed, "init").uniform(-bound, bound, size=(n, d))
+    return EmbeddingMatrix(target), EmbeddingMatrix(np.zeros((n, d), dtype=np.float64))
 
 
 def sgd_step(f_i: np.ndarray, g_j: np.ndarray, label: int, lr: float) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +145,8 @@ def train(
         raise InvalidConfigError(f"sampler covers {samplers.n} nodes, affinity {n}")
 
     started = time.perf_counter()
-    target, context = _init_arrays(n, cfg.d, cfg.init_scale, cfg.seed)
+    # the matrices' arrays are trained in place
+    target, context = (m.vectors for m in init_embeddings(n, cfg.d, cfg.init_scale, cfg.seed))
     order_rng = rng_stream(cfg.seed, "order")
     draw_rng = rng_stream(cfg.seed, "draws")
 
@@ -227,7 +221,7 @@ def surrogate_loss(
     samplers: SamplerTable,
     sample_count: int,
     seed: int = 0,
-    negatives: int = 5,
+    negatives: int = TrainConfig.negatives,
 ) -> float:
     """Monte Carlo estimate of the mean per-pair training loss.
 

@@ -292,17 +292,17 @@ class PipelineConfig:
     weight_mode: str = "jaccard-scaled"
     combine: str = "sum"
     kernel: str = "dissimilarity"
-    noise_power: float = 0.75
+    noise_power: float = fusion.NOISE_POWER
     d: list[int] = field(default_factory=lambda: [16])
-    samples_per_node: int = 100
-    negatives: int = 5
-    epochs: int = 50
-    lr_start: float = 0.025
-    lr_end: float = 1e-4
-    init_scale: float = 1.0
+    samples_per_node: int = TrainConfig.samples_per_node
+    negatives: int = TrainConfig.negatives
+    epochs: int = TrainConfig.epochs
+    lr_start: float = TrainConfig.lr_start
+    lr_end: float = TrainConfig.lr_end
+    init_scale: float = TrainConfig.init_scale
     protocol: str = "per_class_train_m"
     m_or_fraction: float = 3
-    repeats: int = 10
+    repeats: int = SplitSpec.repeats
     votes: int = 1
     seed: int = 0
 
@@ -477,11 +477,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             ]
             fused = fusion.fuse_graphs(graphs, combine=config.combine)
             affinity = fusion.normalize_affinity(fused, kernel_input=config.kernel)
-            samplers = fusion.build_samplers(
-                affinity,
-                noise_power=config.noise_power,
-                seed=derive_seed(config.seed, "sampler", k_val),
-            )
+            samplers = fusion.build_samplers(affinity, noise_power=config.noise_power)
             timings[f"graphs_k{k_val}"] = time.perf_counter() - started
         for d_val in (int(v) for v in config.d):
             with _Stage(f"embed[k={k_val},d={d_val}]"):

@@ -18,10 +18,10 @@ import numpy as np
 from .ejgraph import RowView, SparseGraph, _Csr, _first_bad_row, _read_edges, _validated
 from .ejgraph import _write_edges, row_offsets
 from .errors import EmptyRowError, InvalidConfigError, NodeCountMismatchError
-from .randomness import rng_stream
 
 COMBINE_RULES = ("sum", "max")
 KERNEL_INPUTS = ("dissimilarity", "literal")
+NOISE_POWER = 0.75  # noise distribution exponent: in-strength ** NOISE_POWER
 
 SIGMA_FLOOR = 1e-8
 
@@ -186,14 +186,13 @@ def check_noise_power(noise_power: float) -> float:
 class SamplerTable:
     """Per-row context samplers plus the global noise distribution.
 
-    Immutable after construction. Concurrent consumers should each obtain
-    an independent generator via :meth:`stream`.
+    Immutable after construction; every draw takes its generator from the
+    caller.
     """
 
-    def __init__(self, affinity: AffinityMatrix, noise_power: float = 0.75, seed: int = 0):
+    def __init__(self, affinity: AffinityMatrix, noise_power: float = NOISE_POWER):
         self.noise_power = check_noise_power(noise_power)
         self.n = affinity.n
-        self.seed = int(seed)
         # own copies keep the table immutable; the per-row alias tables are
         # laid end to end beside them, row i at indptr[i]:indptr[i + 1]
         self._indptr = np.array(affinity.indptr, dtype=np.int64)
@@ -214,10 +213,6 @@ class SamplerTable:
             )
         self._noise_accept, self._noise_alias = _build_alias(self.noise_probs)
 
-    def stream(self, stream_id: int | str = 0) -> np.random.Generator:
-        """Independent generator derived from (table seed, stream id)."""
-        return rng_stream(self.seed, "sampler", stream_id)
-
     def draw_row(self, i: int, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``size`` context nodes from the distribution of row i."""
         return self.draw_rows(np.array([i]), size, rng)[0]
@@ -237,10 +232,8 @@ class SamplerTable:
         return _alias_pick(self._noise_accept, self._noise_alias, 0, self.n, rng.random(size))
 
 
-def build_samplers(
-    affinity: AffinityMatrix, noise_power: float = 0.75, seed: int = 0
-) -> SamplerTable:
-    return SamplerTable(affinity, noise_power=noise_power, seed=seed)
+def build_samplers(affinity: AffinityMatrix, noise_power: float = NOISE_POWER) -> SamplerTable:
+    return SamplerTable(affinity, noise_power=noise_power)
 
 
 # ---------------------------------------------------------------------------

@@ -22,29 +22,15 @@ class KnnIndex:
     """Immutable index over one feature matrix under a fixed metric."""
 
     def __init__(self, matrix: np.ndarray, metric: str):
-        if metric not in METRICS:
-            raise InvalidMetricError(f"unknown metric {metric!r}, expected one of {METRICS}")
         self.metric = metric
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float64)
         self.n = self.matrix.shape[0]
-        if metric == "euclidean":
-            self.sq_norms = np.einsum("ij,ij->i", self.matrix, self.matrix)
-            self.unit = None
-        else:
-            norms = np.linalg.norm(self.matrix, axis=1)
-            zero = np.flatnonzero(norms == 0.0)
-            if zero.size:
-                raise ZeroVectorError(
-                    f"cosine metric undefined for zero vector at row {zero[0]}"
-                )
-            self.sq_norms = None
-            self.unit = self.matrix / norms[:, None]
+        self._rows, self._sq_norms = _prepare(self.matrix, metric)
 
     def _distance_block(self, rows: np.ndarray) -> np.ndarray:
         """Distances from the given query rows to every sample."""
-        if self.metric == "euclidean":
-            return _distances(self.matrix[rows], self.matrix, self.sq_norms[rows], self.sq_norms)
-        return _distances(self.unit[rows], self.unit)
+        sq = self._sq_norms
+        return _distances(self._rows[rows], self._rows, None if sq is None else sq[rows], sq)
 
     def _topk_block(self, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         dists = self._distance_block(rows)
@@ -107,6 +93,20 @@ def topk_arrays(index: KnnIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
     return ids, dists
 
 
+def _prepare(matrix: np.ndarray, metric: str, what: str = "vector"):
+    """The rows ``_distances`` takes: the rows and their squared norms for
+    euclidean, unit-length rows and None for cosine."""
+    if metric not in METRICS:
+        raise InvalidMetricError(f"unknown metric {metric!r}, expected one of {METRICS}")
+    if metric == "euclidean":
+        return matrix, np.einsum("ij,ij->i", matrix, matrix)
+    norms = np.linalg.norm(matrix, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ZeroVectorError(f"cosine metric undefined for zero {what} at row {zero[0]}")
+    return matrix / norms[:, None], None
+
+
 def _distances(queries, gallery, q_sq=None, g_sq=None) -> np.ndarray:
     """Distances between query and gallery rows: euclidean from the rows and
     their squared norms q_sq and g_sq, else cosine from unit-length rows.
@@ -136,27 +136,15 @@ def pairwise_distances(
     When queries and gallery are the same object the diagonal is exactly 0,
     which the quadratic-expansion trick alone does not guarantee.
     """
-    if metric not in METRICS:
-        raise InvalidMetricError(f"unknown metric {metric!r}, expected one of {METRICS}")
     same = queries is gallery
     queries = np.asarray(queries, dtype=np.float64)
     gallery = queries if same else np.asarray(gallery, dtype=np.float64)
-    if metric == "euclidean":
-        q_sq = np.einsum("ij,ij->i", queries, queries)
-        g_sq = q_sq if same else np.einsum("ij,ij->i", gallery, gallery)
-        out = _distances(queries, gallery, q_sq, g_sq)
-    else:
-        qn = np.linalg.norm(queries, axis=1)
-        gn = qn if same else np.linalg.norm(gallery, axis=1)
-        for name, norms in (("query", qn), ("gallery", gn)):
-            zero = np.flatnonzero(norms == 0.0)
-            if zero.size:
-                raise ZeroVectorError(
-                    f"cosine metric undefined for zero {name} vector at row {zero[0]}"
-                )
-        # two separate unit arrays even when same: a matrix times its own
-        # transpose takes another BLAS routine, which may round differently
-        out = _distances(queries / qn[:, None], gallery / gn[:, None])
+    # the gallery is prepared apart even when same, so cosine multiplies two
+    # unit arrays: a matrix times its own transpose takes another BLAS
+    # routine, which may round differently
+    q, q_sq = _prepare(queries, metric, "query vector")
+    g, g_sq = _prepare(gallery, metric, "gallery vector")
+    out = _distances(q, g, q_sq, g_sq)
     if same:
         np.fill_diagonal(out, 0.0)
     return out

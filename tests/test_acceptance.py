@@ -84,7 +84,7 @@ def complementary_run(run_seed, k, with_baselines=True):
 
     graphs = [build_ejg(build_index(m), k) for m in (mat_a, mat_b)]
     affinity = normalize_affinity(fuse_graphs(graphs))
-    samplers = build_samplers(affinity, seed=run_seed + 7)
+    samplers = build_samplers(affinity)
     cfg = TrainConfig(d=32, samples_per_node=50, epochs=30, lr_start=0.05, seed=run_seed + 13)
     emb, _ = train(affinity, samplers, cfg)
     acc_fgf = np.mean([knn_classify(emb, labels, tr, te, "cosine") for tr, te in splits])
@@ -189,7 +189,7 @@ def test_criterion_5_descent_and_structure_recovery(two_block_affinity, block_la
     leave-one-out 1-NN block classification of the trained features."""
     with criterion(5, "descent-and-recovery", 30):
         for seed in range(5):
-            samplers = build_samplers(two_block_affinity, seed=seed)
+            samplers = build_samplers(two_block_affinity)
             cfg = TrainConfig(d=4, samples_per_node=50, epochs=20, seed=seed)
             emb, report = train(two_block_affinity, samplers, cfg)
             assert report.epoch_loss[4] < report.epoch_loss[0]

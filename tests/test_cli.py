@@ -237,7 +237,7 @@ def test_every_embed_flag_reaches_train(fixture_dir, tmp_path, monkeypatch):
         d=6, samples_per_node=7, negatives=3, epochs=2, lr_start=0.03, lr_end=0.001,
         init_scale=0.5, seed=11,
     )
-    assert samplers.noise_power == 0.5 and samplers.seed == 11
+    assert samplers.noise_power == 0.5
 
 
 def test_exit_code_2_on_bad_flag(tmp_path):
@@ -270,6 +270,14 @@ def test_threads_is_rejected_as_a_flag_and_as_a_config_key(fixture_dir, tmp_path
     (tmp_path / "config.json").write_text(json.dumps(config))
     proc = run_cli("pipeline", "--config", tmp_path / "config.json", "--out-dir", tmp_path / "o")
     assert proc.returncode == 2 and "unknown config keys ['threads']" in proc.stderr
+
+
+def test_modality_is_rejected_as_a_build_graph_flag(fixture_dir, tmp_path):
+    # the name never reached the graph file
+    proc = run_cli("build-graph", "--features", fixture_dir / "modality_a.csv", "--k", 3,
+                   "--out", tmp_path / "g.csv", "--modality", "x")
+    assert proc.returncode == 2 and "--modality" in proc.stderr
+    assert not (tmp_path / "g.csv").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--init-scale", "nan"), ("--init-scale", "inf"),
@@ -384,6 +392,14 @@ def test_embed_exits_3_on_an_affinity_with_more_rows_than_edges(tmp_path, capsys
             "--dim", "4", "--out", str(tmp_path / "emb.bin")]
     assert cli.main(argv) == 3
     assert "some row is empty" in capsys.readouterr().err
+
+
+def test_fuse_exits_3_on_a_csv_graph_with_more_nodes_than_bytes(tmp_path, capsys):
+    (tmp_path / "g.csv").write_text("0,1099511627776,1.0\n")
+    argv = ["fuse", "--graphs", str(tmp_path / "g.csv"), str(tmp_path / "g.csv"),
+            "--out", str(tmp_path / "aff.bin")]
+    assert cli.main(argv) == 3
+    assert "1099511627777 nodes but only 20 bytes" in capsys.readouterr().err
 
 
 def test_fuse_exits_3_on_a_binary_graph_without_edges(tmp_path, capsys):

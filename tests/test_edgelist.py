@@ -165,6 +165,16 @@ def test_graph_csv_infers_n_from_the_largest_id(tmp_path):
     assert rows_of(graph) == [[(4, 0.5)], [], [(0, 1.0)], [], []]
 
 
+def test_graph_csv_holds_no_more_nodes_than_bytes(tmp_path):
+    # an 8-byte file may name nodes 0 to 7, so a short file cannot make the
+    # loader allocate many rows
+    assert load_text(tmp_path, "graph", "0,7,1.0\n").n == 8
+    with pytest.raises(ParseError, match="9 nodes but only 8 bytes"):
+        load_text(tmp_path, "graph", "0,8,1.0\n")
+    with pytest.raises(ParseError):
+        load_text(tmp_path, "graph", "0,1099511627776,1.0\n")
+
+
 def test_affinity_csv_infers_n_from_the_largest_id(tmp_path):
     affinity = load_text(tmp_path, "affinity", "0,1,1.0\n3,0,1.0\n1,3,1.0\n2,3,1.0\n")
     assert affinity.n == 4

@@ -122,7 +122,7 @@ def test_step_uses_prestep_values_of_both_rows():
 
 
 def test_zero_epochs_returns_initialization(two_block_affinity):
-    samplers = build_samplers(two_block_affinity, seed=3)
+    samplers = build_samplers(two_block_affinity)
     cfg = TrainConfig(d=4, samples_per_node=10, epochs=0, seed=12)
     emb, report = train(two_block_affinity, samplers, cfg)
     init_target, _ = init_embeddings(10, 4, cfg.init_scale, cfg.seed)
@@ -141,7 +141,7 @@ def ring_affinity(n):
 @pytest.mark.parametrize("n", [2, 3, 10, 50])
 def test_training_repeats_bit_for_bit_at_any_node_count(n):
     aff = ring_affinity(n)
-    samplers = build_samplers(aff, seed=n)
+    samplers = build_samplers(aff)
     cfg = TrainConfig(d=3, samples_per_node=4, negatives=2, epochs=3, seed=n)
     emb1, rep1 = train(aff, samplers, cfg)
     emb2, rep2 = train(aff, samplers, cfg)
@@ -153,7 +153,7 @@ def test_training_repeats_bit_for_bit_at_any_node_count(n):
 
 
 def test_training_is_bitwise_deterministic(two_block_affinity):
-    samplers = build_samplers(two_block_affinity, seed=3)
+    samplers = build_samplers(two_block_affinity)
     cfg = TrainConfig(d=4, samples_per_node=20, epochs=5, seed=9)
     emb1, rep1 = train(two_block_affinity, samplers, cfg)
     emb2, rep2 = train(two_block_affinity, samplers, cfg)
@@ -165,7 +165,7 @@ def test_two_block_recovery_and_descent(two_block_affinity, block_labels):
     """Across seeds: epoch-5 loss beats epoch-1 loss, blocks separate in
     cosine similarity, and leave-one-out 1-NN on blocks is perfect."""
     for seed in range(5):
-        samplers = build_samplers(two_block_affinity, seed=seed)
+        samplers = build_samplers(two_block_affinity)
         cfg = TrainConfig(d=4, samples_per_node=50, epochs=20, seed=seed)
         emb, report = train(two_block_affinity, samplers, cfg)
         assert report.epoch_loss[4] < report.epoch_loss[0]
@@ -193,7 +193,7 @@ def test_three_block_recovery():
         probs.append(np.full(ids.size, 1 / 3))
     aff = AffinityMatrix(*csr(zip(neighbor_ids, probs)), sigma_sq=np.ones(12))
     for seed in range(3):
-        samplers = build_samplers(aff, seed=seed)
+        samplers = build_samplers(aff)
         emb, _ = train(aff, samplers, TrainConfig(d=4, samples_per_node=50, epochs=20, seed=seed))
         unit = emb.vectors / np.linalg.norm(emb.vectors, axis=1, keepdims=True)
         sims = unit @ unit.T
@@ -202,14 +202,14 @@ def test_three_block_recovery():
 
 
 def test_embeddings_stay_bounded_with_default_lr(two_block_affinity):
-    samplers = build_samplers(two_block_affinity, seed=1)
+    samplers = build_samplers(two_block_affinity)
     cfg = TrainConfig(d=8, samples_per_node=50, epochs=30, seed=1)
     emb, _ = train(two_block_affinity, samplers, cfg)
     assert np.abs(emb.vectors).max() <= 1e3
 
 
 def test_divergence_detector_trips_on_huge_learning_rate(two_block_affinity):
-    samplers = build_samplers(two_block_affinity, seed=1)
+    samplers = build_samplers(two_block_affinity)
     cfg = TrainConfig(d=4, samples_per_node=50, epochs=10, lr_start=200.0, lr_end=0.1, seed=1)
     with pytest.raises(DivergenceError):
         train(two_block_affinity, samplers, cfg)
@@ -238,14 +238,14 @@ def test_concentrated_noise_distribution_raises_instead_of_hanging():
     ids = [np.array([1, 2, 3, 4])] + [np.array([0]) for _ in range(1, n)]
     probs = [np.full(4, 0.25)] + [np.ones(1) for _ in range(1, n)]
     aff = AffinityMatrix(*csr(zip(ids, probs)), sigma_sq=np.ones(n))
-    samplers = build_samplers(aff, noise_power=200.0, seed=0)
+    samplers = build_samplers(aff, noise_power=200.0)
     assert samplers.noise_probs[0] > 1 - 1e-12
     with time_limit(20), pytest.raises(InvalidConfigError, match="noise_power"):
         train(aff, samplers, TrainConfig(d=4, samples_per_node=5, epochs=1, seed=0))
 
 
 def test_train_rejects_a_threads_argument(two_block_affinity):
-    samplers = build_samplers(two_block_affinity, seed=2)
+    samplers = build_samplers(two_block_affinity)
     cfg = TrainConfig(d=4, samples_per_node=10, epochs=2, seed=2)
     with pytest.raises(TypeError):
         train(two_block_affinity, samplers, cfg, threads=2)
@@ -272,7 +272,7 @@ def test_config_validation():
 
 
 def test_loss_of_zero_embeddings_is_analytic(two_block_affinity):
-    samplers = build_samplers(two_block_affinity, seed=0)
+    samplers = build_samplers(two_block_affinity)
     zeros = np.zeros((10, 4))
     for negatives in (1, 5):
         loss = surrogate_loss(
@@ -283,7 +283,7 @@ def test_loss_of_zero_embeddings_is_analytic(two_block_affinity):
 
 
 def test_training_reduces_surrogate_loss(two_block_affinity):
-    samplers = build_samplers(two_block_affinity, seed=4)
+    samplers = build_samplers(two_block_affinity)
     cfg = TrainConfig(d=4, samples_per_node=50, epochs=20, seed=4)
     init_t, init_c = init_embeddings(10, 4, cfg.init_scale, cfg.seed)
     before = surrogate_loss(two_block_affinity, init_t, init_c, samplers, 2000, seed=77)
@@ -294,7 +294,7 @@ def test_training_reduces_surrogate_loss(two_block_affinity):
 
 def test_monte_carlo_consistency(two_block_affinity):
     """Doubling the probe count moves the estimate by < 3 standard errors."""
-    samplers = build_samplers(two_block_affinity, seed=5)
+    samplers = build_samplers(two_block_affinity)
     rng = np.random.default_rng(8)
     target = rng.normal(scale=0.3, size=(10, 4))
     context = rng.normal(scale=0.3, size=(10, 4))

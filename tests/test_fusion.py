@@ -21,6 +21,7 @@ from fgfusion.errors import (
     ParseError,
 )
 from fgfusion.fusion import SIGMA_FLOOR
+from fgfusion.randomness import rng_stream
 
 from bruteforce import brute_alias, brute_fuse, brute_normalize, csr
 
@@ -254,28 +255,30 @@ def make_affinity(rows, n):
 
 def test_even_row_frequencies():
     aff = make_affinity({0: [(1, 0.5), (2, 0.5)], 1: [(0, 1.0)], 2: [(0, 1.0)]}, 3)
-    table = build_samplers(aff, seed=123)
-    draws = table.draw_row(0, 100_000, table.stream(0))
+    table = build_samplers(aff)
+    draws = table.draw_row(0, 100_000, rng_stream(123, "sampler", 0))
     freq1 = np.mean(draws == 1)
     assert 0.49 <= freq1 <= 0.51
 
 
 def test_degenerate_row_always_returns_the_neighbor():
     aff = make_affinity({0: [(2, 1.0)], 1: [(0, 1.0)], 2: [(0, 1.0)]}, 3)
-    table = build_samplers(aff, seed=5)
-    draws = table.draw_row(0, 1000, table.stream(0))
+    table = build_samplers(aff)
+    draws = table.draw_row(0, 1000, rng_stream(5, "sampler", 0))
     assert np.all(draws == 2)
 
 
 def test_same_seed_emits_identical_sequences():
     aff = make_affinity({0: [(1, 0.3), (2, 0.7)], 1: [(0, 1.0)], 2: [(0, 1.0)]}, 3)
-    t1 = build_samplers(aff, seed=99)
-    t2 = build_samplers(aff, seed=99)
+    t1 = build_samplers(aff)
+    t2 = build_samplers(aff)
     np.testing.assert_array_equal(
-        t1.draw_row(0, 500, t1.stream(0)), t2.draw_row(0, 500, t2.stream(0))
+        t1.draw_row(0, 500, rng_stream(99, "sampler", 0)),
+        t2.draw_row(0, 500, rng_stream(99, "sampler", 0)),
     )
     np.testing.assert_array_equal(
-        t1.draw_noise(500, t1.stream(1)), t2.draw_noise(500, t2.stream(1))
+        t1.draw_noise(500, rng_stream(99, "sampler", 1)),
+        t2.draw_noise(500, rng_stream(99, "sampler", 1)),
     )
 
 
@@ -290,8 +293,8 @@ def test_row_sampler_chi_square():
         for i in range(1, size + 1):
             rows[i] = [(0, 1.0)]
         aff = make_affinity(rows, size + 1)
-        table = build_samplers(aff, seed=trial)
-        draws = table.draw_row(0, 100_000, table.stream(trial))
+        table = build_samplers(aff)
+        draws = table.draw_row(0, 100_000, rng_stream(trial, "sampler", trial))
         observed = np.array([(draws == j + 1).sum() for j in range(size)])
         expected = p * 100_000
         chi2 = float(((observed - expected) ** 2 / expected).sum())
@@ -300,7 +303,7 @@ def test_row_sampler_chi_square():
 
 def test_noise_distribution_follows_in_strength_power():
     aff = make_affinity({0: [(1, 0.7), (2, 0.3)], 1: [(0, 1.0)], 2: [(0, 0.5), (1, 0.5)]}, 3)
-    table = build_samplers(aff, noise_power=0.75, seed=0)
+    table = build_samplers(aff, noise_power=0.75)
     strength = np.array([1.0 + 0.5, 0.7 + 0.5, 0.3])
     expected = strength**0.75 / (strength**0.75).sum()
     np.testing.assert_allclose(table.noise_probs, expected, rtol=1e-12)
@@ -308,8 +311,8 @@ def test_noise_distribution_follows_in_strength_power():
 
 def test_noise_draw_frequencies():
     aff = make_affinity({0: [(1, 1.0)], 1: [(0, 1.0)]}, 2)
-    table = build_samplers(aff, noise_power=1.0, seed=11)
-    draws = table.draw_noise(100_000, table.stream(0))
+    table = build_samplers(aff, noise_power=1.0)
+    draws = table.draw_noise(100_000, rng_stream(11, "sampler", 0))
     assert abs(np.mean(draws == 0) - 0.5) < 0.01
 
 
@@ -360,10 +363,10 @@ def test_noise_power_must_be_finite_and_nonnegative(power):
 
 def test_sampler_keeps_its_own_copy_of_the_affinity():
     aff = make_affinity({0: [(1, 0.25), (2, 0.75)], 1: [(0, 0.5), (2, 0.5)], 2: [(1, 1.0)]}, 3)
-    table = build_samplers(aff, seed=5)
+    table = build_samplers(aff)
 
     def draws():
-        rng = table.stream(0)
+        rng = rng_stream(5, "sampler", 0)
         return np.concatenate([table.draw_rows(np.arange(3), 40, rng).ravel(),
                                table.draw_row(0, 40, rng), table.draw_noise(40, rng)])
 
@@ -372,6 +375,14 @@ def test_sampler_keeps_its_own_copy_of_the_affinity():
     aff.indices[:] = 0
     aff.data[:] = 1.0
     assert same_bits(draws(), before)
+
+
+def test_samplers_take_no_seed():
+    # the table never drew with its seed: every draw takes the caller's generator
+    aff = make_affinity({0: [(1, 1.0)], 1: [(0, 1.0)]}, 2)
+    with pytest.raises(TypeError):
+        build_samplers(aff, seed=0)
+    assert not hasattr(build_samplers(aff), "stream")
 
 
 def test_noise_power_that_overflows_is_rejected():
