@@ -39,6 +39,7 @@ from .evalharness import (
     ResultRow,
     ResultTable,
     SplitSpec,
+    _default,
     knn_classify,
     make_splits,
     run_pipeline,
@@ -121,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=float, default=None, help="training fraction")
     p.add_argument("--repeats", type=int, default=PipelineConfig.repeats)
     p.add_argument("--votes", type=int, default=PipelineConfig.votes)
-    p.add_argument("--classify-metric", choices=METRICS, default="euclidean")
+    p.add_argument("--classify-metric", choices=METRICS, default=_default(knn_classify, "metric"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=None, help="write results CSV here")
 

@@ -9,6 +9,7 @@ accuracies with mean and sample standard deviation per row.
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 from dataclasses import dataclass, field, fields
@@ -167,21 +168,13 @@ def knn_classify(
     votes = min(votes, train_idx.size)
 
     dists = knn.pairwise_distances(matrix[test_idx], matrix[train_idx], metric)
-    order = knn.stable_topk(dists, votes)
-    vote_labels = labels.labels[train_idx[order]]
-    truth = labels.labels[test_idx]
-
-    if votes == 1:
-        return float(np.mean(vote_labels[:, 0] == truth))
-    correct = 0
-    for row_labels, true_label in zip(vote_labels, truth):
-        counts: dict = {}
-        for lab in row_labels:
-            counts[lab] = counts.get(lab, 0) + 1
-        best = max(counts.values())
-        winner = next(lab for lab in row_labels if counts[lab] == best)
-        correct += winner == true_label
-    return correct / len(truth)
+    vote_labels = labels.labels[train_idx[knn.stable_topk(dists, votes)]]
+    # counts[r, i]: how many of row r's votes share vote i's label; the first
+    # vote, in distance order, whose label reaches the row's maximum wins
+    counts = (vote_labels[:, :, None] == vote_labels[:, None, :]).sum(axis=2)
+    first = np.argmax(counts == counts.max(axis=1, keepdims=True), axis=1)
+    winners = vote_labels[np.arange(len(vote_labels)), first]
+    return float(np.mean(winners == labels.labels[test_idx]))
 
 
 def zscore_concat(modalities: list[FeatureMatrix]) -> np.ndarray:
@@ -277,6 +270,12 @@ def sweep_report(table: ResultTable, axis: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _default(func, name: str):
+    """The default of ``func``'s parameter ``name``: the library signatures
+    hold the one definition of each setting's default."""
+    return inspect.signature(func).parameters[name].default
+
+
 @dataclass
 class PipelineConfig:
     """Everything a pipeline run needs; the JSON config's keys are the field names,
@@ -285,13 +284,13 @@ class PipelineConfig:
     features: list[dict]  # [{"path": ..., "format": "csv"|"binary", "name": ...}]
     labels: str
     header: bool = False
-    metric: str = "euclidean"
+    metric: str = _default(knn.build_index, "metric")
     k: list[int] = field(default_factory=lambda: [20])
     k1: int | None = None
     k2: int | None = None
-    weight_mode: str = "jaccard-scaled"
-    combine: str = "sum"
-    kernel: str = "dissimilarity"
+    weight_mode: str = _default(ejgraph.build_ejg, "mode")
+    combine: str = _default(fusion.fuse_graphs, "combine")
+    kernel: str = _default(fusion.normalize_affinity, "kernel_input")
     noise_power: float = fusion.NOISE_POWER
     d: list[int] = field(default_factory=lambda: [16])
     samples_per_node: int = TrainConfig.samples_per_node
@@ -303,7 +302,7 @@ class PipelineConfig:
     protocol: str = "per_class_train_m"
     m_or_fraction: float = 3
     repeats: int = SplitSpec.repeats
-    votes: int = 1
+    votes: int = _default(knn_classify, "votes")
     seed: int = 0
 
     def validate(self) -> None:
@@ -430,6 +429,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         ]
         labels = load_labels(config.labels)
         validate_alignment(modalities, labels)
+    n = modalities[0].n
+    for name, value in (("k", max(config.k)), ("k1", config.k1), ("k2", config.k2)):
+        if value is not None and value >= n:
+            raise InvalidConfigError(f"{name}={value} must be below the sample count {n}")
 
     with _Stage("splits"):
         splits = make_splits(
@@ -496,7 +499,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     manifest = {
         "config": config.resolved(),
-        "n_samples": modalities[0].n,
+        "n_samples": n,
         "n_classes": labels.n_classes,
         "classifier": {
             "family": "k-nearest-neighbor majority vote",

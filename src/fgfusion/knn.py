@@ -1,9 +1,14 @@
 """Exact brute-force k-nearest-neighbor search.
 
-Queries are answered from full pairwise distances computed in row blocks,
-so results are exact and independent of evaluation order. The top k are
-selected, not sorted, but ties are broken by ascending sample index exactly
-as a stable sort would, and a sample is never its own neighbor.
+Queries are answered from full pairwise distances: one matrix product per
+call or per block of query rows, finished into distances in place, one
+cache-sized slice of rows at a time. A distance's last bits can depend on
+which matrix product produced it (where the gallery width is not a multiple
+of the BLAS kernel's, another partition of the query rows can round the last
+columns differently), so the row blocks are fixed; the slicing of the finish
+never changes a bit. The top k are selected, not sorted, but
+ties are broken by ascending sample index exactly as a stable sort would,
+and a sample is never its own neighbor.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from .errors import InvalidMetricError, KOutOfRangeError, ZeroVectorError
 
 METRICS = ("euclidean", "cosine")
 
-_BLOCK = 1024
+_BLOCK = 1024  # query rows per matrix product in topk_arrays
+_SLICE_BYTES = 1 << 20  # bytes of distances finished per slice, so each stays in cache
 
 
 class KnnIndex:
@@ -27,16 +33,17 @@ class KnnIndex:
         self.n = self.matrix.shape[0]
         self._rows, self._sq_norms = _prepare(self.matrix, metric)
 
-    def _distance_block(self, rows: np.ndarray) -> np.ndarray:
-        """Distances from the given query rows to every sample."""
-        sq = self._sq_norms
-        return _distances(self._rows[rows], self._rows, None if sq is None else sq[rows], sq)
-
     def _topk_block(self, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        dists = self._distance_block(rows)
-        dists[np.arange(rows.size), rows] = np.inf  # exclude self
-        order = stable_topk(dists, k)
-        return order, np.take_along_axis(dists, order, axis=1)
+        sq = self._sq_norms
+        dots = self._rows[rows] @ self._rows.T
+        ids = np.empty((rows.size, k), dtype=np.int64)
+        top = np.empty((rows.size, k), dtype=np.float64)
+        # each slice's top k is selected while its distances are still in cache
+        for part, dists in _finish(dots, None if sq is None else sq[rows], sq):
+            dists[np.arange(len(dists)), rows[part]] = np.inf  # exclude self
+            ids[part] = stable_topk(dists, k)
+            top[part] = np.take_along_axis(dists, ids[part], axis=1)
+        return ids, top
 
 
 def stable_topk(dists: np.ndarray, k: int) -> np.ndarray:
@@ -107,25 +114,31 @@ def _prepare(matrix: np.ndarray, metric: str, what: str = "vector"):
     return matrix / norms[:, None], None
 
 
-def _distances(queries, gallery, q_sq=None, g_sq=None) -> np.ndarray:
-    """Distances between query and gallery rows: euclidean from the rows and
-    their squared norms q_sq and g_sq, else cosine from unit-length rows.
+def _finish(dots: np.ndarray, q_sq=None, g_sq=None):
+    """Turn the (queries, gallery) dot products into distances in place, one
+    slice of rows at a time, and yield each finished slice with its rows.
 
-    Computed in place, so at most two (queries, gallery) arrays are alive at
-    once; the operations and their order are those of the plain expressions
-    |a|^2 + |b|^2 - 2 a.b and 1 - cos, so results are bit-for-bit the same.
+    Euclidean from the rows' squared norms q_sq and g_sq, else cosine from
+    unit-length rows. The operations and their order are those of the plain
+    expressions |a|^2 + |b|^2 - 2 a.b and 1 - cos, so results are bit for bit
+    the same whatever the slice height.
     """
+    step = max(1, _SLICE_BYTES // (8 * max(1, dots.shape[1])))
     if q_sq is not None:
-        sq = q_sq[:, None] + g_sq[None, :]
-        dots = queries @ gallery.T
-        dots *= 2.0
-        sq -= dots
-        del dots
-        np.maximum(sq, 0.0, out=sq)
-        return np.sqrt(sq, out=sq)
-    dists = queries @ gallery.T
-    np.subtract(1.0, dists, out=dists)
-    return np.maximum(dists, 0.0, out=dists)
+        sq = np.empty((min(step, dots.shape[0]), dots.shape[1]))
+    for start in range(0, dots.shape[0], step):
+        part = slice(start, start + step)
+        dists = dots[part]
+        if q_sq is not None:
+            dists *= 2.0
+            rows_sq = np.add(q_sq[part, None], g_sq[None, :], out=sq[: len(dists)])
+            np.subtract(rows_sq, dists, out=dists)
+            np.maximum(dists, 0.0, out=dists)
+            np.sqrt(dists, out=dists)
+        else:
+            np.subtract(1.0, dists, out=dists)
+            np.maximum(dists, 0.0, out=dists)
+        yield part, dists
 
 
 def pairwise_distances(
@@ -144,7 +157,9 @@ def pairwise_distances(
     # routine, which may round differently
     q, q_sq = _prepare(queries, metric, "query vector")
     g, g_sq = _prepare(gallery, metric, "gallery vector")
-    out = _distances(q, g, q_sq, g_sq)
+    out = q @ g.T
+    for _ in _finish(out, q_sq, g_sq):
+        pass
     if same:
         np.fill_diagonal(out, 0.0)
     return out

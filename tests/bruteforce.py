@@ -114,6 +114,20 @@ def loo_nn_accuracy(matrix: np.ndarray, labels, metric: str = "euclidean", subse
     return correct / total
 
 
+def brute_vote_accuracy(vote_labels, truth) -> float:
+    """Majority-vote accuracy from each row's vote labels, nearest first; a
+    tie goes to the tied label seen earliest in the row."""
+    correct = 0
+    for row_labels, true_label in zip(vote_labels, truth):
+        counts: dict = {}
+        for lab in row_labels:
+            counts[lab] = counts.get(lab, 0) + 1
+        best = max(counts.values())
+        winner = next(lab for lab in row_labels if counts[lab] == best)
+        correct += winner == true_label
+    return correct / len(truth)
+
+
 def csr(rows):
     """(indptr, indices, data) CSR arrays of rows given as (neighbor ids, values) pairs."""
     rows = list(rows)

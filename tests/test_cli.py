@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import subprocess
 import sys
@@ -12,7 +13,9 @@ from fgfusion import (
     build_ejg,
     build_index,
     cli,
+    evalharness,
     fuse_graphs,
+    knn_classify,
     load_affinity,
     load_embeddings,
     load_features,
@@ -183,6 +186,13 @@ PIPELINE_OVERRIDES = {
 }
 
 
+def test_eval_classifies_with_the_library_defaults():
+    args = cli._build_parser().parse_args(["eval", "--features", "f.csv", "--labels", "l.txt"])
+    defaults = inspect.signature(knn_classify).parameters
+    assert args.classify_metric == defaults["metric"].default
+    assert args.votes == defaults["votes"].default
+
+
 def test_every_pipeline_override_flag_lands_in_the_manifest(fixture_dir, tmp_path):
     assert _flags("pipeline") - {"--config", "--out-dir", "--embeddings-format"} == set(
         PIPELINE_OVERRIDES
@@ -305,6 +315,28 @@ def test_pipeline_exits_2_on_a_bad_config_value(fixture_dir, tmp_path, capsys, f
     assert cli.main(argv) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, value", [("k", [4, 32]), ("k1", 40), ("k2", 32)])
+def test_pipeline_exits_2_on_a_k_of_n_or_more_before_any_scoring(
+    fixture_dir, tmp_path, capsys, monkeypatch, field, value
+):
+    config = {
+        "features": [{"path": "data/modality_a.csv"}, {"path": "data/modality_b.csv"}],
+        "labels": "data/labels.txt",
+        "k": [4],
+        field: value,  # the fixture has 32 samples
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("a baseline was scored")
+
+    monkeypatch.setattr(evalharness, "knn_classify", no_scoring)
+    argv = ["pipeline", "--config", str(tmp_path / "config.json"), "--out-dir", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert f"{field}=" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "results.csv").exists()
 
 
 def test_exit_code_3_on_missing_file(tmp_path):

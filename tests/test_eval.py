@@ -1,7 +1,11 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fgfusion import (
     FeatureMatrix,
@@ -10,8 +14,13 @@ from fgfusion import (
     ResultRow,
     ResultTable,
     SplitSpec,
+    build_ejg,
+    build_index,
+    build_samplers,
+    fuse_graphs,
     knn_classify,
     make_splits,
+    normalize_affinity,
     pairwise_distances,
     run_pipeline,
     save_features,
@@ -29,8 +38,9 @@ from fgfusion.errors import (
     LengthMismatchError,
     PipelineStageError,
 )
+from fgfusion.knn import stable_topk
 
-from bruteforce import brute_splits
+from bruteforce import brute_splits, brute_vote_accuracy
 
 
 def labels_of(seq, instances=None):
@@ -254,6 +264,30 @@ def test_duplicate_train_points_resolve_like_a_full_sort(votes):
         assert got == sorted_vote_accuracy(data, labels, train, test, votes)
 
 
+# integer points on a 4 x 4 grid make distance ties common, and two or three
+# labels make vote ties common
+vote_cases = st.tuples(st.integers(1, 7), st.integers(2, 3)).flatmap(
+    lambda case: st.tuples(
+        st.just(case[0]),
+        arrays(np.float64, (24, 2), elements=st.integers(0, 3).map(float)),
+        st.lists(st.sampled_from("xyz"[: case[1]]), min_size=24, max_size=24),
+        st.lists(st.booleans(), min_size=24, max_size=24),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vote_cases)
+def test_majority_vote_matches_a_per_row_count(case):
+    votes, data, names, in_train = case
+    train, test = np.flatnonzero(in_train), np.flatnonzero(~np.array(in_train))
+    assume(train.size and test.size)
+    labels = labels_of(names)
+    order = stable_topk(pairwise_distances(data[test], data[train]), min(votes, train.size))
+    expected = brute_vote_accuracy(labels.labels[train[order]], labels.labels[test])
+    assert knn_classify(data, labels, train, test, votes=votes) == expected
+
+
 # ---------------------------------------------------------------------------
 # Result table and sweep report
 # ---------------------------------------------------------------------------
@@ -411,6 +445,18 @@ def test_pipeline_stage_annotation_on_missing_file(tmp_path):
         run_pipeline(PipelineConfig(**params))
     assert exc.value.stage == "load"
     assert isinstance(exc.value.__cause__, FileNotFoundError)
+
+
+def test_pipeline_defaults_are_the_library_defaults():
+    def default(func, name):
+        return inspect.signature(func).parameters[name].default
+
+    assert PipelineConfig.metric == default(build_index, "metric")
+    assert PipelineConfig.weight_mode == default(build_ejg, "mode")
+    assert PipelineConfig.combine == default(fuse_graphs, "combine")
+    assert PipelineConfig.kernel == default(normalize_affinity, "kernel_input")
+    assert PipelineConfig.votes == default(knn_classify, "votes")
+    assert PipelineConfig.noise_power == default(build_samplers, "noise_power")
 
 
 def test_pipeline_config_validation(tmp_path):

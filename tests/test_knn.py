@@ -79,6 +79,22 @@ def test_a_one_row_tail_block_matches_a_single_block(monkeypatch, metric):
     assert dists.tobytes() == single_dists.tobytes()
 
 
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+@pytest.mark.parametrize("width", [900, 1700])
+def test_the_slice_height_never_changes_a_bit(monkeypatch, metric, width):
+    # widths that are not a multiple of 8 are where the gemm's row partition
+    # shows in the last bits; the in-place finish must not add to that
+    matrix = np.random.default_rng(width).normal(size=(width, 30))
+    index = build_index(matrix, metric)
+    outputs = []
+    for slice_bytes in (1, 1 << 40):  # one row per slice, one slice per call
+        monkeypatch.setattr(knn, "_SLICE_BYTES", slice_bytes)
+        ids, dists = topk_arrays(index, 10)
+        pairs = pairwise_distances(matrix[:300], matrix, metric)
+        outputs.append((ids.tobytes(), dists.tobytes(), pairs.tobytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_k3_lists_never_contain_query():
     rng = np.random.default_rng(1)
     ids, _ = topk_arrays(build_index(rng.normal(size=(4, 2))), 3)
@@ -158,12 +174,15 @@ def test_pairwise_distances_bit_equal_to_the_plain_expressions(rows, metric, sam
         gallery[np.linalg.norm(gallery, axis=1) == 0.0, 0] = 1.0
     got = pairwise_distances(queries, gallery, metric)
     assert got.tobytes() == brute_pairwise_distances(queries, gallery, metric).tobytes()
-    # the index's blocks share the kernel: a block of rows equals those rows'
-    # pairwise distances against the whole matrix
-    block = np.arange(0, len(gallery), 2)
-    assert build_index(gallery, metric)._distance_block(block).tobytes() == pairwise_distances(
-        gallery[block], gallery, metric
-    ).tobytes()
+    # the index's blocks share the kernel: a block's top k is the selection
+    # from those rows' pairwise distances against the whole matrix
+    if len(gallery) > 1:
+        block = np.arange(0, len(gallery), 2)
+        dists = pairwise_distances(gallery[block], gallery, metric)
+        dists[np.arange(block.size), block] = np.inf
+        ids, top = build_index(gallery, metric)._topk_block(block, len(gallery) - 1)
+        assert np.array_equal(ids, stable_topk(dists, len(gallery) - 1))
+        assert top.tobytes() == np.take_along_axis(dists, ids, axis=1).tobytes()
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
