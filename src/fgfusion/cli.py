@@ -123,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=PipelineConfig.repeats)
     p.add_argument("--votes", type=int, default=PipelineConfig.votes)
     p.add_argument("--classify-metric", choices=METRICS, default=_default(knn_classify, "metric"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SplitSpec.seed)
     p.add_argument("--out", type=Path, default=None, help="write results CSV here")
 
     p = sub.add_parser("pipeline", help="run the full fusion + evaluation pipeline")

@@ -118,16 +118,18 @@ class SparseGraph(_Csr):
             raise InvalidConfigError(f"row {q}: {problem[check]}")
 
 
-def _isin_rows(sets: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
-    """Whether vals[r, a, b] is a member of sets[r], for every r, a, b.
+def _isin_rows(sets: np.ndarray, nbrs: np.ndarray, n: int) -> np.ndarray:
+    """Whether nbrs[sets[r, a], b] is a member of sets[r], for every r, a, b.
 
-    Ids lie in [0, n). The rows' sets are scattered into a (rows, n)
-    boolean table, so each probe is one lookup.
+    Ids lie in [0, n). Row r's set is scattered into entries r * n + id of
+    one flat boolean table, so each probe is one lookup.
     """
-    rows = np.arange(len(sets))
-    table = np.zeros((len(sets), n), dtype=bool)
-    table[rows[:, None], sets] = True
-    return table[rows[:, None, None], vals]
+    base = np.arange(len(sets))[:, None] * n
+    table = np.zeros(len(sets) * n, dtype=bool)
+    table[base + sets] = True
+    probes = nbrs[sets]
+    probes += base[:, :, None]  # in place: the probes are the block's largest array
+    return table.take(probes)
 
 
 def build_ejg(
@@ -165,7 +167,7 @@ def build_ejg(
     confirmations = np.empty(n, dtype=np.int64)
     for rows in blocks:
         sets = nbrs_k1[rows]
-        confirmations[rows] = _isin_rows(sets, nbrs_k2[sets], n).any(axis=2).sum(axis=1)
+        confirmations[rows] = _isin_rows(sets, nbrs_k2, n).any(axis=2).sum(axis=1)
 
     if mode == "literal":
         weights = confirmations[nbrs_k].astype(np.float64)
@@ -174,7 +176,7 @@ def build_ejg(
         for rows in blocks:
             cs = nbrs_k[rows]
             # |N_k1(c) ∩ N_k(q)| for every edge q -> c of the block
-            ic = _isin_rows(cs, nbrs_k1[cs], n).sum(axis=2)
+            ic = _isin_rows(cs, nbrs_k1, n).sum(axis=2)
             jac = ic / (k1 + k - ic)
             weights[rows] = jac * confirmations[cs] / k1
     indptr = np.arange(n + 1, dtype=np.int64) * k
@@ -211,13 +213,19 @@ def _write_edges(path, fmt, matrix: _Csr, magic, node_values=None) -> None:
     _check_format(fmt)
     src, dst, val = matrix._entry_rows(), matrix.indices, matrix.data
     if fmt == "csv":
+        val = np.asarray(val, dtype=np.float64)
         with open(path, "w", encoding="utf-8") as fh:
             for at in range(0, src.size, _CSV_WRITE_EDGES):
                 part = slice(at, at + _CSV_WRITE_EDGES)
-                fh.write("".join(
-                    f"{s},{d},{v!r}\n"
-                    for s, d, v in zip(src[part].tolist(), dst[part].tolist(), val[part].tolist())
-                ))
+                # each distinct id and value of the chunk is formatted once, the
+                # value keyed by its bits so that -0.0 and 0.0 stay apart
+                ids, id_at = np.unique(np.concatenate((src[part], dst[part])), return_inverse=True)
+                id_text = np.array([f"{i}," for i in ids.tolist()], dtype=object)[id_at]
+                bits, val_at = np.unique(val[part].view(np.int64), return_inverse=True)
+                values = bits.view(np.float64).tolist()
+                val_text = np.array([f"{v!r}\n" for v in values], dtype=object)
+                half = id_at.size // 2
+                fh.write("".join(id_text[:half] + id_text[half:] + val_text[val_at]))
     else:
         body = np.empty(src.size, dtype=_EDGE_RECORD)
         body["src"], body["dst"], body["value"] = src, dst, val

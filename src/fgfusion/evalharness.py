@@ -54,6 +54,10 @@ _CHOICES = {
 FGF_METHOD = "fgf"
 JOINT_METHOD = "joint"
 
+# the classifier metric of the raw-feature baselines and of the fused embeddings
+BASELINE_METRIC = "euclidean"
+FGF_METRIC = "cosine"
+
 
 # ---------------------------------------------------------------------------
 # Splits
@@ -444,7 +448,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     with _Stage("baselines"):
         for modality in modalities:
             accs = tuple(
-                knn_classify(modality, labels, tr, te, "euclidean", config.votes)
+                knn_classify(modality, labels, tr, te, BASELINE_METRIC, config.votes)
                 for tr, te in splits
             )
             table.rows.append(
@@ -452,7 +456,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             )
         joint = zscore_concat(modalities)
         accs = tuple(
-            knn_classify(joint, labels, tr, te, "euclidean", config.votes) for tr, te in splits
+            knn_classify(joint, labels, tr, te, BASELINE_METRIC, config.votes) for tr, te in splits
         )
         table.rows.append(
             ResultRow(method=JOINT_METHOD, k=None, d=joint.shape[1], accuracies=accs)
@@ -490,7 +494,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 reports[(k_val, d_val)] = report
             with _Stage(f"classify[k={k_val},d={d_val}]"):
                 accs = tuple(
-                    knn_classify(emb, labels, tr, te, "cosine", config.votes)
+                    knn_classify(emb, labels, tr, te, FGF_METRIC, config.votes)
                     for tr, te in splits
                 )
                 table.rows.append(
@@ -504,8 +508,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         "classifier": {
             "family": "k-nearest-neighbor majority vote",
             "votes": config.votes,
-            "baseline_metric": "euclidean",
-            "fgf_metric": "cosine",
+            "baseline_metric": BASELINE_METRIC,
+            "fgf_metric": FGF_METRIC,
         },
         "joint_baseline": "per-dimension z-score within each modality, then concatenation",
         "std_convention": "sample standard deviation (ddof=1); 0.0 for a single split",

@@ -4,7 +4,7 @@ Per-modality graphs are merged by edge union (overlapping edges combined
 by sum or max), then each fused row is turned into a probability
 distribution with a Gaussian kernel whose bandwidth is the variance of
 that row's kernel inputs. Alias tables make row draws and noise draws for
-negative sampling O(1).
+negative sampling O(1); the row tables are built for all rows in lockstep.
 """
 
 from __future__ import annotations
@@ -99,6 +99,17 @@ class AffinityMatrix(_Csr):
             raise InvalidConfigError("bandwidth below floor or not a number")
 
 
+def _row_blocks(indptr: np.ndarray):
+    """(size, rows, at) for each row length: the rows of that length and the
+    (rows, size) positions of their entries. Per-row reductions of such a
+    dense block run over the contiguous last axis, so they give the same
+    sums as one row at a time."""
+    counts = np.diff(indptr)
+    for size in np.unique(counts):
+        rows = np.flatnonzero(counts == size)
+        yield size, rows, indptr[rows, None] + np.arange(size)
+
+
 def normalize_affinity(graph: SparseGraph, kernel_input: str = "dissimilarity") -> AffinityMatrix:
     """Turn fused edge weights into per-row probabilities via a Gaussian kernel.
 
@@ -115,14 +126,10 @@ def normalize_affinity(graph: SparseGraph, kernel_input: str = "dissimilarity") 
     counts = np.diff(graph.indptr)
     if not counts.all():
         raise EmptyRowError(f"row {int(np.argmin(counts))} has no edges")
-    w, starts = graph.data, graph.indptr[:-1]
+    w = graph.data
     probs = np.empty(w.size)
     sigma_sq = np.empty(graph.n, dtype=np.float64)
-    # Rows of one support size form a dense block whose per-row reductions
-    # run over the contiguous last axis: the same sums as one row at a time.
-    for size in np.unique(counts):
-        rows = np.flatnonzero(counts == size)
-        at = starts[rows, None] + np.arange(size)
+    for _, rows, at in _row_blocks(graph.indptr):
         x = w[at]
         if kernel_input == "dissimilarity":
             x = x.max(axis=1, keepdims=True) - x
@@ -139,7 +146,11 @@ def normalize_affinity(graph: SparseGraph, kernel_input: str = "dissimilarity") 
 
 
 def _build_alias(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vose alias construction for one distribution (need not be normalized)."""
+    """Vose alias construction for one distribution (need not be normalized).
+
+    Builds the noise table, and defines the row tables of
+    :func:`_build_alias_rows`.
+    """
     p = np.asarray(probs, dtype=np.float64)
     total = p.sum()
     if total <= 0:
@@ -161,6 +172,58 @@ def _build_alias(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         else:
             large.append(l)
     return np.array(accept, dtype=np.float64), np.array(alias, dtype=np.int64)
+
+
+def _build_alias_rows(indptr: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vose alias tables of every CSR row, laid end to end like ``data``.
+
+    Bit for bit the tables :func:`_build_alias` builds one row at a time:
+    every row takes the same pops, writes and pushes in the same order,
+    but all rows take each step together. ``alias`` holds positions
+    within the row.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    lo, hi = indptr[:-1], indptr[1:]
+    scaled = np.empty(data.size)
+    alias = np.empty(data.size, dtype=np.int64)
+    # Row q's small stack grows up from lo[q] and its large stack down from
+    # hi[q] - 1; together they never hold more than the row's entries.
+    stacks = np.empty(data.size, dtype=np.int64)
+    n_small = np.empty(lo.size, dtype=np.int64)
+    n_large = np.empty(lo.size, dtype=np.int64)
+    for size, rows, at in _row_blocks(indptr):  # row totals as p.sum() on each slice
+        p = data[at]
+        total = p.sum(axis=1)
+        if (total <= 0).any():  # an empty row sums to 0; a NaN total passes, as per row
+            raise InvalidConfigError("cannot build sampler over an all-zero distribution")
+        block = p * (size / total)[:, None]
+        scaled[at] = block
+        alias[at] = np.arange(size)
+        small, large = block < 1.0, block >= 1.0
+        n_small[rows], n_large[rows] = small.sum(axis=1), large.sum(axis=1)
+        # both stacks start out holding the row's positions in ascending order
+        slot = np.where(small, np.cumsum(small, axis=1) - 1, size - np.cumsum(large, axis=1))
+        r, c = np.nonzero(small | large)
+        stacks[lo[rows[r]] + slot[r, c]] = c
+    done = np.zeros(data.size, dtype=bool)
+    while True:
+        live = (n_small > 0) & (n_large > 0)
+        if not live.all():
+            lo, hi, n_small, n_large = lo[live], hi[live], n_small[live], n_large[live]
+        if not lo.size:
+            scaled[~done] = 1.0  # an entry never popped as small keeps accept 1.0
+            return scaled, alias
+        n_small -= 1
+        s = lo + stacks[lo + n_small]
+        l_pos = stacks[hi - n_large]
+        l = lo + l_pos
+        done[s] = True  # scaled[s] is final: s is never pushed again
+        alias[s] = l_pos
+        scaled[l] -= 1.0 - scaled[s]
+        to_small = scaled[l] < 1.0
+        n_small += to_small
+        n_large -= to_small
+        stacks[np.where(to_small, lo + n_small - 1, hi - n_large)] = l_pos
 
 
 def _alias_pick(
@@ -197,11 +260,7 @@ class SamplerTable:
         # laid end to end beside them, row i at indptr[i]:indptr[i + 1]
         self._indptr = np.array(affinity.indptr, dtype=np.int64)
         self._ids = np.array(affinity.indices, dtype=np.int64)
-        self._accept = np.empty(self._ids.size, dtype=np.float64)
-        self._alias = np.empty(self._ids.size, dtype=np.int64)
-        bounds = self._indptr.tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            self._accept[lo:hi], self._alias[lo:hi] = _build_alias(affinity.data[lo:hi])
+        self._accept, self._alias = _build_alias_rows(self._indptr, affinity.data)
 
         strength = np.bincount(self._ids, weights=affinity.data, minlength=self.n)
         with np.errstate(over="ignore", invalid="ignore"):  # reported below

@@ -199,6 +199,16 @@ def brute_alias(probs):
     return accept, alias
 
 
+def brute_csv_edges(matrix) -> str:
+    """`src,dst,value` CSV text of a CSR matrix, one f-string per edge: the
+    edge writer's text from before it formatted each id and value once."""
+    src = np.repeat(np.arange(len(matrix.indptr) - 1), np.diff(matrix.indptr))
+    return "".join(
+        f"{s},{d},{v!r}\n"
+        for s, d, v in zip(src.tolist(), matrix.indices.tolist(), matrix.data.tolist())
+    )
+
+
 # ---------------------------------------------------------------------------
 # Split protocols: the library's loop from before it grouped the classes once.
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fgfusion import (
+    SplitSpec,
     TrainConfig,
     TrainReport,
     build_ejg,
@@ -191,6 +192,7 @@ def test_eval_classifies_with_the_library_defaults():
     defaults = inspect.signature(knn_classify).parameters
     assert args.classify_metric == defaults["metric"].default
     assert args.votes == defaults["votes"].default
+    assert args.seed == SplitSpec.seed
 
 
 def test_every_pipeline_override_flag_lands_in_the_manifest(fixture_dir, tmp_path):

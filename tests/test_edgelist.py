@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgfusion import (
     AffinityMatrix,
@@ -19,6 +20,7 @@ from fgfusion import (
 from fgfusion import ejgraph
 from fgfusion.errors import ParseError
 
+from bruteforce import brute_csv_edges, csr
 from test_dataset import FLOAT_TOKENS, ODD_FLOAT_TOKENS, csv_texts, outcome
 from test_fusion import graph_from_rows
 
@@ -206,6 +208,43 @@ def test_csv_write_is_one_repr_line_per_edge(tmp_path, kind):
     else:
         save_affinity(AffinityMatrix(g.indptr, g.indices, g.data), path, "csv")
     assert path.read_text() == "0,2,0.1\n0,1,0.9\n1,0,1.0\n2,1,1.0\n"
+
+
+# signed zeros, NaN, infinities, subnormals and values whose repr is long or exponential
+EDGE_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e-310,
+                     1e16, 1e-5, 0.1 + 0.2]),
+)
+
+
+@st.composite
+def hand_built_csr(draw):
+    """Unvalidated CSR arrays: empty rows, and ids that are negative or >= n."""
+    n = draw(st.integers(1, 6))
+    ids = st.one_of(st.integers(-3, n + 3), st.integers(-(2**63), 2**63 - 1))
+    rows = draw(st.lists(st.lists(st.tuples(ids, EDGE_VALUES), max_size=6), min_size=n, max_size=n))
+    return ejgraph._Csr(*csr(([j for j, _ in row], [v for _, v in row]) for row in rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_built_csr(), st.sampled_from([1, 3, ejgraph._CSV_WRITE_EDGES]))
+def test_csv_write_matches_the_per_edge_oracle(tmp_path_factory, matrix, chunk):
+    path = tmp_path_factory.mktemp("write") / "edges.csv"
+    with mock.patch.object(ejgraph, "_CSV_WRITE_EDGES", chunk):
+        ejgraph._write_edges(path, "csv", matrix, b"EJGA")
+    assert path.read_bytes() == brute_csv_edges(matrix).encode("utf-8")
+
+
+def test_csv_write_over_several_chunks_matches_the_per_edge_oracle(tmp_path):
+    rng = np.random.default_rng(3)
+    n, edges = 500, 3 * ejgraph._CSV_WRITE_EDGES + 17
+    indptr = np.concatenate(([0], np.sort(rng.integers(0, edges + 1, n - 1)), [edges]))
+    values = rng.normal(size=edges)
+    values[::2] = rng.integers(0, 4, values[::2].size) / 2  # few distinct values, as in EJG weights
+    matrix = ejgraph._Csr(indptr, rng.integers(-2, n + 2, edges), values)
+    ejgraph._write_edges(tmp_path / "edges.csv", "csv", matrix, b"EJGG")
+    assert (tmp_path / "edges.csv").read_bytes() == brute_csv_edges(matrix).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from fgfusion import (
     synth_multimodal,
     zscore_concat,
 )
+from fgfusion import evalharness
+from fgfusion.dataset import EmbeddingMatrix
 from fgfusion.errors import (
     ClassTooSmallError,
     EmptyTrainSetError,
@@ -568,6 +570,19 @@ def test_pipeline_config_from_json_rejects_a_malformed_shape(tmp_path, text, pro
     config_path.write_text(text)
     with pytest.raises(InvalidConfigError, match=problem):
         PipelineConfig.from_json(config_path)
+
+
+def test_pipeline_manifest_names_the_metric_each_classifier_used(tmp_path, monkeypatch):
+    used = {"baseline": [], "fgf": []}
+
+    def recording(data, labels, train_idx, test_idx, metric, votes):
+        used["fgf" if isinstance(data, EmbeddingMatrix) else "baseline"].append(metric)
+        return knn_classify(data, labels, train_idx, test_idx, metric, votes)
+
+    monkeypatch.setattr(evalharness, "knn_classify", recording)
+    classifier = run_pipeline(PipelineConfig(**write_fixture(tmp_path))).manifest["classifier"]
+    assert used["baseline"] == [classifier["baseline_metric"]] * 9  # 3 baselines x 3 splits
+    assert used["fgf"] == [classifier["fgf_metric"]] * 3
 
 
 def test_pipeline_manifest_contents(tmp_path):

@@ -20,7 +20,7 @@ from fgfusion.errors import (
     NodeCountMismatchError,
     ParseError,
 )
-from fgfusion.fusion import SIGMA_FLOOR
+from fgfusion.fusion import SIGMA_FLOOR, _build_alias, _build_alias_rows
 from fgfusion.randomness import rng_stream
 
 from bruteforce import brute_alias, brute_fuse, brute_normalize, csr
@@ -333,6 +333,56 @@ def test_sampler_tables_are_bit_equal_to_the_oracle(graph):
     assert same_bits(table.noise_probs, noise / noise.sum())
     accept, alias = brute_alias(table.noise_probs)
     assert same_bits(table._noise_accept, accept) and same_bits(table._noise_alias, alias)
+
+
+# tiny, zero, NaN and negative entries beside values whose scaled form lands on 1.0
+ALIAS_VALUES = st.one_of(
+    st.sampled_from([0.0, 1e-300, 3e-300, 5e-324, 0.5, 1.0, 2.0, 3.0, float("nan"), -1.0]),
+    st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False),
+)
+ALIAS_ROWS = st.one_of(
+    st.lists(ALIAS_VALUES, min_size=1, max_size=8),
+    # uniform rows: every scaled entry is 1.0 or a rounding away from it
+    st.tuples(st.integers(1, 300), ALIAS_VALUES).map(lambda t: [t[1]] * t[0]),
+    # m, m - d, m + d, ... in any order, m a power of two: the m entries scale to exactly 1.0
+    st.tuples(st.sampled_from([1, 2, 4, 8]), st.lists(st.integers(0, 8), max_size=4)).flatmap(
+        lambda t: st.permutations([float(t[0])] + [
+            float(t[0] + sign * min(d, t[0])) for d in t[1] for sign in (1, -1)])),
+    # rows past numpy's pairwise-summation block of 128 values
+    st.tuples(st.integers(129, 400), st.lists(ALIAS_VALUES, min_size=1, max_size=4),
+              st.integers(0, 2**32 - 1)).map(
+        lambda t: np.random.default_rng(t[2]).choice(t[1], t[0]).tolist()),
+)
+
+
+def assert_alias_rows_match_per_row_builds(rows):
+    indptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
+    data = np.array([v for r in rows for v in r], dtype=np.float64)
+    with np.errstate(all="ignore"):  # 5e-324 entries overflow size / total in both builds
+        try:
+            per_row = [_build_alias(np.array(r, dtype=np.float64)) for r in rows]
+        except InvalidConfigError as exc:
+            with pytest.raises(InvalidConfigError, match=str(exc)):
+                _build_alias_rows(indptr, data)
+            return
+        accept, alias = _build_alias_rows(indptr, data)
+    assert same_bits(accept, np.concatenate([a for a, _ in per_row]))
+    assert same_bits(alias, np.concatenate([a for _, a in per_row]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ALIAS_ROWS, min_size=1, max_size=6))
+def test_lockstep_alias_rows_are_bit_equal_to_per_row_builds(rows):
+    assert_alias_rows_match_per_row_builds(rows)
+
+
+@pytest.mark.parametrize(
+    "rows", [[[0.5, 0.5], []], [[], [1.0]], [[0.0, 0.0], [1.0]], [[1.0], [-0.0]]]
+)
+def test_lockstep_alias_rows_reject_empty_and_all_zero_rows(rows):
+    assert_alias_rows_match_per_row_builds(rows)  # the per-row build raises here
+    with pytest.raises(InvalidConfigError, match="all-zero distribution"):
+        _build_alias_rows(np.cumsum([0] + [len(r) for r in rows]), np.array(sum(rows, [])))
 
 
 @settings(max_examples=100, deadline=None)
