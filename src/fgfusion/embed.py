@@ -82,30 +82,64 @@ def init_embeddings(
     return EmbeddingMatrix(target), EmbeddingMatrix(np.zeros((n, d), dtype=np.float64))
 
 
+def _scores(f: np.ndarray, g: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Signed scores (b, K) of target rows f (b, d) against context rows g (b, K, d)."""
+    y = np.einsum("bd,bkd->bk", f, g)
+    y *= signs
+    return y
+
+
+def _step(
+    f: np.ndarray, context: np.ndarray, pairs: np.ndarray, rates: np.ndarray, signs: np.ndarray
+) -> np.ndarray:
+    """One step of target rows f (b, d) against the context rows pairs (b, K) names,
+    in place, at rates lr * sign. Each row moves by the sum of its pairs' gradients
+    at the pre-step rows. Returns the signed scores."""
+    g = context[pairs]
+    y = _scores(f, g, signs)
+    # lr * (label - sigmoid(x)) for score x is lr * sign * sigmoid(-y)
+    delta = rates / (1.0 + np.exp(y))
+    # context entry (row, j) sits at row * d + j of the flat view; ufunc.at adds
+    # repeated entries one at a time in pair order, so sums repeat bit for bit
+    d = f.shape[1]
+    idx = (pairs[..., None] * d + np.arange(d)).ravel()
+    np.add.at(context.reshape(-1), idx, (delta[:, :, None] * f[:, None, :]).ravel())
+    f += np.einsum("bk,bkd->bd", delta, g)
+    return y
+
+
 def sgd_step(f_i: np.ndarray, g_j: np.ndarray, label: int, lr: float) -> tuple[np.ndarray, np.ndarray]:
     """One logistic gradient-ascent step on a (target, context) pair, in place.
 
-    label 1 marks an observed pair, label 0 a noise pair. Both rows are
+    label 1 marks an observed pair, label 0 a noise pair. This is the
+    trainer's block step for one node and one pair, so both rows are
     updated from each other's pre-step values.
     """
-    x = float(np.dot(f_i, g_j))
-    with np.errstate(over="ignore"):  # exp(-x) = inf gives sigmoid(x) = 0
-        err = float(label) - 1.0 / (1.0 + np.exp(-x))
-    delta = lr * err
-    df = delta * g_j
-    g_j += delta * f_i
-    f_i += df
+    if label not in (0, 1) or not (math.isfinite(lr) and lr >= 0):
+        raise InvalidConfigError(f"need label 0 or 1 and finite lr >= 0, got {label!r}, {lr!r}")
+    signs = np.array([1.0 if label else -1.0])
+    # contiguous (1, d) copies: a flat context view, and one rounding for any strides
+    f, g = f_i[None].copy(), g_j[None].copy()
+    with np.errstate(over="ignore"):  # exp(y) = inf gives a zero step
+        _step(f, g, np.zeros((1, 1), dtype=np.int64), lr * signs[None], signs)
+    f_i[:], g_j[:] = f[0], g[0]
     return f_i, g_j
 
 
-def _draw_negatives(
-    samplers: SamplerTable, ctx: np.ndarray, negatives: int, rng: np.random.Generator
+def _signs(negatives: int) -> np.ndarray:
+    """+1 scores a draw's observed pair, -1 each of its noise pairs."""
+    return np.concatenate(([1.0], np.full(negatives, -1.0)))
+
+
+def _draw_pairs(
+    samplers: SamplerTable, nodes: np.ndarray, m: int, negatives: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """``negatives`` noise nodes per context in ctx, shape ctx.shape + (negatives,).
+    """pairs[t, b] lists node b's t-th context, then its noise nodes.
 
     Noise draws equal to their context are resampled, at most
     MAX_RESAMPLE_ROUNDS times.
     """
+    ctx = samplers.draw_rows(nodes, m, rng)
     negs = samplers.draw_noise(ctx.size * negatives, rng).reshape(*ctx.shape, negatives)
     clash = negs == ctx[..., None]
     rounds = 0
@@ -118,7 +152,7 @@ def _draw_negatives(
         rounds += 1
         negs[clash] = samplers.draw_noise(int(clash.sum()), rng)
         clash = negs == ctx[..., None]
-    return negs
+    return np.concatenate((ctx.T[:, :, None], negs.transpose(1, 0, 2)), axis=2)
 
 
 def train(
@@ -132,12 +166,12 @@ def train(
     ``min(32, max(1, n // 8))``. Each node draws ``samples_per_node``
     contexts from its row and ``negatives`` noise nodes per context (noise
     draws equal to the context are resampled). The block then takes one
-    synchronous step per draw: every node's positive and noise pairs are
-    scored against the block's current rows, the target rows move by the
-    sum of their pair gradients and the context rows by the sum over every
-    pair that names them. The learning rate decays linearly from lr_start
-    to lr_end over all positive draws. Runs are bitwise deterministic in
-    cfg.seed.
+    synchronous step per draw, the step :func:`sgd_step` takes for a single
+    pair: the target rows move by the sum of their pair gradients and the
+    context rows by the sum over every pair that names them, all taken at
+    the block's pre-step rows. The learning rate decays linearly from
+    lr_start to lr_end over all positive draws. Runs are bitwise
+    deterministic in cfg.seed.
     """
     cfg.validate()
     n = affinity.n
@@ -157,13 +191,7 @@ def train(
     # Reads within a block are stale by at most one block's updates; keep
     # the block a small share of the nodes.
     block = min(32, max(1, n // 8))
-    # +1 scores an observed pair, -1 a noise pair
-    signs = np.full(1 + cfg.negatives, -1.0)
-    signs[0] = 1.0
-    # context entry (row, j) sits at row * d + j of this view; ufunc.at adds
-    # repeated entries one at a time in pair order, so sums repeat bit for bit
-    context_flat = context.reshape(-1)
-    dims = np.arange(cfg.d)
+    signs = _signs(cfg.negatives)
 
     report = TrainReport(positive_pairs=total_draws)
     step = 0
@@ -175,11 +203,7 @@ def train(
             order = order_rng.permutation(n)
             for lo in range(0, n, block):
                 nodes = order[lo : lo + block]
-                ctx = samplers.draw_rows(nodes, m, draw_rng)
-                negs = _draw_negatives(samplers, ctx, cfg.negatives, draw_rng)
-                # pairs[t, b] lists node b's t-th context, then its noise nodes
-                pairs = np.concatenate((ctx.T[:, :, None], negs.transpose(1, 0, 2)), axis=2)
-                offsets = pairs[..., None] * cfg.d
+                pairs = _draw_pairs(samplers, nodes, m, cfg.negatives, draw_rng)
                 # node b's t-th positive draw is draw number step + b * m + t
                 draw_no = step + np.arange(m)[:, None, None] + m * np.arange(nodes.size)[:, None]
                 rates = (cfg.lr_start + lr_span * (draw_no / denom)) * signs
@@ -188,18 +212,7 @@ def train(
                 # only this block moves its own target rows
                 f = target[nodes]
                 for t in range(m):
-                    g = context[pairs[t]]
-                    y = np.einsum("bd,bkd->bk", f, g)
-                    y *= signs
-                    scores[t] = y
-                    # lr * (label - sigmoid(x)) for score x is lr * sign * sigmoid(-y)
-                    delta = rates[t] / (1.0 + np.exp(y))
-                    np.add.at(
-                        context_flat,
-                        (offsets[t] + dims).ravel(),
-                        (delta[:, :, None] * f[:, None, :]).ravel(),
-                    )
-                    f += np.einsum("bk,bkd->bd", delta, g)
+                    scores[t] = _step(f, context, pairs[t], rates[t], signs)
                 target[nodes] = f
                 epoch_loss += float(_pair_loss(scores).sum())
             report.epoch_loss.append(epoch_loss / (n * m))
@@ -225,9 +238,9 @@ def surrogate_loss(
 ) -> float:
     """Monte Carlo estimate of the mean per-pair training loss.
 
-    Each probe draws a uniform node, one context from its row, and
-    ``negatives`` noise nodes (resampled on collision with the context);
-    the probe's loss is the negative log-likelihood of that group.
+    Each probe draws a uniform node, then one context and ``negatives``
+    noise nodes the way training draws them; the probe's loss is the
+    negative log-likelihood of that group.
     """
     f = target.vectors if isinstance(target, EmbeddingMatrix) else np.asarray(target)
     g = context.vectors if isinstance(context, EmbeddingMatrix) else np.asarray(context)
@@ -237,8 +250,5 @@ def surrogate_loss(
         raise InvalidConfigError("sample_count must be >= 1")
     rng = rng_stream(seed, "loss")
     nodes = rng.integers(affinity.n, size=sample_count)
-    ctx = samplers.draw_rows(nodes, 1, rng)
-    cols = np.concatenate((ctx, _draw_negatives(samplers, ctx[:, 0], negatives, rng)), axis=1)
-    y = np.einsum("bd,bkd->bk", f[nodes], g[cols])
-    y[:, 1:] *= -1.0
-    return float(_pair_loss(y).sum()) / sample_count
+    cols = _draw_pairs(samplers, nodes, 1, negatives, rng)[0]
+    return float(_pair_loss(_scores(f[nodes], g[cols], _signs(negatives))).sum()) / sample_count

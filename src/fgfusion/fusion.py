@@ -254,6 +254,7 @@ class SamplerTable:
     """
 
     def __init__(self, affinity: AffinityMatrix, noise_power: float = NOISE_POWER):
+        affinity.validate()  # row-stochastic, or an error that names the row
         self.noise_power = check_noise_power(noise_power)
         self.n = affinity.n
         # own copies keep the table immutable; the per-row alias tables are

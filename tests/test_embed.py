@@ -14,6 +14,7 @@ from fgfusion import (
     surrogate_loss,
     train,
 )
+from fgfusion.embed import _step
 from fgfusion.errors import DivergenceError, InvalidConfigError
 
 from bruteforce import csr
@@ -114,6 +115,54 @@ def test_step_uses_prestep_values_of_both_rows():
     err = 1.0 - 1.0 / (1.0 + math.exp(-float(np.dot(fb, gb))))
     np.testing.assert_allclose(f, fb + 0.3 * err * gb, rtol=1e-12)
     np.testing.assert_allclose(g, gb + 0.3 * err * fb, rtol=1e-12)
+
+
+def test_step_updates_strided_views_in_place():
+    rng = np.random.default_rng(5)
+    F, G = rng.normal(size=(6, 3)), rng.normal(size=(6, 4))
+    F_before, G_before = F.copy(), G.copy()
+    f, g = F[:, 1].copy(), G[:, 2].copy()
+    sgd_step(F[:, 1], G[:, 2], 0, lr=0.7)
+    sgd_step(f, g, 0, lr=0.7)
+    assert F[:, 1].tobytes() == f.tobytes() and G[:, 2].tobytes() == g.tobytes()
+    assert G[:, [0, 1, 3]].tobytes() == G_before[:, [0, 1, 3]].tobytes()
+    assert F[:, [0, 2]].tobytes() == F_before[:, [0, 2]].tobytes()
+
+
+@pytest.mark.parametrize(
+    "label, lr", [(2, 0.1), (-1, 0.1), (0.5, 0.1), (1, -0.1), (1, math.nan), (0, math.inf)]
+)
+def test_step_rejects_a_bad_label_or_rate(label, lr):
+    f, g = np.ones(3), np.ones(3)
+    with pytest.raises(InvalidConfigError, match="label 0 or 1"):
+        sgd_step(f, g, label, lr)
+    assert (f == 1.0).all() and (g == 1.0).all()
+
+
+def test_block_step_sums_the_per_pair_steps_at_the_prestep_rows():
+    """The trainer's step for a block equals the sum of sgd_step's deltas
+    over its pairs, each taken at the block's pre-step rows."""
+    rng = np.random.default_rng(12)
+    f = rng.normal(size=(3, 5))
+    context = rng.normal(size=(7, 5))
+    # row 4: node 0's noise pair, twice node 1's, node 2's observed pair;
+    # row 6 is named by no pair and must not move
+    pairs = np.array([[1, 4, 5], [2, 4, 4], [4, 0, 3]])
+    signs = np.array([1.0, -1.0, -1.0])
+    lrs = np.array([0.3, 0.2, 0.1])  # one rate per node, as the decaying schedule gives
+    want_f, want_context = f.copy(), context.copy()
+    want_y = np.empty(pairs.shape)
+    for b in range(3):
+        for k in range(3):
+            fs, gs = f[b].copy(), context[pairs[b, k]].copy()
+            sgd_step(fs, gs, int(signs[k] > 0), lrs[b])
+            want_f[b] += fs - f[b]
+            want_context[pairs[b, k]] += gs - context[pairs[b, k]]
+            want_y[b, k] = signs[k] * float(np.dot(f[b], context[pairs[b, k]]))
+    y = _step(f, context, pairs, lrs[:, None] * signs, signs)
+    np.testing.assert_allclose(y, want_y, rtol=1e-12)
+    np.testing.assert_allclose(f, want_f, rtol=1e-12)
+    np.testing.assert_allclose(context, want_context, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

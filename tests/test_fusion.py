@@ -411,6 +411,28 @@ def test_noise_power_must_be_finite_and_nonnegative(power):
         build_samplers(aff, noise_power=power)
 
 
+@pytest.mark.parametrize(
+    "probs, problem",
+    [
+        # size / total overflows to inf: drawn 1:1 instead of 1:2
+        ([5e-324, 1e-323], "sum to"),
+        # used to get a uniform table, then be reported as a noise_power overflow
+        ([math.nan, 1.0], "outside"),
+        ([-0.5, 1.5], "outside"),
+    ],
+)
+def test_sampler_rejects_a_row_that_is_not_a_distribution(probs, problem):
+    aff = make_affinity({0: [(1, 1.0)], 1: [(0, probs[0]), (2, probs[1])], 2: [(0, 1.0)]}, 3)
+    with pytest.raises(InvalidConfigError, match=f"row 1: .*{problem}"):
+        build_samplers(aff)
+
+
+def test_sampler_rejects_an_empty_row():
+    aff = make_affinity({0: [(1, 1.0)], 1: [], 2: [(0, 1.0)]}, 3)
+    with pytest.raises(EmptyRowError, match="row 1"):
+        build_samplers(aff)
+
+
 def test_sampler_keeps_its_own_copy_of_the_affinity():
     aff = make_affinity({0: [(1, 0.25), (2, 0.75)], 1: [(0, 0.5), (2, 0.5)], 2: [(1, 1.0)]}, 3)
     table = build_samplers(aff)
