@@ -27,7 +27,7 @@ import numpy as np
 
 from .dataset import _check_format, _open_text, _read_binary, _read_csv_table, _write_binary
 from .errors import InvalidConfigError, ParseError
-from .knn import KnnIndex, topk_arrays
+from .knn import KnnIndex
 
 WEIGHT_MODES = ("literal", "jaccard-scaled")
 
@@ -143,7 +143,8 @@ def build_ejg(
     """Build the extended Jaccard graph over all samples of an index.
 
     k1 and k2 default to k. Row q holds exactly k edges, one per member
-    of N_k(q), in nearest-first order.
+    of N_k(q), in nearest-first order. The neighbor lists come from
+    ``index.topk``, so graphs built from one index share its widest search.
     """
     if mode not in WEIGHT_MODES:
         raise InvalidConfigError(f"unknown weight mode {mode!r}")
@@ -152,8 +153,8 @@ def build_ejg(
     n = index.n
 
     kmax = max(k, k1, k2)
-    ids_max, _ = topk_arrays(index, kmax)
-    nbrs_k = np.ascontiguousarray(ids_max[:, :k])
+    ids_max, _ = index.topk(kmax)
+    nbrs_k = ids_max[:, :k].copy()  # the graph's own ids: its rows are writable
     nbrs_k1 = ids_max[:, :k1]
     nbrs_k2 = ids_max[:, :k2]
 

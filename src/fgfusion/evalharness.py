@@ -121,16 +121,21 @@ def make_splits(labels: LabelVector, spec: SplitSpec) -> list[tuple[np.ndarray, 
                 held_out = names[int(rng.integers(len(names)))]
                 test_parts.append(idx[inst == held_out])
             test_idx = np.sort(np.concatenate(test_parts))
-            train_idx = np.setdiff1d(np.arange(n), test_idx)
-            out.append((train_idx, test_idx))
+            out.append((np.flatnonzero(~_mask(test_idx, n)), test_idx))
             continue
         else:  # random_fraction: fraction of all samples used for training
             n_train = int(round(spec.m_or_fraction * n))
             n_train = min(max(n_train, 1), n - 1)
             train_idx = np.sort(rng.choice(n, size=n_train, replace=False))
-        test_idx = np.setdiff1d(np.arange(n), train_idx)
-        out.append((train_idx, test_idx))
+        out.append((train_idx, np.flatnonzero(~_mask(train_idx, n))))
     return out
+
+
+def _mask(idx: np.ndarray, n: int) -> np.ndarray:
+    """Boolean membership of [0, n) in idx."""
+    member = np.zeros(n, dtype=bool)
+    member[idx] = True
+    return member
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +170,11 @@ def knn_classify(
     test_idx = np.asarray(test_idx, dtype=np.int64)
     if train_idx.size == 0:
         raise EmptyTrainSetError("empty train set")
-    if np.intersect1d(train_idx, test_idx).size:
+    n = len(matrix)
+    for name, idx in (("train", train_idx), ("test", test_idx)):
+        if idx.size and not (0 <= idx.min() and idx.max() < n):
+            raise InvalidSpecError(f"{name} indices outside [0, {n})")
+    if _mask(train_idx, n)[test_idx].any():
         raise InvalidSpecError("train and test indices overlap")
     if votes < 1:
         raise InvalidConfigError("votes must be >= 1")
@@ -462,12 +471,19 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             ResultRow(method=JOINT_METHOD, k=None, d=joint.shape[1], accuracies=accs)
         )
 
+    timings: dict[str, float] = {}
     with _Stage("knn"):
+        started = time.perf_counter()
         indexes = [knn.build_index(m, config.metric) for m in modalities]
+        # one search per modality at the sweep's widest k: every graph of the
+        # sweep takes a prefix of it
+        widest = max(v for v in (*config.k, config.k1, config.k2) if v is not None)
+        for index in indexes:
+            index.topk(int(widest))
+        timings["knn"] = time.perf_counter() - started
 
     embeddings: dict[tuple[int, int], EmbeddingMatrix] = {}
     reports: dict[tuple[int, int], TrainReport] = {}
-    timings: dict[str, float] = {}
     for k_val in (int(v) for v in config.k):
         with _Stage(f"graphs[k={k_val}]"):
             started = time.perf_counter()

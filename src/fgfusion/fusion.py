@@ -74,6 +74,16 @@ class AffinityMatrix(_Csr):
     """
 
     sigma_sq: np.ndarray | None = None
+    _passed = ()  # the arrays load_affinity validated and made read-only
+
+    def _check(self) -> None:
+        """validate(), unless it passed on these very arrays, read-only since."""
+        arrays = (self.indptr, self.indices, self.data, self.sigma_sq)
+        if len(self._passed) != 4 or any(
+            a is not b or (a is not None and a.flags.writeable)
+            for a, b in zip(arrays, self._passed)
+        ):
+            self.validate()
 
     @property
     def probs(self) -> RowView:
@@ -105,7 +115,7 @@ def _row_blocks(indptr: np.ndarray):
     dense block run over the contiguous last axis, so they give the same
     sums as one row at a time."""
     counts = np.diff(indptr)
-    for size in np.unique(counts):
+    for size in np.flatnonzero(np.bincount(counts)):
         rows = np.flatnonzero(counts == size)
         yield size, rows, indptr[rows, None] + np.arange(size)
 
@@ -254,7 +264,7 @@ class SamplerTable:
     """
 
     def __init__(self, affinity: AffinityMatrix, noise_power: float = NOISE_POWER):
-        affinity.validate()  # row-stochastic, or an error that names the row
+        affinity._check()  # row-stochastic, or an error that names the row
         self.noise_power = check_noise_power(noise_power)
         self.n = affinity.n
         # own copies keep the table immutable; the per-row alias tables are
@@ -311,4 +321,9 @@ def load_affinity(path: str | Path, fmt: str = "csv") -> AffinityMatrix:
     indptr, ids, probs, sigma = _read_edges(path, fmt, AFFINITY_MAGIC, "prob", affinity=True)
     if sigma is not None and np.isnan(sigma).all():
         sigma = None
-    return _validated(AffinityMatrix(indptr, ids, probs, sigma), path)
+    aff = _validated(AffinityMatrix(indptr, ids, probs, sigma), path)
+    aff._passed = (indptr, ids, probs, sigma)
+    for array in aff._passed:  # read-only, so the affinity stays valid
+        if array is not None:
+            array.flags.writeable = False
+    return aff

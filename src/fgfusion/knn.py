@@ -2,13 +2,15 @@
 
 Queries are answered from full pairwise distances: one matrix product per
 call or per block of query rows, finished into distances in place, one
-cache-sized slice of rows at a time. A distance's last bits can depend on
-which matrix product produced it (where the gallery width is not a multiple
-of the BLAS kernel's, another partition of the query rows can round the last
-columns differently), so the row blocks are fixed; the slicing of the finish
-never changes a bit. The top k are selected, not sorted, but
-ties are broken by ascending sample index exactly as a stable sort would,
-and a sample is never its own neighbor.
+cache-sized slice of rows at a time. A top-k block holds about 4 MiB of
+distances, and never fewer than 128 rows, so the search's working set stays
+bounded as n grows. A distance's last bits can depend on which matrix
+product produced it: where the gallery width is not a multiple of the BLAS
+kernel's (8 columns), another partition of the query rows can round the last
+columns differently. The row blocks are therefore a function of n alone,
+and the slicing of the finish never changes a bit. The top k are selected,
+not sorted, but ties are broken by ascending sample index exactly as a
+stable sort would, and a sample is never its own neighbor.
 """
 
 from __future__ import annotations
@@ -20,18 +22,40 @@ from .errors import InvalidMetricError, KOutOfRangeError, ZeroVectorError
 
 METRICS = ("euclidean", "cosine")
 
-_BLOCK = 1024  # query rows per matrix product in topk_arrays
+_BLOCK_BYTES = 1 << 22  # bytes of distances per matrix product in topk_arrays
+# rows per product at least: fewer would repack the whole gallery for too few
+# rows (at n = 50k, D = 100, on two OpenBLAS threads, a 32-row gemm costs a
+# third more per row than 64 to 1 024 rows)
+_MIN_BLOCK_ROWS = 128
 _SLICE_BYTES = 1 << 20  # bytes of distances finished per slice, so each stays in cache
 
 
 class KnnIndex:
-    """Immutable index over one feature matrix under a fixed metric."""
+    """Index over one feature matrix under a fixed metric; it keeps the
+    result of its widest top-k search (see :meth:`topk`)."""
 
     def __init__(self, matrix: np.ndarray, metric: str):
         self.metric = metric
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float64)
         self.n = self.matrix.shape[0]
         self._rows, self._sq_norms = _prepare(self.matrix, metric)
+        self._searched = None  # read-only (ids, dists) of the widest search so far
+
+    def topk(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only views of ``topk_arrays(self, k)``.
+
+        Searches only for a k wider than every earlier one: stable_topk
+        makes a smaller k's result the first k columns of a wider one, bit
+        for bit, so every k up to the widest takes a prefix of one search.
+        """
+        _check_k(self.n, k)
+        if self._searched is None or self._searched[0].shape[1] < k:
+            searched = topk_arrays(self, k)
+            for array in searched:
+                array.flags.writeable = False
+            self._searched = searched
+        ids, dists = self._searched
+        return ids[:, :k], dists[:, :k]
 
     def _topk_block(self, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         sq = self._sq_norms
@@ -85,11 +109,10 @@ def topk_arrays(index: KnnIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Row q holds the k samples nearest to q, excluding q itself.
     """
-    if not 1 <= k <= index.n - 1:
-        raise KOutOfRangeError(f"k={k} outside [1, {index.n - 1}] for n={index.n}")
+    _check_k(index.n, k)
     ids = np.empty((index.n, k), dtype=np.int64)
     dists = np.empty((index.n, k), dtype=np.float64)
-    starts = list(range(0, index.n, _BLOCK))
+    starts = list(range(0, index.n, _block_rows(index.n)))
     if len(starts) > 1 and index.n - starts[-1] == 1:
         # a one-row block would go through BLAS gemv, which rounds unlike
         # gemm; the row joins the block before it
@@ -98,6 +121,16 @@ def topk_arrays(index: KnnIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
         rows = np.arange(start, stop)
         ids[rows], dists[rows] = index._topk_block(rows, k)
     return ids, dists
+
+
+def _check_k(n: int, k: int) -> None:
+    if not 1 <= k <= n - 1:
+        raise KOutOfRangeError(f"k={k} outside [1, {n - 1}] for n={n}")
+
+
+def _block_rows(n: int) -> int:
+    """Query rows per matrix product of a search over n samples."""
+    return max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * n))
 
 
 def _prepare(matrix: np.ndarray, metric: str, what: str = "vector"):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fgfusion import (
+    AffinityMatrix,
     SplitSpec,
     TrainConfig,
     TrainReport,
@@ -250,6 +251,21 @@ def test_every_embed_flag_reaches_train(fixture_dir, tmp_path, monkeypatch):
         init_scale=0.5, seed=11,
     )
     assert samplers.noise_power == 0.5
+
+
+def test_embed_validates_its_affinity_once(fixture_dir, tmp_path, monkeypatch):
+    graphs = [
+        build_ejg(build_index(load_features(fixture_dir / f"modality_{name}.csv")), 4)
+        for name in ("a", "b")
+    ]
+    save_affinity(normalize_affinity(fuse_graphs(graphs)), tmp_path / "aff.bin", "binary")
+    checks = []
+    validate = AffinityMatrix.validate
+    monkeypatch.setattr(AffinityMatrix, "validate", lambda aff: checks.append(aff) or validate(aff))
+    argv = ["embed", "--affinity", str(tmp_path / "aff.bin"), "--out", str(tmp_path / "emb.bin"),
+            "--affinity-format", "binary", "--dim", "4", "--epochs", "1"]
+    assert cli.main(argv) == 0
+    assert len(checks) == 1
 
 
 def test_exit_code_2_on_bad_flag(tmp_path):

@@ -15,9 +15,8 @@ from fgfusion import (
     save_graph,
     synth_multimodal,
 )
-from fgfusion import ejgraph
+from fgfusion import knn
 from fgfusion.errors import InvalidConfigError
-from fgfusion.knn import topk_arrays
 
 from bruteforce import brute_edge_weight, brute_ejg_weights, brute_jaccard, csr
 
@@ -206,8 +205,8 @@ def test_build_allocates_nothing_quadratic(monkeypatch):
     peak stays below a single n x n boolean matrix."""
     n, k = 2000, 10
     index = build_index(np.random.default_rng(3).normal(size=(n, 5)))
-    ids, dists = topk_arrays(index, k)
-    monkeypatch.setattr(ejgraph, "topk_arrays", lambda index, kmax: (ids[:, :kmax], dists))
+    index.topk(k)  # the search runs here; build_ejg takes its result from the index
+    monkeypatch.setattr(knn, "topk_arrays", None)
     for mode in ("literal", "jaccard-scaled"):
         tracemalloc.start()
         try:
@@ -216,6 +215,18 @@ def test_build_allocates_nothing_quadratic(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < n * n, f"{mode}: peak {peak} bytes"
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_writing_a_graph_row_leaves_the_index_search_unchanged(k):
+    index = build_index(np.random.default_rng(14).normal(size=(40, 3)))
+    index.topk(6)
+    ids, dists = (a.copy() for a in index.topk(6))
+    graph = build_ejg(index, k)
+    graph.neighbor_ids[0] = graph.neighbor_ids[0][::-1].copy()
+    assert np.array_equal(index.topk(6)[0], ids)
+    assert index.topk(6)[1].tobytes() == dists.tobytes()
+    assert graph.neighbor_ids[0].tolist() == ids[0, :k][::-1].tolist()
 
 
 def test_weight_ranges():

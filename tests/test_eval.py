@@ -29,7 +29,7 @@ from fgfusion import (
     synth_multimodal,
     zscore_concat,
 )
-from fgfusion import evalharness
+from fgfusion import evalharness, knn
 from fgfusion.dataset import EmbeddingMatrix
 from fgfusion.errors import (
     ClassTooSmallError,
@@ -40,7 +40,7 @@ from fgfusion.errors import (
     LengthMismatchError,
     PipelineStageError,
 )
-from fgfusion.knn import stable_topk
+from fgfusion.knn import stable_topk, topk_arrays
 
 from bruteforce import brute_splits, brute_vote_accuracy
 
@@ -216,6 +216,14 @@ def test_overlapping_indices_rejected():
     labels = labels_of(["a", "b", "a", "b"])
     with pytest.raises(InvalidSpecError):
         knn_classify(np.eye(4), labels, np.array([0, 1]), np.array([1, 2]))
+
+
+@pytest.mark.parametrize("train, test", [([0, -1], [2]), ([0, 1], [4]), ([0, 4], [2])])
+def test_indices_outside_the_rows_rejected(train, test):
+    # a negative index would otherwise wrap to the last row
+    labels = labels_of(["a", "b", "a", "b"])
+    with pytest.raises(InvalidSpecError):
+        knn_classify(np.eye(4), labels, np.array(train), np.array(test))
 
 
 @pytest.mark.parametrize("label_count", [3, 5])
@@ -423,6 +431,25 @@ def test_pipeline_sweep_emits_all_cells(tmp_path):
     fgf = result.table.fgf_rows()
     assert [(r.k, r.d) for r in fgf] == [(5, 4), (5, 8), (8, 4), (8, 8)]
     assert len(result.table.rows) == 3 + 4
+
+
+def test_pipeline_sweep_searches_once_per_modality(tmp_path, monkeypatch):
+    """Each k of a sweep takes a prefix of one search at the widest k, and
+    scores exactly as a run of that k alone."""
+    params = write_fixture(tmp_path)
+    params.update(k=[3, 7, 5], k2=6, epochs=2)
+    searches = []
+
+    def search(index, k):
+        searches.append(k)
+        return topk_arrays(index, k)
+
+    monkeypatch.setattr(knn, "topk_arrays", search)
+    sweep = run_pipeline(PipelineConfig(**params)).table.fgf_rows()
+    assert searches == [7, 7]
+    for k in (3, 7, 5):
+        alone = run_pipeline(PipelineConfig(**{**params, "k": [k]})).table.fgf_rows()
+        assert alone == [r for r in sweep if r.k == k]
 
 
 def test_pipeline_is_deterministic(tmp_path):

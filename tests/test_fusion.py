@@ -498,6 +498,30 @@ def test_binary_affinity_rejects_out_of_range_node_ids(tmp_path, field):
         load_affinity(path, "binary")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_a_loaded_affinity_is_validated_once_unless_it_changes(tmp_path, monkeypatch, fmt):
+    g = graph_from_rows(3, {0: [(1, 2.0), (2, 1.0)], 1: [(0, 1.0)], 2: [(1, 4.0)]})
+    path = tmp_path / f"a.{fmt}"
+    save_affinity(normalize_affinity(g), path, fmt)
+    checks = []
+    validate = AffinityMatrix.validate
+    monkeypatch.setattr(AffinityMatrix, "validate", lambda aff: checks.append(aff) or validate(aff))
+    aff = load_affinity(path, fmt)
+    build_samplers(aff)
+    assert len(checks) == 1  # the load's
+    with pytest.raises(ValueError, match="read-only"):
+        aff.probs[1] = [0.5]
+    # an array swapped in, or made writable again, is checked afresh
+    aff.data = np.array([0.5, 0.5, 1.0, 1.0])
+    build_samplers(aff)
+    aff = load_affinity(path, fmt)
+    aff.data.flags.writeable = True
+    aff.data[0] = 2.0
+    with pytest.raises(InvalidConfigError, match="row 0"):
+        build_samplers(aff)
+    assert len(checks) == 4
+
+
 def test_binary_affinity_rows_keep_file_order(tmp_path):
     """Edges stored out of row order load into their rows in file order."""
     body = np.array(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,7 +58,7 @@ def test_topk_arrays_agrees_with_per_query_blocks(monkeypatch):
     index = build_index(matrix)
     ids, dists = topk_arrays(index, 10)
     assert ids.shape == dists.shape == (50, 10)
-    monkeypatch.setattr(knn, "_BLOCK", 1)  # one query per distance block
+    monkeypatch.setattr(knn, "_block_rows", lambda n: 1)  # one query per distance block
     single_ids, single_dists = topk_arrays(index, 10)
     assert single_ids.tolist() == ids.tolist()
     np.testing.assert_allclose(single_dists, dists, rtol=1e-12)
@@ -67,13 +69,14 @@ def test_topk_arrays_agrees_with_per_query_blocks(monkeypatch):
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
 def test_a_one_row_tail_block_matches_a_single_block(monkeypatch, metric):
-    # n = 1 025 leaves one row after the first 1 024-row block; a one-row
-    # distance block goes through BLAS gemv, which rounds unlike gemm
-    assert knn._BLOCK == 1024
+    # a 1 024-row floor leaves n = 1 025 one row after the first block; a
+    # one-row distance block goes through BLAS gemv, which rounds unlike gemm
+    monkeypatch.setattr(knn, "_MIN_BLOCK_ROWS", 1024)
+    assert knn._block_rows(1025) == 1024
     matrix = np.random.default_rng(12).normal(size=(1025, 30))
     index = build_index(matrix, metric)
     ids, dists = topk_arrays(index, 5)
-    monkeypatch.setattr(knn, "_BLOCK", 2048)
+    monkeypatch.setattr(knn, "_MIN_BLOCK_ROWS", 2048)
     single_ids, single_dists = topk_arrays(index, 5)
     assert np.array_equal(ids, single_ids)
     assert dists.tobytes() == single_dists.tobytes()
@@ -93,6 +96,52 @@ def test_the_slice_height_never_changes_a_bit(monkeypatch, metric, width):
         pairs = pairwise_distances(matrix[:300], matrix, metric)
         outputs.append((ids.tobytes(), dists.tobytes(), pairs.tobytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_block_rows_follow_the_byte_bound_above_the_floor():
+    assert knn._block_rows(2000) * 2000 * 8 <= knn._BLOCK_BYTES
+    assert knn._block_rows(2000) > knn._MIN_BLOCK_ROWS
+    assert knn._block_rows(50_000) == knn._MIN_BLOCK_ROWS
+
+
+def test_search_memory_is_bounded_by_the_block_bytes():
+    """At n = 2 000 the search's peak stays near one 4 MiB distance block;
+    a 1 024-row block alone would take 16 MB."""
+    n, k = 2000, 10
+    index = build_index(np.random.default_rng(4).normal(size=(n, 5)))
+    tracemalloc.start()
+    try:
+        topk_arrays(index, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_a_wide_search_serves_every_smaller_k_bit_for_bit(monkeypatch, metric):
+    # small integer coordinates tie many distances, so order by id matters
+    matrix = np.random.default_rng(13).integers(1, 4, size=(300, 4)).astype(float)
+    index = build_index(matrix, metric)
+    searches = []
+
+    def search(index, k):
+        searches.append(k)
+        return topk_arrays(index, k)
+
+    monkeypatch.setattr(knn, "topk_arrays", search)
+    index.topk(40)
+    for k in range(1, 41):
+        ids, dists = index.topk(k)
+        fresh_ids, fresh_dists = topk_arrays(index, k)
+        assert np.array_equal(ids, fresh_ids)
+        assert dists.tobytes() == fresh_dists.tobytes()
+        assert not ids.flags.writeable and not dists.flags.writeable
+    assert searches == [40]
+    index.topk(41)
+    assert searches == [40, 41]
+    with pytest.raises(KOutOfRangeError):
+        index.topk(0)
 
 
 def test_k3_lists_never_contain_query():
