@@ -36,10 +36,10 @@ from .errors import (
 from .evalharness import (
     PROTOCOLS,
     PipelineConfig,
-    ResultRow,
     ResultTable,
     SplitSpec,
     _default,
+    _score,
     knn_classify,
     make_splits,
     run_pipeline,
@@ -216,21 +216,12 @@ def _cmd_eval(args) -> int:
         source = args.embeddings
     labels = load_labels(args.labels)
     _check_label_count(labels, data.n)
-    if args.protocol == "random_fraction":
-        if args.fraction is None:
-            raise ConfigError("random_fraction requires --fraction")
-        m_or_fraction = args.fraction
-    else:
-        if args.m is None:
-            raise ConfigError(f"{args.protocol} requires --m")
-        m_or_fraction = args.m
-    spec = SplitSpec(args.protocol, m_or_fraction, args.repeats, args.seed)
-    splits = make_splits(labels, spec)
-    accs = tuple(
-        knn_classify(data, labels, tr, te, args.classify_metric, args.votes)
-        for tr, te in splits
-    )
-    table = ResultTable([ResultRow(method=Path(source).stem, k=None, d=data.dim, accuracies=accs)])
+    # SplitSpec decides which protocol needs which of the two
+    m_or_fraction = args.fraction if args.protocol == "random_fraction" else args.m
+    splits = make_splits(labels, SplitSpec(args.protocol, m_or_fraction, args.repeats, args.seed))
+    table = ResultTable([_score(
+        Path(source).stem, None, data, labels, splits, args.classify_metric, args.votes
+    )])
     if args.out is not None:
         table.save_csv(args.out)
     sys.stdout.write(table.to_csv())

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dataset import _check_format, _open_text, _read_binary, _read_csv_table, _write_binary
 from .errors import InvalidConfigError, ParseError
-from .knn import KnnIndex
+from .knn import KnnIndex, _check_k
 
 WEIGHT_MODES = ("literal", "jaccard-scaled")
 
@@ -151,6 +151,8 @@ def build_ejg(
     k1 = k if k1 is None else k1
     k2 = k if k2 is None else k2
     n = index.n
+    for name, value in (("k", k), ("k1", k1), ("k2", k2)):
+        _check_k(n, value, name)
 
     kmax = max(k, k1, k2)
     ids_max, _ = index.topk(kmax)
@@ -202,9 +204,6 @@ def _first_bad_row(*failing_rows) -> tuple[int, int] | None:
 _EDGE_RECORD = np.dtype([("src", "<u8"), ("dst", "<u8"), ("value", "<f8")])
 _CSV_EDGE = np.dtype([("src", "<i8"), ("dst", "<i8"), ("value", "<f8")])
 _CSV_WRITE_EDGES = 1 << 13  # edges formatted per write
-# int() and float() keep these separators around an all-ASCII field, while
-# numpy's reader strips them: files holding one are read line by line.
-_UNSTRIPPED_BYTES = b"\x1c\x1d\x1e\x1f"
 
 
 def _write_edges(path, fmt, matrix: _Csr, magic, node_values=None) -> None:
@@ -237,12 +236,13 @@ def _write_edges(path, fmt, matrix: _Csr, magic, node_values=None) -> None:
 def _parse_edge_lines(lines, value_name: str):
     """(src, dst, value) arrays of CSV edge lines, parsed one line at a time:
     the format's definition, raising at its first bad line. Blank lines are
-    skipped; ids are read by ``int()``, values by ``float()``."""
+    skipped; each field is stripped by ``str.strip()``, as numpy's reader
+    does, then ids are read by ``int()`` and values by ``float()``."""
     src, dst, val = [], [], []
     for lineno, line in enumerate(lines):
         if not line.strip():
             continue
-        parts = line.split(",")
+        parts = [part.strip() for part in line.split(",")]
         if len(parts) != 3:
             raise ParseError(f"line {lineno}: expected src,dst,{value_name}", line=lineno)
         try:
@@ -257,18 +257,9 @@ def _parse_edge_lines(lines, value_name: str):
     return np.array(src, np.int64), np.array(dst, np.int64), np.array(val, np.float64)
 
 
-def _holds_unstripped_byte(path: Path) -> bool:
-    with open(path, "rb") as fh:
-        # small reads keep this scan from raising the process's memory peak
-        while chunk := fh.read(1 << 16):
-            if any(byte in chunk for byte in _UNSTRIPPED_BYTES):
-                return True
-    return False
-
-
 def _read_csv_edges(path: Path, value_name: str):
     """(src, dst, value) columns of a CSV edge file."""
-    edges = None if _holds_unstripped_byte(path) else _read_csv_table(path, _CSV_EDGE, ndmin=1)
+    edges = _read_csv_table(path, _CSV_EDGE, ndmin=1)
     if edges is None or min(edges["src"].min(), edges["dst"].min()) < 0:
         with _open_text(path) as fh:
             return _parse_edge_lines(fh, value_name)

@@ -66,8 +66,12 @@ FGF_METRIC = "cosine"
 
 @dataclass(frozen=True)
 class SplitSpec:
+    """A split protocol and its parameter: m training samples per class for
+    ``per_class_train_m``, the training fraction for ``random_fraction``;
+    ``leave_instance_out`` takes none and ignores ``m_or_fraction``."""
+
     protocol: str
-    m_or_fraction: float
+    m_or_fraction: float | None
     repeats: int = 10
     seed: int = 0
 
@@ -76,12 +80,17 @@ class SplitSpec:
             raise InvalidSpecError(f"unknown protocol {self.protocol!r}")
         if self.repeats < 1:
             raise InvalidSpecError("repeats must be >= 1")
+        value = self.m_or_fraction
         if self.protocol == "per_class_train_m":
-            if int(self.m_or_fraction) != self.m_or_fraction or self.m_or_fraction < 1:
-                raise InvalidSpecError("per_class_train_m needs a positive integer m")
+            if value is None or not float(value).is_integer() or value < 1:
+                raise InvalidSpecError(
+                    f"per_class_train_m needs a positive integer m, got {value!r}"
+                )
         elif self.protocol == "random_fraction":
-            if not 0.0 < self.m_or_fraction < 1.0:
-                raise InvalidSpecError("random_fraction needs a fraction in (0, 1)")
+            if value is None or not 0.0 < value < 1.0:
+                raise InvalidSpecError(
+                    f"random_fraction needs a fraction in (0, 1), got {value!r}"
+                )
 
 
 def make_splits(labels: LabelVector, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -188,6 +197,13 @@ def knn_classify(
     first = np.argmax(counts == counts.max(axis=1, keepdims=True), axis=1)
     winners = vote_labels[np.arange(len(vote_labels)), first]
     return float(np.mean(winners == labels.labels[test_idx]))
+
+
+def _score(method: str, k: int | None, data, labels: LabelVector, splits,
+           metric: str, votes: int) -> ResultRow:
+    """The table row of ``method``: its nearest-neighbor accuracy on each split."""
+    accs = tuple(knn_classify(data, labels, tr, te, metric, votes) for tr, te in splits)
+    return ResultRow(method=method, k=k, d=_as_matrix(data).shape[1], accuracies=accs)
 
 
 def zscore_concat(modalities: list[FeatureMatrix]) -> np.ndarray:
@@ -444,8 +460,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         validate_alignment(modalities, labels)
     n = modalities[0].n
     for name, value in (("k", max(config.k)), ("k1", config.k1), ("k2", config.k2)):
-        if value is not None and value >= n:
-            raise InvalidConfigError(f"{name}={value} must be below the sample count {n}")
+        if value is not None:
+            knn._check_k(n, value, name)
 
     with _Stage("splits"):
         splits = make_splits(
@@ -456,20 +472,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     table = ResultTable()
     with _Stage("baselines"):
         for modality in modalities:
-            accs = tuple(
-                knn_classify(modality, labels, tr, te, BASELINE_METRIC, config.votes)
-                for tr, te in splits
-            )
-            table.rows.append(
-                ResultRow(method=modality.modality_name, k=None, d=modality.dim, accuracies=accs)
-            )
-        joint = zscore_concat(modalities)
-        accs = tuple(
-            knn_classify(joint, labels, tr, te, BASELINE_METRIC, config.votes) for tr, te in splits
-        )
-        table.rows.append(
-            ResultRow(method=JOINT_METHOD, k=None, d=joint.shape[1], accuracies=accs)
-        )
+            table.rows.append(_score(modality.modality_name, None, modality, labels, splits,
+                                     BASELINE_METRIC, config.votes))
+        table.rows.append(_score(JOINT_METHOD, None, zscore_concat(modalities), labels, splits,
+                                 BASELINE_METRIC, config.votes))
 
     timings: dict[str, float] = {}
     with _Stage("knn"):
@@ -509,12 +515,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 embeddings[(k_val, d_val)] = emb
                 reports[(k_val, d_val)] = report
             with _Stage(f"classify[k={k_val},d={d_val}]"):
-                accs = tuple(
-                    knn_classify(emb, labels, tr, te, FGF_METRIC, config.votes)
-                    for tr, te in splits
-                )
                 table.rows.append(
-                    ResultRow(method=FGF_METHOD, k=k_val, d=d_val, accuracies=accs)
+                    _score(FGF_METHOD, k_val, emb, labels, splits, FGF_METRIC, config.votes)
                 )
 
     manifest = {

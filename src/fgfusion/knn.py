@@ -100,8 +100,10 @@ def stable_topk(dists: np.ndarray, k: int) -> np.ndarray:
 
 
 def build_index(features: FeatureMatrix | np.ndarray, metric: str = "euclidean") -> KnnIndex:
-    matrix = features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
-    return KnnIndex(matrix, metric)
+    """Index over a feature matrix; a raw array must pass as a FeatureMatrix."""
+    if not isinstance(features, FeatureMatrix):
+        features = FeatureMatrix(features)
+    return KnnIndex(features.data, metric)
 
 
 def topk_arrays(index: KnnIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,9 +125,9 @@ def topk_arrays(index: KnnIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
     return ids, dists
 
 
-def _check_k(n: int, k: int) -> None:
+def _check_k(n: int, k: int, name: str = "k") -> None:
     if not 1 <= k <= n - 1:
-        raise KOutOfRangeError(f"k={k} outside [1, {n - 1}] for n={n}")
+        raise KOutOfRangeError(f"{name}={k} outside [1, {n - 1}] for n={n}")
 
 
 def _block_rows(n: int) -> int:

@@ -9,6 +9,9 @@ import pytest
 
 from fgfusion import (
     AffinityMatrix,
+    LabelVector,
+    ResultRow,
+    ResultTable,
     SplitSpec,
     TrainConfig,
     TrainReport,
@@ -22,9 +25,13 @@ from fgfusion import (
     load_embeddings,
     load_features,
     load_graph,
+    make_splits,
     normalize_affinity,
     save_affinity,
     save_embeddings,
+    save_features,
+    save_labels,
+    synth_multimodal,
 )
 from fgfusion.dataset import EmbeddingMatrix
 
@@ -355,6 +362,71 @@ def test_pipeline_exits_2_on_a_k_of_n_or_more_before_any_scoring(
     assert cli.main(argv) == 2
     assert f"{field}=" in capsys.readouterr().err
     assert not (tmp_path / "o" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--k1", 0), ("--k2", -3), ("--k2", 32)])
+def test_build_graph_exits_2_on_a_k1_or_k2_out_of_range(fixture_dir, tmp_path, capsys, flag, value):
+    argv = ["build-graph", "--features", str(fixture_dir / "modality_a.csv"), "--k", "5",
+            flag, str(value), "--out", str(tmp_path / "g.csv")]
+    assert cli.main(argv) == 2
+    assert f"{flag[2:]}={value}" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "protocol, split_flags, m_or_fraction",
+    [("per_class_train_m", ["--m", "3"], 3), ("random_fraction", ["--fraction", "0.4"], 0.4)],
+)
+def test_eval_scores_a_modality_as_the_pipeline_does(
+    fixture_dir, tmp_path, capsys, protocol, split_flags, m_or_fraction
+):
+    config = {
+        "features": [{"path": "data/modality_a.csv"}, {"path": "data/modality_b.csv"}],
+        "labels": "data/labels.txt",
+        "k": [4], "d": [4], "samples_per_node": 5, "epochs": 1,
+        "protocol": protocol, "m_or_fraction": m_or_fraction, "repeats": 4, "seed": 6,
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    argv = ["pipeline", "--config", str(tmp_path / "config.json"), "--out-dir", str(tmp_path / "o")]
+    assert cli.main(argv) == 0
+    pipeline_rows = (tmp_path / "o" / "results.csv").read_text().splitlines()
+    argv = ["eval", "--features", str(fixture_dir / "modality_a.csv"),
+            "--labels", str(fixture_dir / "labels.txt"), "--protocol", protocol,
+            *split_flags, "--repeats", "4", "--seed", "6"]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    eval_rows = capsys.readouterr().out.splitlines()
+    assert eval_rows[0] == pipeline_rows[0]
+    assert eval_rows[1].startswith("modality_a,")
+    assert eval_rows[1] == pipeline_rows[1]
+
+
+def test_eval_leave_instance_out_needs_no_m(tmp_path, capsys):
+    """--m is no parameter of leave_instance_out: it is neither required nor read."""
+    features, _, labels = synth_multimodal(4, 6, 0.3, 1.0, 2)
+    labels = LabelVector(labels.labels, [f"i{q % 3}" for q in range(labels.n)])
+    save_features(features, tmp_path / "a.csv", "csv")
+    save_labels(labels, tmp_path / "labels.txt")
+    argv = ["eval", "--features", str(tmp_path / "a.csv"), "--labels", str(tmp_path / "labels.txt"),
+            "--protocol", "leave_instance_out", "--repeats", "3", "--seed", "2"]
+    assert cli.main(argv) == 0
+    table = capsys.readouterr().out
+    assert cli.main(argv + ["--m", "99"]) == 0
+    assert capsys.readouterr().out == table
+    splits = make_splits(labels, SplitSpec("leave_instance_out", None, repeats=3, seed=2))
+    accs = tuple(knn_classify(features, labels, tr, te) for tr, te in splits)
+    assert table == ResultTable([ResultRow("a", None, features.dim, accs)]).to_csv()
+
+
+@pytest.mark.parametrize(
+    "protocol, given", [("per_class_train_m", []), ("per_class_train_m", ["--fraction", "0.5"]),
+                        ("random_fraction", []), ("random_fraction", ["--m", "3"])],
+)
+def test_eval_exits_2_without_its_protocols_m_or_fraction(fixture_dir, capsys, protocol, given):
+    argv = ["eval", "--features", str(fixture_dir / "modality_a.csv"),
+            "--labels", str(fixture_dir / "labels.txt"), "--protocol", protocol, *given]
+    assert cli.main(argv) == 2
+    assert protocol in capsys.readouterr().err
 
 
 def test_exit_code_3_on_missing_file(tmp_path):

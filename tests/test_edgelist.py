@@ -141,6 +141,20 @@ def test_csv_loadtxt_warning_is_not_trusted(tmp_path, kind, monkeypatch):
     assert exc.value.line == 5
 
 
+@pytest.mark.parametrize("kind", LOADERS)
+@pytest.mark.parametrize("fast", [True, False])
+def test_csv_fields_padded_with_separator_bytes_load(tmp_path, kind, fast):
+    """Every field is stripped as str.strip() does, so the per-line parser
+    reads the separator bytes \x1c-\x1f around a field as numpy's reader does."""
+    lines = ring_lines(8)
+    lines[3] = "3\x1c,\x1f4,\x1e1.0\x1d"
+    lines[5] = "\x1c5\x1c,6,1.0"
+    fast_read = ejgraph._read_csv_table if fast else (lambda *args, **kwargs: None)
+    with mock.patch.object(ejgraph, "_read_csv_table", fast_read):
+        loaded = load_text(tmp_path, kind, "\n".join(lines) + "\n")
+    assert rows_of(loaded) == [[((q + 1) % 8, 1.0)] for q in range(8)]
+
+
 ID_TOKENS = ["0", "1", "2", "3", "+1", " 2 ", "00", "\x0c1", "\xa02"]
 ODD_ID_TOKENS = ["-1", "5.0", "1e3", "0_1", "\u0665", str(2**63), "", "x", "1 2", "-0", "\x1f1"]
 

@@ -16,7 +16,7 @@ from fgfusion import (
     synth_multimodal,
 )
 from fgfusion import knn
-from fgfusion.errors import InvalidConfigError
+from fgfusion.errors import InvalidConfigError, KOutOfRangeError
 
 from bruteforce import brute_edge_weight, brute_ejg_weights, brute_jaccard, csr
 
@@ -114,6 +114,19 @@ def test_two_cluster_fixture_matches_hand_evaluation():
         for j, w in zip(graph.neighbor_ids[q], graph.weights[q]):
             assert w == oracle[(q, int(j))]
             assert w == 3.0
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"k2": -3}, "k2"), ({"k2": 0}, "k2"), ({"k1": 0}, "k1"), ({"k1": 15}, "k1"),
+     ({"k2": 15}, "k2"), ({"k": 0}, "k")],
+)
+def test_build_ejg_checks_k_k1_and_k2(kwargs, name):
+    # a negative k2 used to slice ids[:, :-3], a zero k2 gave all-zero weights
+    # and a zero k1 NaN weights
+    index = build_index(np.random.default_rng(0).normal(size=(15, 3)))
+    with pytest.raises(KOutOfRangeError, match=f"^{name}="):
+        build_ejg(index, **{"k": 5, **kwargs})
 
 
 def test_rows_have_exactly_k_entries():

@@ -37,6 +37,7 @@ from fgfusion.errors import (
     InsufficientDataError,
     InvalidConfigError,
     InvalidSpecError,
+    KOutOfRangeError,
     LengthMismatchError,
     PipelineStageError,
 )
@@ -171,6 +172,13 @@ def test_bad_specs():
         make_splits(labels, SplitSpec("per_class_train_m", 2.5, repeats=1, seed=0))
     with pytest.raises(InvalidSpecError):
         make_splits(labels_of("aaaa"), SplitSpec("per_class_train_m", 1, repeats=1, seed=0))
+
+
+@pytest.mark.parametrize("value", [None, float("nan"), float("inf")])
+@pytest.mark.parametrize("protocol", ["per_class_train_m", "random_fraction"])
+def test_a_spec_without_a_finite_m_or_fraction_names_its_protocol(protocol, value):
+    with pytest.raises(InvalidSpecError, match=protocol):
+        SplitSpec(protocol, value).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +458,39 @@ def test_pipeline_sweep_searches_once_per_modality(tmp_path, monkeypatch):
     for k in (3, 7, 5):
         alone = run_pipeline(PipelineConfig(**{**params, "k": [k]})).table.fgf_rows()
         assert alone == [r for r in sweep if r.k == k]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("k", [48]), ("k", [5, 48]), ("k1", 48), ("k2", 60), ("k1", 0), ("k2", -3)],
+)
+def test_pipeline_checks_k_k1_and_k2_against_n_before_scoring(tmp_path, monkeypatch, field, value):
+    """The fixture has 48 samples: each of k, k1 and k2 must lie in [1, 47]."""
+    params = write_fixture(tmp_path)
+    params[field] = value
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("a baseline was scored")
+
+    monkeypatch.setattr(evalharness, "knn_classify", no_scoring)
+    with pytest.raises(KOutOfRangeError, match=f"^{field}="):
+        run_pipeline(PipelineConfig(**params))
+
+
+@pytest.mark.parametrize("field, value", [("k", [47]), ("k1", 47), ("k2", 1)])
+def test_pipeline_accepts_k_k1_and_k2_up_to_n_minus_1(tmp_path, monkeypatch, field, value):
+    params = write_fixture(tmp_path)
+    params[field] = value
+
+    class Scored(Exception):
+        pass
+
+    def scored(*args, **kwargs):
+        raise Scored
+
+    monkeypatch.setattr(evalharness, "knn_classify", scored)
+    with pytest.raises(Scored):
+        run_pipeline(PipelineConfig(**params))
 
 
 def test_pipeline_is_deterministic(tmp_path):

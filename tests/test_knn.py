@@ -8,9 +8,24 @@ from hypothesis.extra.numpy import arrays
 
 from fgfusion import FeatureMatrix, build_index, knn, pairwise_distances
 from fgfusion.knn import stable_topk, topk_arrays
-from fgfusion.errors import InvalidMetricError, KOutOfRangeError, ZeroVectorError
+from fgfusion.errors import (
+    DimensionMismatchError,
+    InvalidMetricError,
+    KOutOfRangeError,
+    NonFiniteValueError,
+    ZeroVectorError,
+)
 
 from bruteforce import brute_knn, brute_pairwise_distances
+
+
+def test_build_index_validates_a_raw_array_as_a_feature_matrix():
+    matrix = np.random.default_rng(0).normal(size=(6, 2))
+    matrix[3, 1] = np.nan
+    with pytest.raises(NonFiniteValueError):
+        build_index(matrix)
+    with pytest.raises(DimensionMismatchError):
+        build_index(np.arange(5.0))
 
 
 def test_index_covers_all_samples():
