@@ -21,6 +21,7 @@ copies); concurrent readers can share them freely.
 from __future__ import annotations
 
 import math
+import os
 import re
 import warnings
 from contextlib import contextmanager
@@ -243,30 +244,45 @@ def _write_numeric_csv(arr: np.ndarray, path: Path) -> None:
 _HEADER = np.dtype([("magic", "S4"), ("version", "<u4"), ("a", "<u8"), ("b", "<u8")])
 
 
-def _write_binary(path, magic: bytes, a: int, b: int, payload: bytes) -> None:
-    """Write the 24-byte header (magic, u32 version, u64 a, u64 b), then ``payload``."""
+def _write_binary(path, magic: bytes, a: int, b: int, parts) -> None:
+    """Write the 24-byte header (magic, u32 version, u64 a, u64 b), then the
+    bytes of each C-contiguous array in ``parts``, straight from the array."""
     header = np.array([(magic, BINARY_VERSION, a, b)], dtype=_HEADER)
-    Path(path).write_bytes(header.tobytes() + payload)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for part in parts:
+            fh.write(part)
 
 
-def _read_binary(path, magic: bytes, payload_size) -> tuple[int, int, bytes]:
-    """(a, b, whole file) of a file written by :func:`_write_binary`.
+@contextmanager
+def _open_binary(path, magic: bytes, payload_size):
+    """(a, b, file) of a file written by :func:`_write_binary`, the file
+    positioned at the payload.
 
     The magic, the version and the file's length, 24 + ``payload_size(a, b)``
-    bytes, are checked before the caller allocates anything.
+    bytes, are checked from the header alone, before anything is allocated.
     """
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.itemsize:
-        raise ParseError(f"{path}: truncated header", line=0)
-    if blob[:4] != magic:
-        raise ParseError(f"{path}: bad magic {blob[:4]!r}, expected {magic!r}", line=0)
-    _, version, a, b = np.frombuffer(blob, dtype=_HEADER, count=1)[0].item()
-    if version != BINARY_VERSION:
-        raise ParseError(f"{path}: unsupported version {version}", line=0)
-    expected = _HEADER.itemsize + payload_size(a, b)
-    if len(blob) != expected:
-        raise ParseError(f"{path}: payload is {len(blob)} bytes, expected {expected}", line=0)
-    return a, b, blob
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.itemsize)
+        if len(head) < _HEADER.itemsize:
+            raise ParseError(f"{path}: truncated header", line=0)
+        if head[:4] != magic:
+            raise ParseError(f"{path}: bad magic {head[:4]!r}, expected {magic!r}", line=0)
+        _, version, a, b = np.frombuffer(head, dtype=_HEADER)[0].item()
+        if version != BINARY_VERSION:
+            raise ParseError(f"{path}: unsupported version {version}", line=0)
+        size = os.fstat(fh.fileno()).st_size
+        expected = _HEADER.itemsize + payload_size(a, b)
+        if size != expected:
+            raise ParseError(f"{path}: payload is {size} bytes, expected {expected}", line=0)
+        yield a, b, fh
+
+
+def _read_into(fh, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with the file's next ``out.nbytes`` bytes."""
+    if fh.readinto(out) != out.nbytes:
+        raise ParseError(f"{fh.name}: file shorter than its header says", line=0)
+    return out
 
 
 def _check_format(fmt: str) -> None:
@@ -281,10 +297,10 @@ def _load_matrix(path: Path, fmt: str, magic: bytes, header: bool = False) -> np
         raise FileNotFoundError(path)
     if fmt == "csv":
         return _parse_numeric_csv(path, skip_header=header)
-    n, d, blob = _read_binary(path, magic, lambda n, d: 8 * n * d)
-    if not n * d:
-        raise ParseError(f"{path}: no values", line=0)
-    return np.frombuffer(blob, dtype="<f8", count=n * d, offset=24).reshape(n, d).copy()
+    with _open_binary(path, magic, lambda n, d: 8 * n * d) as (n, d, fh):
+        if not n * d:
+            raise ParseError(f"{path}: no values", line=0)
+        return _read_into(fh, np.empty((n, d), dtype="<f8"))
 
 
 def _save_matrix(arr: np.ndarray, path: Path, fmt: str, magic: bytes) -> None:
@@ -292,7 +308,7 @@ def _save_matrix(arr: np.ndarray, path: Path, fmt: str, magic: bytes) -> None:
     if fmt == "csv":
         _write_numeric_csv(arr, path)
     else:
-        _write_binary(path, magic, *arr.shape, np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        _write_binary(path, magic, *arr.shape, [np.ascontiguousarray(arr, dtype="<f8")])
 
 
 def load_features(path: str | Path, fmt: str = "csv", header: bool = False,

@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import _check_format, _open_text, _read_binary, _read_csv_table, _write_binary
+from .dataset import _check_format, _open_binary, _open_text, _read_csv_table, _read_into
+from .dataset import _write_binary
 from .errors import InvalidConfigError, ParseError
 from .knn import KnnIndex, _check_k
 
@@ -203,7 +204,7 @@ def _first_bad_row(*failing_rows) -> tuple[int, int] | None:
 
 _EDGE_RECORD = np.dtype([("src", "<u8"), ("dst", "<u8"), ("value", "<f8")])
 _CSV_EDGE = np.dtype([("src", "<i8"), ("dst", "<i8"), ("value", "<f8")])
-_CSV_WRITE_EDGES = 1 << 13  # edges formatted per write
+_EDGE_CHUNK = 1 << 13  # edges formatted, packed or unpacked at a time
 
 
 def _write_edges(path, fmt, matrix: _Csr, magic, node_values=None) -> None:
@@ -215,8 +216,8 @@ def _write_edges(path, fmt, matrix: _Csr, magic, node_values=None) -> None:
     if fmt == "csv":
         val = np.asarray(val, dtype=np.float64)
         with open(path, "w", encoding="utf-8") as fh:
-            for at in range(0, src.size, _CSV_WRITE_EDGES):
-                part = slice(at, at + _CSV_WRITE_EDGES)
+            for at in range(0, src.size, _EDGE_CHUNK):
+                part = slice(at, at + _EDGE_CHUNK)
                 # each distinct id and value of the chunk is formatted once, the
                 # value keyed by its bits so that -0.0 and 0.0 stay apart
                 ids, id_at = np.unique(np.concatenate((src[part], dst[part])), return_inverse=True)
@@ -227,10 +228,20 @@ def _write_edges(path, fmt, matrix: _Csr, magic, node_values=None) -> None:
                 half = id_at.size // 2
                 fh.write("".join(id_text[:half] + id_text[half:] + val_text[val_at]))
     else:
-        body = np.empty(src.size, dtype=_EDGE_RECORD)
-        body["src"], body["dst"], body["value"] = src, dst, val
-        trailer = b"" if node_values is None else np.asarray(node_values, dtype="<f8").tobytes()
-        _write_binary(path, magic, matrix.n, src.size, body.tobytes() + trailer)
+        _write_binary(path, magic, matrix.n, src.size, _binary_parts(src, dst, val, node_values))
+
+
+def _binary_parts(src, dst, val, node_values):
+    """The binary edge table's payload, packed one chunk of records at a time
+    into a single reused buffer."""
+    records = np.empty(min(src.size, _EDGE_CHUNK), dtype=_EDGE_RECORD)
+    for at in range(0, src.size, _EDGE_CHUNK):
+        part = slice(at, at + _EDGE_CHUNK)
+        chunk = records[: src[part].size]
+        chunk["src"], chunk["dst"], chunk["value"] = src[part], dst[part], val[part]
+        yield chunk
+    if node_values is not None:
+        yield np.ascontiguousarray(node_values, dtype="<f8")
 
 
 def _parse_edge_lines(lines, value_name: str):
@@ -283,16 +294,15 @@ def _read_edges(path, fmt, magic, value_name, affinity=False):
         src, dst, val = _read_csv_edges(path, value_name)
         n = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
     else:
-        n, n_edges, blob = _read_binary(path, magic, lambda n, e: 24 * e + 8 * n * affinity)
-        if n > 2 * n_edges:  # some node would be the end of no edge
-            raise ParseError(f"{path}: {n} nodes but only {n_edges} edges", line=0)
-        body = np.frombuffer(blob, dtype=_EDGE_RECORD, count=n_edges, offset=24)
-        for col in ("src", "dst"):
-            if n_edges and body[col].max() >= n:
-                raise ParseError(f"{path}: {col} node id outside [0, {n})", line=0)
-        src, dst, val = body["src"].astype(np.int64), body["dst"].astype(np.int64), body["value"]
-        if affinity:
-            node_values = np.frombuffer(blob, dtype="<f8", count=n, offset=24 + 24 * n_edges).copy()
+        with _open_binary(path, magic, lambda n, e: 24 * e + 8 * n * affinity) as (n, n_edges, fh):
+            if n > 2 * n_edges:  # some node would be the end of no edge
+                raise ParseError(f"{path}: {n} nodes but only {n_edges} edges", line=0)
+            src, dst, val = _read_binary_edges(fh, n_edges)
+            for col, ids in (("src", src), ("dst", dst)):
+                if n_edges and ids.view(np.uint64).max() >= n:
+                    raise ParseError(f"{path}: {col} node id outside [0, {n})", line=0)
+            if affinity:
+                node_values = _read_into(fh, np.empty(n, dtype="<f8"))
     if not src.size:
         raise ParseError(f"{path}: no edges", line=0)
     if affinity and n > src.size:
@@ -300,9 +310,26 @@ def _read_edges(path, fmt, magic, value_name, affinity=False):
     # CSV graph rows may be empty, so the file's size bounds the n rows allocated
     if fmt == "csv" and n > path.stat().st_size:
         raise ParseError(f"{path}: {n} nodes but only {path.stat().st_size} bytes", line=0)
-    # a stable sort by src groups the rows and keeps each row in file order
-    order = np.argsort(src, kind="stable")
-    return row_offsets(src, n), dst[order], val[order], node_values
+    if (src[1:] < src[:-1]).any():
+        # a stable sort by src groups the rows and keeps each row in file order
+        order = np.argsort(src, kind="stable")
+        dst, val = dst[order], val[order]
+    # CSV columns are strided views of the parsed records until copied
+    return row_offsets(src, n), np.ascontiguousarray(dst), np.ascontiguousarray(val), node_values
+
+
+def _read_binary_edges(fh, n_edges: int):
+    """(src, dst, value) columns of the binary edge table's records, unpacked
+    one chunk at a time. Ids keep their u64 bits in the int64 columns."""
+    src = np.empty(n_edges, dtype=np.int64)
+    dst = np.empty(n_edges, dtype=np.int64)
+    val = np.empty(n_edges, dtype=np.float64)
+    records = np.empty(min(n_edges, _EDGE_CHUNK), dtype=_EDGE_RECORD)
+    for at in range(0, n_edges, _EDGE_CHUNK):
+        part = slice(at, at + _EDGE_CHUNK)
+        chunk = _read_into(fh, records[: src[part].size])
+        src[part], dst[part], val[part] = chunk["src"], chunk["dst"], chunk["value"]
+    return src, dst, val
 
 
 # ---------------------------------------------------------------------------

@@ -189,8 +189,14 @@ def knn_classify(
         raise InvalidConfigError("votes must be >= 1")
     votes = min(votes, train_idx.size)
 
-    dists = knn.pairwise_distances(matrix[test_idx], matrix[train_idx], metric)
-    vote_labels = labels.labels[train_idx[knn.stable_topk(dists, votes)]]
+    # the votes are selected one block of test rows at a time, as topk_arrays
+    # selects its neighbours, so no (test, train) distance matrix is held whole
+    gallery = matrix[train_idx]
+    nearest = np.empty((test_idx.size, votes), dtype=np.int64)
+    for block in knn._query_blocks(test_idx.size, train_idx.size):
+        dists = knn.pairwise_distances(matrix[test_idx[block]], gallery, metric)
+        nearest[block] = knn.stable_topk(dists, votes)
+    vote_labels = labels.labels[train_idx[nearest]]
     # counts[r, i]: how many of row r's votes share vote i's label; the first
     # vote, in distance order, whose label reaches the row's maximum wins
     counts = (vote_labels[:, :, None] == vote_labels[:, None, :]).sum(axis=2)

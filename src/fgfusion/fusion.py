@@ -184,18 +184,35 @@ def _build_alias(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(accept, dtype=np.float64), np.array(alias, dtype=np.int64)
 
 
+_ALIAS_CHUNK = 1 << 18  # entries per chunk of _build_alias_rows
+
+
 def _build_alias_rows(indptr: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vose alias tables of every CSR row, laid end to end like ``data``.
 
     Bit for bit the tables :func:`_build_alias` builds one row at a time:
     every row takes the same pops, writes and pushes in the same order,
-    but all rows take each step together. ``alias`` holds positions
-    within the row.
+    but the rows of a chunk take each step together. Chunks are contiguous
+    rows of at most ``_ALIAS_CHUNK`` entries in all (a longer row makes a
+    chunk of its own), so the work arrays stay chunk-sized. ``alias`` holds
+    positions within the row.
     """
     data = np.asarray(data, dtype=np.float64)
-    lo, hi = indptr[:-1], indptr[1:]
-    scaled = np.empty(data.size)
+    accept = np.empty(data.size)
     alias = np.empty(data.size, dtype=np.int64)
+    first = 0
+    while first < indptr.size - 1:
+        last = max(first + 1, np.searchsorted(indptr, indptr[first] + _ALIAS_CHUNK, "right") - 1)
+        at = slice(indptr[first], indptr[last])
+        _alias_chunk(indptr[first : last + 1] - indptr[first], data[at], accept[at], alias[at])
+        first = last
+    return accept, alias
+
+
+def _alias_chunk(indptr, data, scaled, alias) -> None:
+    """The alias tables of one chunk of rows, written into ``scaled`` (then
+    holding the accept probabilities) and ``alias``."""
+    lo, hi = indptr[:-1], indptr[1:]
     # Row q's small stack grows up from lo[q] and its large stack down from
     # hi[q] - 1; together they never hold more than the row's entries.
     stacks = np.empty(data.size, dtype=np.int64)
@@ -222,7 +239,7 @@ def _build_alias_rows(indptr: np.ndarray, data: np.ndarray) -> tuple[np.ndarray,
             lo, hi, n_small, n_large = lo[live], hi[live], n_small[live], n_large[live]
         if not lo.size:
             scaled[~done] = 1.0  # an entry never popped as small keeps accept 1.0
-            return scaled, alias
+            return
         n_small -= 1
         s = lo + stacks[lo + n_small]
         l_pos = stacks[hi - n_large]

@@ -114,15 +114,21 @@ def topk_arrays(index: KnnIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
     _check_k(index.n, k)
     ids = np.empty((index.n, k), dtype=np.int64)
     dists = np.empty((index.n, k), dtype=np.float64)
-    starts = list(range(0, index.n, _block_rows(index.n)))
-    if len(starts) > 1 and index.n - starts[-1] == 1:
+    for block in _query_blocks(index.n, index.n):
+        ids[block], dists[block] = index._topk_block(np.arange(block.start, block.stop), k)
+    return ids, dists
+
+
+def _query_blocks(n_queries: int, width: int) -> list[slice]:
+    """The row blocks in which n_queries queries meet a gallery of ``width``
+    samples, one matrix product each: ``_block_rows(width)`` rows per block,
+    a function of the sizes alone."""
+    starts = list(range(0, n_queries, _block_rows(width)))
+    if len(starts) > 1 and n_queries - starts[-1] == 1:
         # a one-row block would go through BLAS gemv, which rounds unlike
         # gemm; the row joins the block before it
         starts.pop()
-    for start, stop in zip(starts, starts[1:] + [index.n]):
-        rows = np.arange(start, stop)
-        ids[rows], dists[rows] = index._topk_block(rows, k)
-    return ids, dists
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n_queries])]
 
 
 def _check_k(n: int, k: int, name: str = "k") -> None:

@@ -209,6 +209,23 @@ def brute_csv_edges(matrix) -> str:
     )
 
 
+def oneshot_binary(magic: bytes, a: int, b: int, payload: bytes) -> bytes:
+    """A binary file's bytes: the 24-byte header, then ``payload``."""
+    header = np.array([(magic, 1, a, b)],
+                      dtype=[("magic", "S4"), ("version", "<u4"), ("a", "<u8"), ("b", "<u8")])
+    return header.tobytes() + payload
+
+
+def oneshot_binary_edges(matrix, magic: bytes, node_values=None) -> bytes:
+    """The binary edge table of a CSR matrix, built whole in memory: the
+    writer's bytes from before it streamed one chunk of records at a time."""
+    src = np.repeat(np.arange(len(matrix.indptr) - 1), np.diff(matrix.indptr))
+    body = np.empty(src.size, dtype=[("src", "<u8"), ("dst", "<u8"), ("value", "<f8")])
+    body["src"], body["dst"], body["value"] = src, matrix.indices, matrix.data
+    trailer = b"" if node_values is None else np.asarray(node_values, dtype="<f8").tobytes()
+    return oneshot_binary(magic, len(matrix.indptr) - 1, src.size, body.tobytes() + trailer)
+
+
 # ---------------------------------------------------------------------------
 # Split protocols: the library's loop from before it grouped the classes once.
 # ---------------------------------------------------------------------------

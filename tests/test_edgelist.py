@@ -242,17 +242,17 @@ def hand_built_csr(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(hand_built_csr(), st.sampled_from([1, 3, ejgraph._CSV_WRITE_EDGES]))
+@given(hand_built_csr(), st.sampled_from([1, 3, ejgraph._EDGE_CHUNK]))
 def test_csv_write_matches_the_per_edge_oracle(tmp_path_factory, matrix, chunk):
     path = tmp_path_factory.mktemp("write") / "edges.csv"
-    with mock.patch.object(ejgraph, "_CSV_WRITE_EDGES", chunk):
+    with mock.patch.object(ejgraph, "_EDGE_CHUNK", chunk):
         ejgraph._write_edges(path, "csv", matrix, b"EJGA")
     assert path.read_bytes() == brute_csv_edges(matrix).encode("utf-8")
 
 
 def test_csv_write_over_several_chunks_matches_the_per_edge_oracle(tmp_path):
     rng = np.random.default_rng(3)
-    n, edges = 500, 3 * ejgraph._CSV_WRITE_EDGES + 17
+    n, edges = 500, 3 * ejgraph._EDGE_CHUNK + 17
     indptr = np.concatenate(([0], np.sort(rng.integers(0, edges + 1, n - 1)), [edges]))
     values = rng.normal(size=edges)
     values[::2] = rng.integers(0, 4, values[::2].size) / 2  # few distinct values, as in EJG weights
