@@ -183,9 +183,15 @@ def _cmd_build_graph(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    graphs = [load_graph(path, args.graph_format, modality_name=path.stem) for path in args.graphs]
-    fused = fuse_graphs(graphs, combine=args.combine)
-    affinity = normalize_affinity(fused, kernel_input=args.kernel)
+    # the loaded graphs are arguments of the fuse alone and the fused graph of
+    # the normalization alone, so each is freed once consumed
+    affinity = normalize_affinity(
+        fuse_graphs(
+            [load_graph(path, args.graph_format, modality_name=path.stem) for path in args.graphs],
+            combine=args.combine,
+        ),
+        kernel_input=args.kernel,
+    )
     save_affinity(affinity, args.out, args.affinity_format)
     print(f"{args.out}: {affinity.n} rows")
     return EXIT_OK

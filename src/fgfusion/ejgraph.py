@@ -81,13 +81,17 @@ class _Csr:
     def neighbor_ids(self) -> RowView:
         return RowView(self.indptr, self.indices)
 
-    def _entry_rows(self) -> np.ndarray:
-        """The row of every entry."""
+    def _row_counts(self) -> np.ndarray:
+        """The entry count of every row, once the arrays are checked to form CSR."""
         counts = np.diff(self.indptr)
         if not (self.indptr[0] == 0 and counts.min(initial=0) >= 0
                 and self.indptr[-1] == self.indices.size == self.data.size):
             raise InvalidConfigError("indptr, indices and data do not form a CSR matrix")
-        return np.repeat(np.arange(self.n), counts)
+        return counts
+
+    def _entry_rows(self) -> np.ndarray:
+        """The row of every entry."""
+        return np.repeat(np.arange(self.n), self._row_counts())
 
 
 @dataclass

@@ -175,14 +175,19 @@ def knn_classify(
     """
     matrix = _as_matrix(data)
     _check_label_count(labels, len(matrix))
-    train_idx = np.asarray(train_idx, dtype=np.int64)
-    test_idx = np.asarray(test_idx, dtype=np.int64)
+    train_idx, test_idx = np.asarray(train_idx), np.asarray(test_idx)
     if train_idx.size == 0:
         raise EmptyTrainSetError("empty train set")
+    if test_idx.size == 0:
+        raise InvalidSpecError("empty test set")
     n = len(matrix)
     for name, idx in (("train", train_idx), ("test", test_idx)):
-        if idx.size and not (0 <= idx.min() and idx.max() < n):
+        # a float index would be truncated to the row below it
+        if idx.dtype.kind not in "iu":
+            raise InvalidSpecError(f"{name} indices must be integers, got {idx.dtype}")
+        if not (0 <= idx.min() and idx.max() < n):
             raise InvalidSpecError(f"{name} indices outside [0, {n})")
+    train_idx, test_idx = train_idx.astype(np.int64), test_idx.astype(np.int64)
     if _mask(train_idx, n)[test_idx].any():
         raise InvalidSpecError("train and test indices overlap")
     if votes < 1:
@@ -449,9 +454,60 @@ class _Stage:
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
-    """Execute the full fusion pipeline and score all methods per split."""
-    config.validate()
+    """Execute the full fusion pipeline and score all methods per split.
 
+    Each stage holds only what later stages read. The knn indexes, their
+    searches and the features they share die once the last k's graphs
+    exist; each k's graphs die once fused, its fused graph once normalized
+    (the affinity keeps its ``indptr`` and ``indices``), and its affinity
+    and samplers once its embeddings are trained, before the next k's
+    graphs are built.
+    """
+    config.validate()
+    timings: dict[str, float] = {}
+    labels, splits, table, indexes = _score_baselines_and_index(config, timings)
+    embeddings: dict[tuple[int, int], EmbeddingMatrix] = {}
+    reports: dict[tuple[int, int], TrainReport] = {}
+    ks = [int(v) for v in config.k]
+    for position, k_val in enumerate(ks):
+        trained = _train_at_k(config, k_val, indexes, position == len(ks) - 1, timings)
+        for d_val, emb, report in trained:
+            embeddings[(k_val, d_val)] = emb
+            reports[(k_val, d_val)] = report
+            with _Stage(f"classify[k={k_val},d={d_val}]"):
+                table.rows.append(
+                    _score(FGF_METHOD, k_val, emb, labels, splits, FGF_METRIC, config.votes)
+                )
+
+    manifest = {
+        "config": config.resolved(),
+        "n_samples": labels.n,
+        "n_classes": labels.n_classes,
+        "classifier": {
+            "family": "k-nearest-neighbor majority vote",
+            "votes": config.votes,
+            "baseline_metric": BASELINE_METRIC,
+            "fgf_metric": FGF_METRIC,
+        },
+        "joint_baseline": "per-dimension z-score within each modality, then concatenation",
+        "std_convention": "sample standard deviation (ddof=1); 0.0 for a single split",
+        "train_reports": {
+            f"k{k}_d{d}": {
+                "epoch_loss": rep.epoch_loss,
+                "positive_pairs": rep.positive_pairs,
+                "wall_seconds": rep.wall_seconds,
+            }
+            for (k, d), rep in reports.items()
+        },
+        "timings": timings,
+    }
+    return PipelineResult(table=table, manifest=manifest, embeddings=embeddings, reports=reports)
+
+
+def _score_baselines_and_index(config: PipelineConfig, timings: dict):
+    """Load, split and score the baselines, then index every modality and run
+    its one search at the sweep's widest k: (labels, splits, table, indexes),
+    where ``indexes`` lists each modality's (name, index)."""
     with _Stage("load"):
         modalities = [
             load_features(
@@ -483,68 +539,45 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         table.rows.append(_score(JOINT_METHOD, None, zscore_concat(modalities), labels, splits,
                                  BASELINE_METRIC, config.votes))
 
-    timings: dict[str, float] = {}
     with _Stage("knn"):
         started = time.perf_counter()
-        indexes = [knn.build_index(m, config.metric) for m in modalities]
+        indexes = [(m.modality_name, knn.build_index(m, config.metric)) for m in modalities]
         # one search per modality at the sweep's widest k: every graph of the
         # sweep takes a prefix of it
         widest = max(v for v in (*config.k, config.k1, config.k2) if v is not None)
-        for index in indexes:
+        for _, index in indexes:
             index.topk(int(widest))
         timings["knn"] = time.perf_counter() - started
+    return labels, splits, table, indexes
 
-    embeddings: dict[tuple[int, int], EmbeddingMatrix] = {}
-    reports: dict[tuple[int, int], TrainReport] = {}
-    for k_val in (int(v) for v in config.k):
-        with _Stage(f"graphs[k={k_val}]"):
-            started = time.perf_counter()
-            graphs = [
-                ejgraph.build_ejg(
-                    idx,
-                    k_val,
-                    k1=config.k1,
-                    k2=config.k2,
-                    mode=config.weight_mode,
-                    modality_name=m.modality_name,
-                )
-                for idx, m in zip(indexes, modalities)
-            ]
-            fused = fusion.fuse_graphs(graphs, combine=config.combine)
-            affinity = fusion.normalize_affinity(fused, kernel_input=config.kernel)
-            samplers = fusion.build_samplers(affinity, noise_power=config.noise_power)
-            timings[f"graphs_k{k_val}"] = time.perf_counter() - started
-        for d_val in (int(v) for v in config.d):
-            with _Stage(f"embed[k={k_val},d={d_val}]"):
-                cfg = config.train_config(d_val, derive_seed(config.seed, "train", k_val, d_val))
-                emb, report = train(affinity, samplers, cfg)
-                embeddings[(k_val, d_val)] = emb
-                reports[(k_val, d_val)] = report
-            with _Stage(f"classify[k={k_val},d={d_val}]"):
-                table.rows.append(
-                    _score(FGF_METHOD, k_val, emb, labels, splits, FGF_METRIC, config.votes)
-                )
 
-    manifest = {
-        "config": config.resolved(),
-        "n_samples": n,
-        "n_classes": labels.n_classes,
-        "classifier": {
-            "family": "k-nearest-neighbor majority vote",
-            "votes": config.votes,
-            "baseline_metric": BASELINE_METRIC,
-            "fgf_metric": FGF_METRIC,
-        },
-        "joint_baseline": "per-dimension z-score within each modality, then concatenation",
-        "std_convention": "sample standard deviation (ddof=1); 0.0 for a single split",
-        "train_reports": {
-            f"k{k}_d{d}": {
-                "epoch_loss": rep.epoch_loss,
-                "positive_pairs": rep.positive_pairs,
-                "wall_seconds": rep.wall_seconds,
-            }
-            for (k, d), rep in reports.items()
-        },
-        "timings": timings,
-    }
-    return PipelineResult(table=table, manifest=manifest, embeddings=embeddings, reports=reports)
+def _train_at_k(config: PipelineConfig, k_val: int, indexes: list, last: bool, timings: dict):
+    """The (d, embeddings, report) of every d of the sweep at k_val. The graphs
+    and the fused graph are call arguments alone, so each dies once consumed."""
+    with _Stage(f"graphs[k={k_val}]"):
+        started = time.perf_counter()
+        affinity = fusion.normalize_affinity(
+            fusion.fuse_graphs(_graphs(config, k_val, indexes, last), combine=config.combine),
+            kernel_input=config.kernel,
+        )
+        samplers = fusion.build_samplers(affinity, noise_power=config.noise_power)
+        timings[f"graphs_k{k_val}"] = time.perf_counter() - started
+    trained = []
+    for d_val in (int(v) for v in config.d):
+        with _Stage(f"embed[k={k_val},d={d_val}]"):
+            cfg = config.train_config(d_val, derive_seed(config.seed, "train", k_val, d_val))
+            trained.append((d_val, *train(affinity, samplers, cfg)))
+    return trained
+
+
+def _graphs(config: PipelineConfig, k_val: int, indexes: list, last: bool) -> list:
+    """Each modality's graph at k_val; on the ``last`` k, ``indexes`` is emptied."""
+    graphs = [
+        ejgraph.build_ejg(
+            index, k_val, k1=config.k1, k2=config.k2, mode=config.weight_mode, modality_name=name
+        )
+        for name, index in indexes
+    ]
+    if last:
+        indexes.clear()
+    return graphs

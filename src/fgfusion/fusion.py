@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .ejgraph import RowView, SparseGraph, _Csr, _first_bad_row, _read_edges, _validated
-from .ejgraph import _write_edges, row_offsets
+from .ejgraph import _write_edges
 from .errors import EmptyRowError, InvalidConfigError, NodeCountMismatchError
 
 COMBINE_RULES = ("sum", "max")
@@ -27,6 +27,8 @@ SIGMA_FLOOR = 1e-8
 
 AFFINITY_MAGIC = b"EJGA"
 
+_FUSE_CHUNK = 1 << 15  # input edges per chunk of fuse_graphs
+
 
 def fuse_graphs(graphs: list[SparseGraph], combine: str = "sum") -> SparseGraph:
     """Union the edge sets of aligned graphs.
@@ -35,6 +37,13 @@ def fuse_graphs(graphs: list[SparseGraph], combine: str = "sum") -> SparseGraph:
     several has its weights combined by ``combine``. Fused rows list
     neighbor ids in ascending order, so the result is invariant to the
     order of the inputs.
+
+    Rows are fused one chunk of contiguous rows at a time, each holding at
+    most ``_FUSE_CHUNK`` input edges of all graphs together (a longer row
+    is a chunk of its own), so the work arrays stay chunk-sized. A first
+    pass counts each row's distinct neighbor ids, so the output arrays are
+    allocated once, at their final size. Rows are independent, so the
+    result is the same bits whatever the chunks.
     """
     if combine not in COMBINE_RULES:
         raise InvalidConfigError(f"unknown combine rule {combine!r}")
@@ -45,24 +54,65 @@ def fuse_graphs(graphs: list[SparseGraph], combine: str = "sum") -> SparseGraph:
         if g.n != n:
             raise NodeCountMismatchError(f"graph {g.modality_name!r} has {g.n} nodes, expected {n}")
 
-    # one key per edge, row * n + id, laid out in graph order; the stable sort
-    # orders the edges by (row, id) and keeps equal edges in graph order
-    key = np.concatenate([g._entry_rows() * n + g.indices for g in graphs], dtype=np.int64)
+    edges = sum(g._row_counts() for g in graphs)
+    chunks = list(_row_chunks(np.concatenate(([0], np.cumsum(edges))), _FUSE_CHUNK))
+    sizes = np.zeros(n, dtype=np.int64)
+    for first, last in chunks:
+        key = np.sort(_chunk_keys(graphs, first, last, n))
+        distinct = key[np.flatnonzero(np.diff(key, prepend=-1))]
+        sizes[first:last] = np.bincount(distinct // n, minlength=last - first)
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1], dtype=np.float64)
+    for first, last in chunks:
+        at = slice(indptr[first], indptr[last])
+        _fuse_chunk(graphs, first, last, n, combine, indices[at], data[at])
+    name = "+".join(g.modality_name for g in graphs if g.modality_name)
+    return SparseGraph(indptr, indices, data, name)
+
+
+def _row_chunks(indptr: np.ndarray, budget: int):
+    """(first, last) row bounds of consecutive chunks of contiguous CSR rows,
+    each holding at most ``budget`` entries in all; a longer row is a chunk
+    of its own."""
+    first = 0
+    while first < indptr.size - 1:
+        last = max(first + 1, int(np.searchsorted(indptr, indptr[first] + budget, "right")) - 1)
+        yield first, last
+        first = last
+
+
+def _chunk_keys(graphs: list[SparseGraph], first: int, last: int, n: int) -> np.ndarray:
+    """One key, (row - first) * n + id, per edge of rows first..last - 1, laid
+    out in graph order."""
+    keys = []
+    for g in graphs:
+        rows = np.repeat(np.arange(last - first), np.diff(g.indptr[first : last + 1]))
+        keys.append(rows * n + g.indices[g.indptr[first] : g.indptr[last]])
+    return np.concatenate(keys, dtype=np.int64)
+
+
+def _fuse_chunk(graphs, first, last, n, combine, ids, weights) -> None:
+    """Fuse rows first..last - 1 into ``ids`` and ``weights``, the output's
+    slices of those rows."""
+    # the stable sort orders the edges by (row, id) and keeps equal edges in
+    # graph order
+    key = _chunk_keys(graphs, first, last, n)
     order = np.argsort(key, kind="stable")
     key = key[order]
-    ws = np.concatenate([g.data for g in graphs], dtype=np.float64)[order]
+    ws = np.concatenate(
+        [g.data[g.indptr[first] : g.indptr[last]] for g in graphs], dtype=np.float64
+    )[order]
     del order  # permuted copies are made one at a time, which bounds the peak
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    key = key[first]
-    sizes = np.diff(first, append=ws.size)
+    heads = np.flatnonzero(np.diff(key, prepend=-1))
+    np.remainder(key[heads], n, out=ids)
+    sizes = np.diff(heads, append=ws.size)
     # fold each edge's weights in graph order, as a sequential scan would
     op = np.add if combine == "sum" else np.maximum
-    merged = op(0.0 if combine == "sum" else -np.inf, ws[first])
+    op(0.0 if combine == "sum" else -np.inf, ws[heads], out=weights)
     for r in range(1, sizes.max(initial=0)):
         live = sizes > r
-        merged[live] = op(merged[live], ws[first[live] + r])
-    name = "+".join(g.modality_name for g in graphs if g.modality_name)
-    return SparseGraph(row_offsets(key // n, n), key % n, merged, name)
+        weights[live] = op(weights[live], ws[heads[live] + r])
 
 
 @dataclass
@@ -200,12 +250,9 @@ def _build_alias_rows(indptr: np.ndarray, data: np.ndarray) -> tuple[np.ndarray,
     data = np.asarray(data, dtype=np.float64)
     accept = np.empty(data.size)
     alias = np.empty(data.size, dtype=np.int64)
-    first = 0
-    while first < indptr.size - 1:
-        last = max(first + 1, np.searchsorted(indptr, indptr[first] + _ALIAS_CHUNK, "right") - 1)
+    for first, last in _row_chunks(indptr, _ALIAS_CHUNK):
         at = slice(indptr[first], indptr[last])
         _alias_chunk(indptr[first : last + 1] - indptr[first], data[at], accept[at], alias[at])
-        first = last
     return accept, alias
 
 

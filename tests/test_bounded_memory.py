@@ -1,9 +1,11 @@
-"""Bounded memory in the stage-wise chain: binary files written and read in
-chunks, the classifier's query blocks and the row-chunked alias build, each
-against its one-shot form."""
+"""Bounded memory in the stage-wise chain and the pipeline: binary files
+written and read in chunks, the classifier's query blocks, the row-chunked
+fuse and alias build, each against its one-shot form, and the pipeline's
+live set, which holds only what later stages read."""
 
 import struct
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -14,7 +16,9 @@ from hypothesis import strategies as st
 from fgfusion import (
     AffinityMatrix,
     FeatureMatrix,
+    PipelineConfig,
     SparseGraph,
+    fuse_graphs,
     knn_classify,
     load_affinity,
     load_embeddings,
@@ -25,15 +29,20 @@ from fgfusion import (
     save_features,
     save_graph,
 )
-from fgfusion import dataset, ejgraph, fusion, knn
+from fgfusion import cli, dataset, ejgraph, evalharness, fusion, knn
 from fgfusion.dataset import EmbeddingMatrix
-from fgfusion.errors import ParseError
+from fgfusion.errors import InvalidConfigError, ParseError
 from fgfusion.knn import stable_topk
 
-from bruteforce import oneshot_binary, oneshot_binary_edges
+from bruteforce import brute_fuse, csr, oneshot_binary, oneshot_binary_edges
 from test_edgelist import rows_of
-from test_eval import labels_of
-from test_fusion import ALIAS_ROWS, assert_alias_rows_match_per_row_builds, same_bits
+from test_eval import labels_of, write_fixture
+from test_fusion import (
+    ALIAS_ROWS,
+    assert_alias_rows_match_per_row_builds,
+    random_graph,
+    same_bits,
+)
 
 
 def traced_peak(call):
@@ -248,3 +257,203 @@ def test_row_chunked_alias_tables_equal_per_row_builds(monkeypatch):
 def test_row_chunked_alias_tables_equal_per_row_builds_at_any_budget(rows, budget):
     with mock.patch.object(fusion, "_ALIAS_CHUNK", budget):
         assert_alias_rows_match_per_row_builds(rows)
+
+
+# ---------------------------------------------------------------------------
+# Graphs are fused one chunk of contiguous rows at a time
+# ---------------------------------------------------------------------------
+
+
+def assert_fuse_matches_per_row_oracle(graphs, combine):
+    fused = fuse_graphs(graphs, combine)
+    ids, weights = brute_fuse(graphs, combine)
+    assert fused.indptr.dtype == np.int64 and fused.n == graphs[0].n
+    for q in range(fused.n):
+        assert same_bits(fused.neighbor_ids[q], ids[q])
+        assert same_bits(fused.weights[q], weights[q])
+    return fused
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(random_graph(n), min_size=2, max_size=3)),
+       st.sampled_from(["sum", "max"]), st.integers(1, 12))
+def test_row_chunked_fuse_equals_the_per_row_oracle_at_any_budget(graphs, combine, budget):
+    """Two or three graphs, rows of up to 24 edges (longer than most
+    budgets), empty rows, and ties between 0.0 and -0.0."""
+    with mock.patch.object(fusion, "_FUSE_CHUNK", budget):
+        assert_fuse_matches_per_row_oracle(graphs, combine)
+
+
+def chunk_test_graphs(row_edges, n_graphs, seed):
+    """Graphs on n = 30 nodes whose rows hold ``row_edges`` edges of all graphs
+    together, dealt out in turn, with overlapping ids and tied weights."""
+    rng = np.random.default_rng(seed)
+    n = 30
+    rows = [[[] for _ in row_edges] for _ in range(n_graphs)]
+    for q, edges in enumerate(row_edges):
+        for e in range(edges):
+            taken = rows[e % n_graphs][q]
+            free = [j for j in range(n) if j != q and j not in taken]
+            taken.append(int(rng.choice(free)))
+    graphs = []
+    for g_rows in rows:
+        ids = [np.array(r, dtype=np.int64) for r in g_rows + [[]] * (n - len(row_edges))]
+        ws = [rng.choice([0.0, -0.0, 0.5, 1.0], size=r.size) for r in ids]
+        graphs.append(SparseGraph(*csr(zip(ids, ws))))
+    return graphs
+
+
+def test_row_chunked_fuse_follows_its_pinned_schedule(monkeypatch):
+    # under a 10-edge budget: rows 0-4 hold 10 edges; rows of 25 and 11 edges
+    # make chunks of their own; empty rows join the chunk they fall in
+    row_edges = [3, 0, 4, 2, 1, 9, 25, 0, 6, 10, 11, 2, 3, 0]
+    chunks = []
+    fuse_chunk = fusion._fuse_chunk
+
+    def recorded_chunk(graphs, first, last, *rest):
+        chunks.append((first, last))
+        fuse_chunk(graphs, first, last, *rest)
+
+    graphs = chunk_test_graphs(row_edges, 3, seed=2)
+    whole = {combine: fuse_graphs(graphs, combine) for combine in ("sum", "max")}
+    monkeypatch.setattr(fusion, "_FUSE_CHUNK", 10)
+    monkeypatch.setattr(fusion, "_fuse_chunk", recorded_chunk)
+    for combine in ("sum", "max"):
+        chunks.clear()
+        fused = assert_fuse_matches_per_row_oracle(graphs, combine)
+        # the rows past the listed ones are empty and close the last chunk
+        assert chunks == [(0, 5), (5, 6), (6, 7), (7, 9), (9, 10), (10, 11), (11, 30)]
+        assert all(same_bits(getattr(fused, a), getattr(whole[combine], a))
+                   for a in ("indptr", "indices", "data"))
+
+
+def test_fuse_of_a_million_edges_runs_in_bounded_memory():
+    n, per_row = 10_000, 50
+    rng = np.random.default_rng(0)
+    indptr = np.arange(n + 1, dtype=np.int64) * per_row
+    # ids q + 1 + 3a and q + 1 + 2b: the graphs share every id 6 apart
+    graphs = [
+        SparseGraph(indptr, ((np.arange(n)[:, None] + 1 + step * np.arange(per_row)) % n).ravel(),
+                    rng.random(n * per_row))
+        for step in (3, 2)
+    ]
+    fused, peak = traced_peak(lambda: fuse_graphs(graphs, "sum"))
+    out_bytes = fused.indptr.nbytes + fused.indices.nbytes + fused.data.nbytes
+    assert fused.indices.size == n * (2 * per_row - 17)
+    # the result is 13.4 MB (1.5 MB more at the peak); the one-shot fuse held
+    # several input-sized arrays besides it (42 MB peak in all)
+    assert peak < out_bytes + (8 << 20), f"fuse_graphs allocated {peak} bytes"
+    for q in (0, 4_321, n - 1):
+        ids, weights = brute_fuse([SparseGraph(g.indptr[q : q + 2] - g.indptr[q],
+                                               g.neighbor_ids[q], g.weights[q]) for g in graphs],
+                                  "sum")
+        assert same_bits(fused.neighbor_ids[q], ids[0])
+        assert same_bits(fused.weights[q], weights[0])
+
+
+@pytest.mark.parametrize("flaw", ["short indptr end", "data too long"])
+def test_fuse_rejects_arrays_that_do_not_form_csr(flaw):
+    good = SparseGraph(np.array([0, 1, 2]), np.array([1, 0]), np.array([1.0, 2.0]))
+    if flaw == "short indptr end":
+        bad = SparseGraph(np.array([0, 1, 1]), np.array([1, 0]), np.array([1.0, 2.0]))
+    else:
+        bad = SparseGraph(np.array([0, 1, 2]), np.array([1, 0]), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(InvalidConfigError, match="do not form a CSR matrix"):
+        fuse_graphs([good, bad])
+
+
+# ---------------------------------------------------------------------------
+# The pipeline holds only what later stages read
+# ---------------------------------------------------------------------------
+
+
+def test_pipeline_releases_each_stage_once_consumed(tmp_path, monkeypatch):
+    """In a k sweep, each k's graphs, fused graph, affinity and samplers are
+    dead when the next k's first graph is built, and the knn indexes, their
+    searches and the features are dead once the last k's graphs exist."""
+    params = write_fixture(tmp_path)
+    params.update(k=[3, 5, 4], d=[2, 3], epochs=1, samples_per_node=2)
+    ks = params["k"]
+    made = {k: [] for k in ks}  # weakrefs to each k's graphs, fused graph, affinity, samplers
+    features, memos = [], []  # weakrefs to the feature arrays, the indexes and their searches
+    seen = {"k": None, "classify": []}
+
+    def dead(refs):
+        return all(ref() is None for ref in refs)
+
+    def record(module, name, check=None):
+        real = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            if check is not None:
+                check(*args, **kwargs)
+            result = real(*args, **kwargs)
+            if name == "build_index":
+                memos.append(weakref.ref(result))
+            elif name == "load_features":
+                features.append(weakref.ref(result.data))
+            elif name != "knn_classify":
+                made[seen["k"]].append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(module, name, recorded)
+
+    def before_build(index, k, **kwargs):
+        if seen["k"] is None:  # every index has run its one search
+            memos.extend([weakref.ref(a) for ref in memos for a in ref()._searched])
+        if k != seen["k"]:  # the first graph of the next k
+            for earlier in ks[: ks.index(k)]:
+                assert dead(made[earlier]), f"k={earlier} still alive at k={k}"
+            seen["k"] = k
+
+    def before_fuse(graphs, **kwargs):
+        last = seen["k"] == ks[-1]
+        assert dead(memos + features) == last
+
+    def before_normalize(graph, **kwargs):
+        assert dead(made[seen["k"]][:-1]), "the graphs outlive their fuse"
+
+    def before_samplers(affinity, **kwargs):
+        assert dead(made[seen["k"]][-2:-1]), "the fused graph outlives its normalization"
+
+    def before_classify(*args):
+        seen["classify"].append(dead(memos + features))
+
+    record(evalharness, "load_features")
+    record(knn, "build_index")
+    record(ejgraph, "build_ejg", before_build)
+    record(fusion, "fuse_graphs", before_fuse)
+    record(fusion, "normalize_affinity", before_normalize)
+    record(fusion, "build_samplers", before_samplers)
+    record(evalharness, "knn_classify", before_classify)
+    result = evalharness.run_pipeline(PipelineConfig(**params))
+    assert [len(made[k]) for k in ks] == [5, 5, 5]  # two graphs, fused, affinity, samplers
+    assert len(memos) == 2 + 2 * 2 and len(features) == 2  # two indexes, their ids and distances
+    assert seen["classify"][-1]  # the last classify runs with every index dead
+    assert [(r.k, r.d) for r in result.table.fgf_rows()] == [(k, d) for k in ks for d in (2, 3)]
+
+
+def test_fuse_command_frees_the_loaded_graphs_once_fused(tmp_path, monkeypatch):
+    n = 8
+    ring = np.arange(n)[:, None] + np.array([1, 2])
+    for name, weights in (("a", [1.0, 2.0]), ("b", [3.0, 0.5])):
+        graph = SparseGraph(np.arange(n + 1) * 2, (ring % n).ravel(), np.tile(weights, n))
+        save_graph(graph, tmp_path / f"{name}.csv")
+    loaded = []
+    load, normalize = cli.load_graph, cli.normalize_affinity
+
+    def recorded_load(*args, **kwargs):
+        graph = load(*args, **kwargs)
+        loaded.append(weakref.ref(graph))
+        return graph
+
+    def checked_normalize(fused, **kwargs):
+        assert [ref() for ref in loaded] == [None, None], "a loaded graph outlives its fuse"
+        return normalize(fused, **kwargs)
+
+    monkeypatch.setattr(cli, "load_graph", recorded_load)
+    monkeypatch.setattr(cli, "normalize_affinity", checked_normalize)
+    argv = ["fuse", "--graphs", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+            "--out", str(tmp_path / "affinity.bin")]
+    assert cli.main(argv) == 0
+    assert len(loaded) == 2 and load_affinity(tmp_path / "affinity.bin", "binary").n == n

@@ -234,6 +234,36 @@ def test_indices_outside_the_rows_rejected(train, test):
         knn_classify(np.eye(4), labels, np.array(train), np.array(test))
 
 
+def test_empty_test_set_rejected():
+    # it would otherwise score nan, with a "Mean of empty slice" warning
+    labels = labels_of(["a", "b", "a", "b"])
+    for empty in (np.array([], dtype=int), []):
+        with pytest.raises(InvalidSpecError, match="empty test set"):
+            knn_classify(np.eye(4), labels, np.array([0, 1]), empty)
+
+
+@pytest.mark.parametrize("bad", [[5.7, 6.2], [5.0, 6.0], [True, False]])
+@pytest.mark.parametrize("side", ["train", "test"])
+def test_non_integer_indices_rejected(side, bad):
+    # float indices would be truncated: test [5.7, 6.2] would classify rows 5 and 6
+    labels = labels_of(["a", "b"] * 4)
+    train, test = np.array([0, 1, 2]), np.array([5, 6])
+    if side == "train":
+        train, test = np.array(bad), np.array([3, 4])
+    else:
+        test = np.array(bad)
+    with pytest.raises(InvalidSpecError, match=f"{side} indices must be integers"):
+        knn_classify(np.eye(8), labels, train, test)
+
+
+def test_unsigned_indices_classify_as_signed_ones():
+    labels = labels_of(["a", "b"] * 4)
+    data = np.random.default_rng(0).normal(size=(8, 3))
+    train, test = np.array([0, 1, 2, 3]), np.array([4, 5, 6, 7])
+    assert knn_classify(data, labels, train.astype(np.uint32), test.astype(np.uint64)) == \
+        knn_classify(data, labels, train, test)
+
+
 @pytest.mark.parametrize("label_count", [3, 5])
 def test_label_count_must_match_the_rows(label_count):
     labels = labels_of(("ab" * 4)[:label_count])

@@ -113,6 +113,32 @@ def test_the_slice_height_never_changes_a_bit(monkeypatch, metric, width):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("slice_bytes", [1 << 20, 8 * 257 * 7])
+@pytest.mark.parametrize("data", ["normal", "integer"])
+def test_the_finish_adds_squared_norms_as_the_broadcast_add(monkeypatch, data, slice_bytes):
+    # the finish copies |b|^2 and adds |a|^2 in place; IEEE addition commutes,
+    # so this gives the bits of the broadcast |a|^2 + |b|^2 it replaces. Small
+    # integers make equal norms and equal distances common.
+    rng = np.random.default_rng(4)
+    if data == "normal":
+        queries, gallery = rng.normal(size=(300, 7)), rng.normal(size=(257, 7)) * 1e3
+    else:
+        queries, gallery = (rng.integers(-2, 3, size=(m, 7)).astype(np.float64)
+                            for m in (300, 257))
+    q_sq, g_sq = (np.einsum("ij,ij->i", m, m) for m in (queries, gallery))
+    broadcast = np.add(q_sq[:, None], g_sq[None, :])
+    in_place = np.empty_like(broadcast)
+    np.copyto(in_place, g_sq)
+    in_place += q_sq[:, None]
+    assert in_place.tobytes() == broadcast.tobytes()
+    dots = queries @ gallery.T
+    expected = np.sqrt(np.maximum(broadcast - 2.0 * dots, 0.0))
+    monkeypatch.setattr(knn, "_SLICE_BYTES", slice_bytes)  # one slice, or 43 with a ragged last
+    for _ in knn._finish(dots, q_sq, g_sq):
+        pass
+    assert dots.tobytes() == expected.tobytes()
+
+
 def test_block_rows_follow_the_byte_bound_above_the_floor():
     assert knn._block_rows(2000) * 2000 * 8 <= knn._BLOCK_BYTES
     assert knn._block_rows(2000) > knn._MIN_BLOCK_ROWS
