@@ -25,7 +25,7 @@ from .dataset import (
     save_labels,
     synth_multimodal,
 )
-from .ejgraph import WEIGHT_MODES, build_ejg, load_graph, save_graph
+from .ejgraph import build_ejg, load_graph, save_graph
 from .embed import TrainConfig, train
 from .errors import (
     ConfigError,
@@ -34,10 +34,10 @@ from .errors import (
     PipelineStageError,
 )
 from .evalharness import (
-    PROTOCOLS,
     PipelineConfig,
     ResultTable,
     SplitSpec,
+    _CHOICES,
     _default,
     _score,
     knn_classify,
@@ -45,14 +45,40 @@ from .evalharness import (
     run_pipeline,
     sweep_report,
 )
-from .fusion import COMBINE_RULES, KERNEL_INPUTS, NOISE_POWER, build_samplers, check_noise_power
-from .fusion import fuse_graphs, load_affinity, normalize_affinity, save_affinity
-from .knn import METRICS, build_index
+from .fusion import build_samplers, check_noise_power, fuse_graphs, load_affinity
+from .fusion import normalize_affinity, save_affinity
+from .knn import build_index
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+
+# the one setting whose flag is not named after its PipelineConfig field
+_FLAG_NAMES = {"lr_start": "lr"}
+_TYPES = {"int": int, "float": float, "str": str}
+
+
+def _settings(parser: argparse.ArgumentParser, *names: str, override: bool = False) -> None:
+    """Add a flag for each named PipelineConfig field, with the field's type,
+    choices and default; with override, the default is None, so a flag that
+    was not given leaves the config's value."""
+    config = {f.name: f for f in fields(PipelineConfig)}
+    for name in names:
+        annotation = config[name].type  # "int", "int | None", "list[int]", ...
+        flag = _FLAG_NAMES.get(name, name)
+        parser.add_argument(
+            "--" + flag.replace("_", "-"),
+            dest=name,
+            metavar=flag.upper() if flag != name else None,
+            type=_TYPES[annotation.removeprefix("list[").rstrip("]").removesuffix(" | None")],
+            nargs="+" if annotation.startswith("list") else None,
+            choices=_CHOICES.get(name),
+            default=None if override else config[name].default,
+            help=f"overrides the pipeline config's {name}" if override
+            else f"as the pipeline config's {name} (default: %(default)s)",
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,19 +103,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", type=Path, required=True)
     p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--header", action="store_true", help="skip the first CSV line")
-    p.add_argument("--metric", choices=METRICS, default=PipelineConfig.metric)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--k1", type=int, default=None)
-    p.add_argument("--k2", type=int, default=None)
-    p.add_argument("--weight-mode", choices=WEIGHT_MODES, default=PipelineConfig.weight_mode)
+    _settings(p, "metric", "k1", "k2", "weight_mode")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--graph-format", choices=FORMATS, default="csv")
 
     p = sub.add_parser("fuse", help="fuse modality graphs and emit the affinity matrix")
     p.add_argument("--graphs", type=Path, nargs="+", required=True)
     p.add_argument("--graph-format", choices=FORMATS, default="csv")
-    p.add_argument("--combine", choices=COMBINE_RULES, default=PipelineConfig.combine)
-    p.add_argument("--kernel", choices=KERNEL_INPUTS, default=PipelineConfig.kernel)
+    _settings(p, "combine", "kernel")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--affinity-format", choices=FORMATS, default="binary")
 
@@ -97,15 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--affinity", type=Path, required=True)
     p.add_argument("--affinity-format", choices=FORMATS, default="binary")
     p.add_argument("--dim", dest="d", metavar="DIM", type=int, required=True)
-    p.add_argument("--samples-per-node", type=int, default=TrainConfig.samples_per_node)
-    p.add_argument("--negatives", type=int, default=TrainConfig.negatives)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--lr", dest="lr_start", metavar="LR", type=float,
-                   default=TrainConfig.lr_start, help="starting learning rate")
-    p.add_argument("--lr-end", type=float, default=TrainConfig.lr_end)
-    p.add_argument("--init-scale", type=float, default=TrainConfig.init_scale)
-    p.add_argument("--noise-power", type=float, default=NOISE_POWER)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    # the flags _cmd_embed reads back: TrainConfig's fields and the noise power
+    _settings(p, *(f.name for f in fields(TrainConfig) if f.name != "d"), "noise_power")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--format", choices=FORMATS, default="binary")
     p.add_argument("--report", type=Path, default=None, help="write a JSON training report")
@@ -117,36 +132,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--header", action="store_true")
     p.add_argument("--labels", type=Path, required=True)
-    p.add_argument("--protocol", choices=PROTOCOLS, default=PipelineConfig.protocol)
+    _settings(p, "protocol", "repeats", "votes", "seed")
     p.add_argument("--m", type=int, default=None, help="training samples per class")
     p.add_argument("--fraction", type=float, default=None, help="training fraction")
-    p.add_argument("--repeats", type=int, default=PipelineConfig.repeats)
-    p.add_argument("--votes", type=int, default=PipelineConfig.votes)
-    p.add_argument("--classify-metric", choices=METRICS, default=_default(knn_classify, "metric"))
-    p.add_argument("--seed", type=int, default=SplitSpec.seed)
+    p.add_argument("--classify-metric", choices=_CHOICES["metric"],
+                   default=_default(knn_classify, "metric"))
     p.add_argument("--out", type=Path, default=None, help="write results CSV here")
 
     p = sub.add_parser("pipeline", help="run the full fusion + evaluation pipeline")
     p.add_argument("--config", type=Path, required=True, help="pipeline JSON config")
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--k", type=int, nargs="+", default=None, help="override the k sweep")
-    p.add_argument("--d", type=int, nargs="+", default=None, help="override the d sweep")
-    p.add_argument("--k1", type=int, default=None)
-    p.add_argument("--k2", type=int, default=None)
-    p.add_argument("--metric", choices=METRICS, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--samples-per-node", type=int, default=None)
-    p.add_argument("--negatives", type=int, default=None)
-    p.add_argument("--lr", dest="lr_start", metavar="LR", type=float, default=None,
-                   help="override the starting learning rate")
-    p.add_argument("--lr-end", type=float, default=None)
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--votes", type=int, default=None)
-    p.add_argument("--weight-mode", choices=WEIGHT_MODES, default=None)
-    p.add_argument("--combine", choices=COMBINE_RULES, default=None)
-    p.add_argument("--kernel", choices=KERNEL_INPUTS, default=None)
-    p.add_argument("--noise-power", type=float, default=None)
+    _settings(
+        p, "k", "d", "k1", "k2", "metric", "seed", "epochs", "samples_per_node", "negatives",
+        "lr_start", "lr_end", "repeats", "votes", "weight_mode", "combine", "kernel",
+        "noise_power", override=True,
+    )
     p.add_argument(
         "--embeddings-format", choices=FORMATS, default="binary",
         help="format of the emitted embedding files",

@@ -423,8 +423,8 @@ def synth_multimodal(
     """
     if n_classes < 2 or per_class < 2:
         raise InvalidConfigError("need n_classes >= 2 and per_class >= 2")
-    if noise < 0:
-        raise InvalidConfigError("noise must be >= 0")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise InvalidConfigError("noise must be finite and >= 0")
     if not 0.0 <= complementarity <= 1.0:
         raise InvalidConfigError("complementarity must be in [0, 1]")
 

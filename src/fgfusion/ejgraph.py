@@ -160,7 +160,7 @@ def build_ejg(
         _check_k(n, value, name)
 
     kmax = max(k, k1, k2)
-    ids_max, _ = index.topk(kmax)
+    ids_max = index.topk(kmax)
     nbrs_k = ids_max[:, :k].copy()  # the graph's own ids: its rows are writable
     nbrs_k1 = ids_max[:, :k1]
     nbrs_k2 = ids_max[:, :k2]

@@ -32,30 +32,27 @@ _SLICE_BYTES = 1 << 20  # bytes of distances finished per slice, so each stays i
 
 class KnnIndex:
     """Index over one feature matrix under a fixed metric; it keeps the
-    result of its widest top-k search (see :meth:`topk`)."""
+    neighbor ids of its widest top-k search (see :meth:`topk`)."""
 
     def __init__(self, matrix: np.ndarray, metric: str):
         self.metric = metric
-        self.matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        self.n = self.matrix.shape[0]
-        self._rows, self._sq_norms = _prepare(self.matrix, metric)
-        self._searched = None  # read-only (ids, dists) of the widest search so far
+        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        self._rows, self._sq_norms = _prepare(matrix, metric)
+        self.n = self._rows.shape[0]
+        self._ids = None  # read-only neighbor ids of the widest search so far
 
-    def topk(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only views of ``topk_arrays(self, k)``.
+    def topk(self, k: int) -> np.ndarray:
+        """A read-only view of the ids of ``topk_arrays(self, k)``.
 
         Searches only for a k wider than every earlier one: stable_topk
         makes a smaller k's result the first k columns of a wider one, bit
         for bit, so every k up to the widest takes a prefix of one search.
         """
         _check_k(self.n, k)
-        if self._searched is None or self._searched[0].shape[1] < k:
-            searched = topk_arrays(self, k)
-            for array in searched:
-                array.flags.writeable = False
-            self._searched = searched
-        ids, dists = self._searched
-        return ids[:, :k], dists[:, :k]
+        if self._ids is None or self._ids.shape[1] < k:
+            self._ids, _ = topk_arrays(self, k)
+            self._ids.flags.writeable = False
+        return self._ids[:, :k]
 
     def _topk_block(self, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         sq = self._sq_norms

@@ -400,7 +400,7 @@ def test_pipeline_releases_each_stage_once_consumed(tmp_path, monkeypatch):
 
     def before_build(index, k, **kwargs):
         if seen["k"] is None:  # every index has run its one search
-            memos.extend([weakref.ref(a) for ref in memos for a in ref()._searched])
+            memos.extend([weakref.ref(ref()._ids) for ref in memos])
         if k != seen["k"]:  # the first graph of the next k
             for earlier in ks[: ks.index(k)]:
                 assert dead(made[earlier]), f"k={earlier} still alive at k={k}"
@@ -428,7 +428,7 @@ def test_pipeline_releases_each_stage_once_consumed(tmp_path, monkeypatch):
     record(evalharness, "knn_classify", before_classify)
     result = evalharness.run_pipeline(PipelineConfig(**params))
     assert [len(made[k]) for k in ks] == [5, 5, 5]  # two graphs, fused, affinity, samplers
-    assert len(memos) == 2 + 2 * 2 and len(features) == 2  # two indexes, their ids and distances
+    assert len(memos) == 2 + 2 and len(features) == 2  # two indexes and their ids
     assert seen["classify"][-1]  # the last classify runs with every index dead
     assert [(r.k, r.d) for r in result.table.fgf_rows()] == [(k, d) for k in ks for d in (2, 3)]
 

@@ -3,6 +3,7 @@ import inspect
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from fgfusion import (
     synth_multimodal,
 )
 from fgfusion.dataset import EmbeddingMatrix
+from fgfusion.fusion import NOISE_POWER
 
 
 def run_cli(*args, cwd=None):
@@ -163,11 +165,15 @@ def test_pipeline_cli_overrides(fixture_dir, tmp_path):
     assert manifest["config"]["k"] == [5] and manifest["config"]["seed"] == 9
 
 
+def _subparser(command):
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
 def _flags(command):
     """Option strings of one subcommand's parser, help excluded."""
-    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return {
-        opt for action in sub.choices[command]._actions
+        opt for action in _subparser(command)._actions
         if not isinstance(action, argparse._HelpAction) for opt in action.option_strings
     }
 
@@ -195,12 +201,52 @@ PIPELINE_OVERRIDES = {
 }
 
 
-def test_eval_classifies_with_the_library_defaults():
-    args = cli._build_parser().parse_args(["eval", "--features", "f.csv", "--labels", "l.txt"])
-    defaults = inspect.signature(knn_classify).parameters
-    assert args.classify_metric == defaults["metric"].default
-    assert args.votes == defaults["votes"].default
-    assert args.seed == SplitSpec.seed
+# the arguments each subcommand needs before it parses
+REQUIRED_ARGS = {
+    "synth": ["--classes", "2", "--per-class", "2", "--out-dir", "d"],
+    "build-graph": ["--features", "f.csv", "--k", "3", "--out", "g.csv"],
+    "fuse": ["--graphs", "g.csv", "--out", "a.bin"],
+    "embed": ["--affinity", "a.bin", "--dim", "4", "--out", "e.bin"],
+    "eval": ["--features", "f.csv", "--labels", "l.txt"],
+    "pipeline": ["--config", "c.json", "--out-dir", "o"],
+}
+
+
+def _default(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+def test_eval_classifies_with_the_library_defaults(capsys):
+    """Every stage subcommand's setting flags default to the library's own
+    defaults, every pipeline override to None, and every help renders."""
+    def parse(command):
+        return cli._build_parser().parse_args([command, *REQUIRED_ARGS[command]])
+
+    args = parse("eval")
+    assert args.classify_metric == _default(knn_classify, "metric")
+    assert args.votes == _default(knn_classify, "votes")
+    assert (args.repeats, args.seed) == (SplitSpec.repeats, SplitSpec.seed)
+    args = parse("build-graph")
+    assert args.metric == _default(build_index, "metric")
+    assert (args.k1, args.k2) == (_default(build_ejg, "k1"), _default(build_ejg, "k2"))
+    assert args.weight_mode == _default(build_ejg, "mode")
+    args = parse("fuse")
+    assert args.combine == _default(fuse_graphs, "combine")
+    assert args.kernel == _default(normalize_affinity, "kernel_input")
+    args = parse("embed")
+    for f in fields(TrainConfig):
+        if f.name != "d":
+            assert getattr(args, f.name) == f.default, f.name
+    assert args.noise_power == NOISE_POWER
+    config_fields = {f.name for f in fields(evalharness.PipelineConfig)}
+    overrides = [a for a in _subparser("pipeline")._actions if a.dest in config_fields]
+    assert {a.dest for a in overrides} == {key for _, key, _ in PIPELINE_OVERRIDES.values()}
+    assert all(a.default is None for a in overrides)
+    for command in REQUIRED_ARGS:
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([command, "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: fgfusion {command}")
 
 
 def test_every_pipeline_override_flag_lands_in_the_manifest(fixture_dir, tmp_path):
@@ -275,10 +321,18 @@ def test_embed_validates_its_affinity_once(fixture_dir, tmp_path, monkeypatch):
     assert len(checks) == 1
 
 
-def test_exit_code_2_on_bad_flag(tmp_path):
-    proc = run_cli("build-graph", "--features", "x.csv", "--k", 3,
-                   "--out", "g.csv", "--metric", "hamming")
-    assert proc.returncode == 2
+def test_exit_code_2_on_bad_flag():
+    # a flag without its choices would pass the value on and exit 3 on a missing file
+    for command, flags in [
+        ("build-graph", ["--metric", "--weight-mode"]),
+        ("fuse", ["--combine", "--kernel"]),
+        ("eval", ["--protocol"]),
+        ("pipeline", ["--metric", "--weight-mode", "--combine", "--kernel"]),
+    ]:
+        for flag in flags:
+            proc = run_cli(command, *REQUIRED_ARGS[command], flag, "hamming")
+            assert proc.returncode == 2, (command, flag)
+            assert "invalid choice" in proc.stderr, (command, flag)
 
 
 def test_exit_code_2_on_unknown_config_key(fixture_dir, tmp_path):

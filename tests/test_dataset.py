@@ -408,8 +408,9 @@ def test_synth_deterministic():
 
 
 def test_synth_rejects_bad_args():
-    with pytest.raises(InvalidConfigError):
-        synth_multimodal(4, 10, noise=-0.1)
+    for noise in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(InvalidConfigError):
+            synth_multimodal(4, 10, noise=noise)
     with pytest.raises(InvalidConfigError):
         synth_multimodal(1, 10)
     with pytest.raises(InvalidConfigError):

@@ -233,12 +233,10 @@ def test_build_allocates_nothing_quadratic(monkeypatch):
 @pytest.mark.parametrize("k", [4, 6])
 def test_writing_a_graph_row_leaves_the_index_search_unchanged(k):
     index = build_index(np.random.default_rng(14).normal(size=(40, 3)))
-    index.topk(6)
-    ids, dists = (a.copy() for a in index.topk(6))
+    ids = index.topk(6).copy()
     graph = build_ejg(index, k)
     graph.neighbor_ids[0] = graph.neighbor_ids[0][::-1].copy()
-    assert np.array_equal(index.topk(6)[0], ids)
-    assert index.topk(6)[1].tobytes() == dists.tobytes()
+    assert np.array_equal(index.topk(6), ids)
     assert graph.neighbor_ids[0].tolist() == ids[0, :k][::-1].tolist()
 
 
