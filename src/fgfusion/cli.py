@@ -206,9 +206,7 @@ def _cmd_embed(args) -> int:
     embeddings, report = train(affinity, samplers, cfg)
     save_embeddings(embeddings, args.out, args.format)
     if args.report is not None:
-        summary = {key: getattr(report, key)
-                   for key in ("epoch_loss", "positive_pairs", "wall_seconds")}
-        args.report.write_text(json.dumps(summary, indent=2), encoding="utf-8")
+        args.report.write_text(json.dumps(report.summary(), indent=2), encoding="utf-8")
     print(f"{args.out}: {embeddings.n} x {embeddings.dim}")
     return EXIT_OK
 

@@ -14,8 +14,9 @@ follow, row-major.
 Labels: one record per line, ``label[,instance_id]``. Instance ids are
 all-or-none across the file.
 
-All containers are immutable after construction (arrays are materialized
-copies); concurrent readers can share them freely.
+Containers are frozen dataclasses that keep the caller's array, not a copy,
+wherever it already has their dtype and layout, so a later write to that
+array shows in the container.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ FEATURE_MAGIC = b"EJGF"
 EMBEDDING_MAGIC = b"EJGE"
 BINARY_VERSION = 1
 
-_FIELD_SPLIT = re.compile(r"[,\t]")
+_FIELD_SEPARATORS = "[,\t]"  # of a matrix or label record
 
 
 @dataclass(frozen=True)
@@ -162,9 +163,20 @@ def _open_text(path: Path):
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _records(lines, separators: str):
+    """(line number, fields) of each non-blank line: the line stripped, split
+    where the regex ``separators`` matches, and each field stripped by
+    ``str.strip()``, as numpy's reader does. The one tokenizer of every text
+    format."""
+    split = re.compile(separators).split
+    for lineno, line in enumerate(lines):
+        if stripped := line.strip():
+            yield lineno, [field.strip() for field in split(stripped)]
+
+
 def _read_csv_table(source, dtype, ndmin: int, skiprows: int = 0) -> np.ndarray | None:
-    """Comma-separated ``source`` (a path or a list of lines) read by numpy's
-    C reader, whose float parser is the one ``float()`` uses. None where it
+    """Comma-separated ``source`` (a path or its lines) read by numpy's C
+    reader, whose float parser is the one ``float()`` uses. None where it
     raises or warns (on empty input, and numpy 1.23-1.26 read the int ``5.0``
     with only a DeprecationWarning): the caller's per-line parser decides."""
     try:
@@ -180,42 +192,38 @@ def _read_csv_table(source, dtype, ndmin: int, skiprows: int = 0) -> np.ndarray 
 
 def _parse_numeric_csv(path: Path, skip_header: bool) -> np.ndarray:
     with _open_text(path) as fh:
-        lines = fh.readlines()
-    # Tabs become commas, so an empty field beside a tab fails the fast read.
-    data = _read_csv_table(
-        [line.replace("\t", ",") for line in lines], np.float64, ndmin=2, skiprows=int(skip_header)
-    )
-    if data is None:
-        return _parse_csv_lines(lines, skip_header, path)
+        # Read one line at a time. Tabs become commas, so an empty field beside
+        # a tab fails the fast read.
+        lines = (line.replace("\t", ",") for line in fh)
+        data = _read_csv_table(lines, np.float64, ndmin=2, skiprows=int(skip_header))
+    if data is None:  # the file is read again, only for its error
+        with _open_text(path) as fh:
+            return _parse_csv_lines(fh, skip_header, path)
     _check_finite(data)  # the only error a successful read leaves
     return data
 
 
-def _parse_csv_lines(lines: list[str], skip_header: bool, path: Path) -> np.ndarray:
+def _parse_csv_lines(lines, skip_header: bool, path: Path) -> np.ndarray:
     """Per-line parser: the CSV format's definition, raising its first error."""
     rows: list[list[float]] = []
     width = None
-    start = 1 if skip_header else 0
-    data_row = 0
-    for lineno, line in enumerate(lines[start:], start=start):
-        stripped = line.strip()
-        if not stripped:
+    for lineno, fields in _records(lines, _FIELD_SEPARATORS):
+        if lineno < skip_header:  # the header is line 0
             continue
-        fields = _FIELD_SPLIT.split(stripped)
         parsed = []
         for col, tok in enumerate(fields):
             try:
-                value = float(tok.strip())
+                value = float(tok)
             except ValueError:
                 raise ParseError(
-                    f"line {lineno}: field {col} ({tok.strip()!r}) is not numeric",
+                    f"line {lineno}: field {col} ({tok!r}) is not numeric",
                     line=lineno,
                     offset=col,
                 ) from None
             if not math.isfinite(value):
                 raise NonFiniteValueError(
-                    f"non-finite value at row {data_row}, col {col}",
-                    row=data_row,
+                    f"non-finite value at row {len(rows)}, col {col}",
+                    row=len(rows),
                     col=col,
                 )
             parsed.append(value)
@@ -226,7 +234,6 @@ def _parse_csv_lines(lines: list[str], skip_header: bool, path: Path) -> np.ndar
                 f"line {lineno}: {len(parsed)} fields, expected {width}"
             )
         rows.append(parsed)
-        data_row += 1
     if not rows:
         raise ParseError(f"{path}: no data rows", line=0)
     return np.array(rows, dtype=np.float64)
@@ -341,11 +348,7 @@ def load_labels(path: str | Path) -> LabelVector:
     labels: list[str] = []
     instances: list[str] = []
     with _open_text(path) as fh:
-        for lineno, line in enumerate(fh):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            parts = [p.strip() for p in _FIELD_SPLIT.split(stripped)]
+        for lineno, parts in _records(fh, _FIELD_SEPARATORS):
             if len(parts) > 2 or not parts[0]:
                 raise ParseError(
                     f"line {lineno}: expected 'label[,instance_id]'", line=lineno

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import _check_format, _open_binary, _open_text, _read_csv_table, _read_into
-from .dataset import _write_binary
+from .dataset import _records, _write_binary
 from .errors import InvalidConfigError, ParseError
 from .knn import KnnIndex, _check_k
 
@@ -249,15 +249,11 @@ def _binary_parts(src, dst, val, node_values):
 
 
 def _parse_edge_lines(lines, value_name: str):
-    """(src, dst, value) arrays of CSV edge lines, parsed one line at a time:
-    the format's definition, raising at its first bad line. Blank lines are
-    skipped; each field is stripped by ``str.strip()``, as numpy's reader
-    does, then ids are read by ``int()`` and values by ``float()``."""
+    """(src, dst, value) arrays of CSV edge lines, parsed one record at a
+    time: the format's definition, raising at its first bad line. Ids are
+    read by ``int()`` and values by ``float()``."""
     src, dst, val = [], [], []
-    for lineno, line in enumerate(lines):
-        if not line.strip():
-            continue
-        parts = [part.strip() for part in line.split(",")]
+    for lineno, parts in _records(lines, ","):
         if len(parts) != 3:
             raise ParseError(f"line {lineno}: expected src,dst,{value_name}", line=lineno)
         try:

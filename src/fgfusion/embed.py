@@ -62,6 +62,10 @@ class TrainReport:
     # model can be evaluated after the fact
     context: "EmbeddingMatrix | None" = None
 
+    def summary(self) -> dict:
+        """The report without its context: what a manifest or ``--report`` records."""
+        return {f: getattr(self, f) for f in ("epoch_loss", "positive_pairs", "wall_seconds")}
+
 
 def _pair_loss(y: np.ndarray) -> np.ndarray:
     """-log sigmoid(y), elementwise: the loss of a pair with signed score y

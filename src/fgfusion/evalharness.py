@@ -28,7 +28,7 @@ from .dataset import (
     load_labels,
     validate_alignment,
 )
-from .embed import TrainConfig, TrainReport, train
+from .embed import TrainConfig, train
 from .errors import (
     ClassTooSmallError,
     EmptyTrainSetError,
@@ -437,7 +437,6 @@ class PipelineResult:
     table: ResultTable
     manifest: dict
     embeddings: dict[tuple[int, int], EmbeddingMatrix]
-    reports: dict[tuple[int, int], TrainReport]
 
 
 class _Stage:
@@ -461,19 +460,20 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     exist; each k's graphs die once fused, its fused graph once normalized
     (the affinity keeps its ``indptr`` and ``indices``), and its affinity
     and samplers once its embeddings are trained, before the next k's
-    graphs are built.
+    graphs are built. Each training report dies on return; only its
+    summary is kept, for the manifest.
     """
     config.validate()
     timings: dict[str, float] = {}
     labels, splits, table, indexes = _score_baselines_and_index(config, timings)
     embeddings: dict[tuple[int, int], EmbeddingMatrix] = {}
-    reports: dict[tuple[int, int], TrainReport] = {}
+    summaries: dict[str, dict] = {}
     ks = [int(v) for v in config.k]
     for position, k_val in enumerate(ks):
         trained = _train_at_k(config, k_val, indexes, position == len(ks) - 1, timings)
-        for d_val, emb, report in trained:
+        for d_val, emb, summary in trained:
             embeddings[(k_val, d_val)] = emb
-            reports[(k_val, d_val)] = report
+            summaries[f"k{k_val}_d{d_val}"] = summary
             with _Stage(f"classify[k={k_val},d={d_val}]"):
                 table.rows.append(
                     _score(FGF_METHOD, k_val, emb, labels, splits, FGF_METRIC, config.votes)
@@ -491,17 +491,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         },
         "joint_baseline": "per-dimension z-score within each modality, then concatenation",
         "std_convention": "sample standard deviation (ddof=1); 0.0 for a single split",
-        "train_reports": {
-            f"k{k}_d{d}": {
-                "epoch_loss": rep.epoch_loss,
-                "positive_pairs": rep.positive_pairs,
-                "wall_seconds": rep.wall_seconds,
-            }
-            for (k, d), rep in reports.items()
-        },
+        "train_reports": summaries,
         "timings": timings,
     }
-    return PipelineResult(table=table, manifest=manifest, embeddings=embeddings, reports=reports)
+    return PipelineResult(table=table, manifest=manifest, embeddings=embeddings)
 
 
 def _score_baselines_and_index(config: PipelineConfig, timings: dict):
@@ -552,8 +545,8 @@ def _score_baselines_and_index(config: PipelineConfig, timings: dict):
 
 
 def _train_at_k(config: PipelineConfig, k_val: int, indexes: list, last: bool, timings: dict):
-    """The (d, embeddings, report) of every d of the sweep at k_val. The graphs
-    and the fused graph are call arguments alone, so each dies once consumed."""
+    """The (d, embeddings, report summary) of every d of the sweep at k_val. The
+    graphs and the fused graph are call arguments alone, so each dies once consumed."""
     with _Stage(f"graphs[k={k_val}]"):
         started = time.perf_counter()
         affinity = fusion.normalize_affinity(
@@ -562,12 +555,15 @@ def _train_at_k(config: PipelineConfig, k_val: int, indexes: list, last: bool, t
         )
         samplers = fusion.build_samplers(affinity, noise_power=config.noise_power)
         timings[f"graphs_k{k_val}"] = time.perf_counter() - started
-    trained = []
-    for d_val in (int(v) for v in config.d):
-        with _Stage(f"embed[k={k_val},d={d_val}]"):
-            cfg = config.train_config(d_val, derive_seed(config.seed, "train", k_val, d_val))
-            trained.append((d_val, *train(affinity, samplers, cfg)))
-    return trained
+    return [_embed(config, k_val, int(d_val), affinity, samplers) for d_val in config.d]
+
+
+def _embed(config: PipelineConfig, k_val: int, d_val: int, affinity, samplers):
+    """(d_val, embeddings, report summary) of one cell; the report dies on return."""
+    with _Stage(f"embed[k={k_val},d={d_val}]"):
+        cfg = config.train_config(d_val, derive_seed(config.seed, "train", k_val, d_val))
+        embeddings, report = train(affinity, samplers, cfg)
+    return d_val, embeddings, report.summary()
 
 
 def _graphs(config: PipelineConfig, k_val: int, indexes: list, last: bool) -> list:

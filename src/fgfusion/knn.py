@@ -35,7 +35,6 @@ class KnnIndex:
     neighbor ids of its widest top-k search (see :meth:`topk`)."""
 
     def __init__(self, matrix: np.ndarray, metric: str):
-        self.metric = metric
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
         self._rows, self._sq_norms = _prepare(matrix, metric)
         self.n = self._rows.shape[0]

@@ -372,6 +372,18 @@ def test_labels_with_instance_ids(tmp_path):
     assert list(labels.instance_ids) == ["m1", "m2", "b1", "b2"]
 
 
+def test_labels_skip_blank_lines_and_report_physical_line_numbers(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("\nmug\t m1\n   \n\t\n bowl ,b1\n")
+    labels = load_labels(path)
+    assert list(labels.labels) == ["mug", "bowl"]
+    assert list(labels.instance_ids) == ["m1", "b1"]
+    path.write_text("mug,m1\n\n \t\nbowl,b1,x\nbowl,b2\n")
+    with pytest.raises(ParseError) as exc:
+        load_labels(path)
+    assert exc.value.line == 3
+
+
 def test_labels_empty_file(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("")
