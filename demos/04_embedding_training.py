@@ -3,19 +3,12 @@
 The affinity has two disconnected 5-node blocks with uniform rows. After
 training with negative sampling, vectors inside a block align while the
 blocks drift apart: cosine similarity shows a clean 2x2 structure and the
-surrogate loss drops well below its value at initialization.
+mean pair loss of the last epoch is well below that of the first.
 """
 
 import numpy as np
 
-from fgfusion import (
-    AffinityMatrix,
-    TrainConfig,
-    build_samplers,
-    init_embeddings,
-    surrogate_loss,
-    train,
-)
+from fgfusion import AffinityMatrix, TrainConfig, build_samplers, train
 
 # CSR arrays: row i holds indices[indptr[i]:indptr[i + 1]], its 4 block mates
 indptr = np.arange(11) * 4
@@ -25,13 +18,9 @@ affinity = AffinityMatrix(indptr, indices, np.full(40, 0.25), sigma_sq=np.ones(1
 samplers = build_samplers(affinity)
 cfg = TrainConfig(d=4, samples_per_node=50, epochs=20, seed=0)
 
-target0, context0 = init_embeddings(10, cfg.d, cfg.init_scale, cfg.seed)
-loss0 = surrogate_loss(affinity, target0, context0, samplers, 2000, seed=9)
-print(f"surrogate loss at init:    {loss0:.4f}")
-
 emb, report = train(affinity, samplers, cfg)
-loss1 = surrogate_loss(affinity, emb, report.context, samplers, 2000, seed=9)
-print(f"surrogate loss trained:    {loss1:.4f}")
+print(f"mean pair loss, epoch 1:   {report.epoch_loss[0]:.4f}")
+print(f"mean pair loss, epoch {cfg.epochs}:  {report.epoch_loss[-1]:.4f}")
 print(f"epoch losses: {[round(v, 3) for v in report.epoch_loss[:8]]} ...")
 print(f"positive pairs processed:  {report.positive_pairs}")
 print(f"wall seconds:              {report.wall_seconds:.2f}")

@@ -22,7 +22,7 @@ from .dataset import (
     validate_alignment,
 )
 from .ejgraph import SparseGraph, build_ejg, load_graph, save_graph
-from .embed import TrainConfig, TrainReport, init_embeddings, sgd_step, surrogate_loss, train
+from .embed import TrainConfig, TrainReport, init_embeddings, sgd_step, train
 from .evalharness import (
     PipelineConfig,
     PipelineResult,
@@ -82,7 +82,6 @@ __all__ = [
     "save_graph",
     "save_labels",
     "sgd_step",
-    "surrogate_loss",
     "sweep_report",
     "synth_multimodal",
     "train",

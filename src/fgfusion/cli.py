@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -206,7 +206,7 @@ def _cmd_embed(args) -> int:
     embeddings, report = train(affinity, samplers, cfg)
     save_embeddings(embeddings, args.out, args.format)
     if args.report is not None:
-        args.report.write_text(json.dumps(report.summary(), indent=2), encoding="utf-8")
+        args.report.write_text(json.dumps(asdict(report), indent=2), encoding="utf-8")
     print(f"{args.out}: {embeddings.n} x {embeddings.dim}")
     return EXIT_OK
 

@@ -37,6 +37,7 @@ from .errors import (
     LengthMismatchError,
     NonFiniteValueError,
     ParseError,
+    check_types,
 )
 from .randomness import rng_stream
 
@@ -424,6 +425,10 @@ def synth_multimodal(
     deviation ``noise`` is added to every coordinate. The output is a pure
     function of the arguments.
     """
+    check_types(
+        {"n_classes": n_classes, "per_class": per_class, "seed": seed},
+        synth_multimodal.__annotations__,
+    )
     if n_classes < 2 or per_class < 2:
         raise InvalidConfigError("need n_classes >= 2 and per_class >= 2")
     if not (math.isfinite(noise) and noise >= 0):

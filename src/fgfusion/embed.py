@@ -5,7 +5,7 @@ draws context nodes from it, pulls the (target, context) vector pair
 together through a logistic objective, and pushes sampled noise pairs
 apart. The returned fused features are the target matrix; the context
 matrix is an auxiliary parameter set, as in the standard two-matrix
-word-embedding setup.
+word-embedding setup, and dies inside :func:`train`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import EmbeddingMatrix
-from .errors import DivergenceError, InvalidConfigError
+from .errors import DivergenceError, InvalidConfigError, check_types
 from .fusion import AffinityMatrix, SamplerTable
 from .randomness import rng_stream
 
@@ -39,6 +39,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_types(vars(self), TrainConfig.__annotations__)
         if self.d < 1:
             raise InvalidConfigError("d must be >= 1")
         if self.samples_per_node < 1:
@@ -58,25 +59,13 @@ class TrainReport:
     epoch_loss: list[float] = field(default_factory=list)
     positive_pairs: int = 0
     wall_seconds: float = 0.0
-    # auxiliary context parameters, kept so the surrogate loss of a trained
-    # model can be evaluated after the fact
-    context: "EmbeddingMatrix | None" = None
-
-    def summary(self) -> dict:
-        """The report without its context: what a manifest or ``--report`` records."""
-        return {f: getattr(self, f) for f in ("epoch_loss", "positive_pairs", "wall_seconds")}
-
-
-def _pair_loss(y: np.ndarray) -> np.ndarray:
-    """-log sigmoid(y), elementwise: the loss of a pair with signed score y
-    (the dot product for an observed pair, its negation for a noise pair)."""
-    return np.logaddexp(0.0, -y)
 
 
 def init_embeddings(
     n: int, d: int, init_scale: float = TrainConfig.init_scale, seed: int = TrainConfig.seed
 ) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
     """Target rows uniform in [-init_scale/d, +init_scale/d]; context zeros."""
+    check_types({"n": n, "d": d, "seed": seed}, init_embeddings.__annotations__)
     if n < 1 or d < 1:
         raise InvalidConfigError("need n >= 1 and d >= 1")
     if not (math.isfinite(init_scale) and init_scale > 0):
@@ -86,13 +75,6 @@ def init_embeddings(
     return EmbeddingMatrix(target), EmbeddingMatrix(np.zeros((n, d), dtype=np.float64))
 
 
-def _scores(f: np.ndarray, g: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Signed scores (b, K) of target rows f (b, d) against context rows g (b, K, d)."""
-    y = np.einsum("bd,bkd->bk", f, g)
-    y *= signs
-    return y
-
-
 def _step(
     f: np.ndarray, context: np.ndarray, pairs: np.ndarray, rates: np.ndarray, signs: np.ndarray
 ) -> np.ndarray:
@@ -100,7 +82,8 @@ def _step(
     in place, at rates lr * sign. Each row moves by the sum of its pairs' gradients
     at the pre-step rows. Returns the signed scores."""
     g = context[pairs]
-    y = _scores(f, g, signs)
+    y = np.einsum("bd,bkd->bk", f, g)
+    y *= signs
     # lr * (label - sigmoid(x)) for score x is lr * sign * sigmoid(-y)
     delta = rates / (1.0 + np.exp(y))
     # context entry (row, j) sits at row * d + j of the flat view; ufunc.at adds
@@ -128,11 +111,6 @@ def sgd_step(f_i: np.ndarray, g_j: np.ndarray, label: int, lr: float) -> tuple[n
         _step(f, g, np.zeros((1, 1), dtype=np.int64), lr * signs[None], signs)
     f_i[:], g_j[:] = f[0], g[0]
     return f_i, g_j
-
-
-def _signs(negatives: int) -> np.ndarray:
-    """+1 scores a draw's observed pair, -1 each of its noise pairs."""
-    return np.concatenate(([1.0], np.full(negatives, -1.0)))
 
 
 def _draw_pairs(
@@ -195,7 +173,8 @@ def train(
     # Reads within a block are stale by at most one block's updates; keep
     # the block a small share of the nodes.
     block = min(32, max(1, n // 8))
-    signs = _signs(cfg.negatives)
+    # +1 scores a draw's observed pair, -1 each of its noise pairs
+    signs = np.concatenate(([1.0], np.full(cfg.negatives, -1.0)))
 
     report = TrainReport(positive_pairs=total_draws)
     step = 0
@@ -218,7 +197,8 @@ def train(
                 for t in range(m):
                     scores[t] = _step(f, context, pairs[t], rates[t], signs)
                 target[nodes] = f
-                epoch_loss += float(_pair_loss(scores).sum())
+                # a pair's loss is -log sigmoid(its signed score)
+                epoch_loss += float(np.logaddexp(0.0, -scores).sum())
             report.epoch_loss.append(epoch_loss / (n * m))
             if not np.isfinite(target).all() or not np.isfinite(context).all():
                 raise DivergenceError("non-finite embedding values during training")
@@ -227,32 +207,4 @@ def train(
                     f"embedding magnitude exceeded {DIVERGENCE_LIMIT:g}; lower the learning rate"
                 )
     report.wall_seconds = time.perf_counter() - started
-    report.context = EmbeddingMatrix(context)
     return EmbeddingMatrix(target), report
-
-
-def surrogate_loss(
-    affinity: AffinityMatrix,
-    target: EmbeddingMatrix | np.ndarray,
-    context: EmbeddingMatrix | np.ndarray,
-    samplers: SamplerTable,
-    sample_count: int,
-    seed: int = 0,
-    negatives: int = TrainConfig.negatives,
-) -> float:
-    """Monte Carlo estimate of the mean per-pair training loss.
-
-    Each probe draws a uniform node, then one context and ``negatives``
-    noise nodes the way training draws them; the probe's loss is the
-    negative log-likelihood of that group.
-    """
-    f = target.vectors if isinstance(target, EmbeddingMatrix) else np.asarray(target)
-    g = context.vectors if isinstance(context, EmbeddingMatrix) else np.asarray(context)
-    if f.shape != g.shape or f.shape[0] != affinity.n:
-        raise InvalidConfigError("target/context shapes do not match the affinity")
-    if sample_count < 1:
-        raise InvalidConfigError("sample_count must be >= 1")
-    rng = rng_stream(seed, "loss")
-    nodes = rng.integers(affinity.n, size=sample_count)
-    cols = _draw_pairs(samplers, nodes, 1, negatives, rng)[0]
-    return float(_pair_loss(_scores(f[nodes], g[cols], _signs(negatives))).sum()) / sample_count

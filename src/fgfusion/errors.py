@@ -9,6 +9,8 @@ Plain I/O problems surface as the builtin ``FileNotFoundError`` /
 
 from __future__ import annotations
 
+from numbers import Integral, Real
+
 
 class FgfError(Exception):
     """Base class for all library errors."""
@@ -32,6 +34,31 @@ class InvalidMetricError(ConfigError):
 
 class KOutOfRangeError(ConfigError):
     """Neighbor count outside the valid range."""
+
+
+def check_types(
+    values: dict, annotations: dict, error: type[ConfigError] = InvalidConfigError
+) -> None:
+    """Raise ``error`` unless each of ``values`` holds what its string annotation
+    names: a bool for ``bool``, an integer for ``int``, a real for ``float``, and a
+    list of those for ``list[...]``; an ``... | None`` annotation also takes None.
+    Other annotations are not checked. Numpy scalars pass, bools pass only as bool."""
+    for name, value in values.items():
+        annotation = annotations[name]
+        kind = (
+            bool if annotation == "bool"
+            else Integral if "int" in annotation
+            else Real if "float" in annotation
+            else None
+        )
+        if kind is None or (value is None and annotation.endswith("None")):
+            continue
+        items = value if annotation.startswith("list") else [value]
+        # JSON's true and false are bools, and a bool is an Integral too
+        if not isinstance(items, (list, tuple)) or not all(
+            isinstance(v, kind) and isinstance(v, bool) == (kind is bool) for v in items
+        ):
+            raise error(f"{name} must hold {kind.__name__} values, got {value!r}")
 
 
 class DataError(FgfError):

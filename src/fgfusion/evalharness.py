@@ -12,8 +12,8 @@ from __future__ import annotations
 import inspect
 import json
 import time
-from dataclasses import dataclass, field, fields
-from numbers import Integral, Real
+from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,7 @@ from .errors import (
     InvalidConfigError,
     InvalidSpecError,
     PipelineStageError,
+    check_types,
 )
 from .randomness import rng_stream
 
@@ -76,6 +77,7 @@ class SplitSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        check_types(vars(self), SplitSpec.__annotations__, InvalidSpecError)
         if self.protocol not in PROTOCOLS:
             raise InvalidSpecError(f"unknown protocol {self.protocol!r}")
         if self.repeats < 1:
@@ -190,8 +192,8 @@ def knn_classify(
     train_idx, test_idx = train_idx.astype(np.int64), test_idx.astype(np.int64)
     if _mask(train_idx, n)[test_idx].any():
         raise InvalidSpecError("train and test indices overlap")
-    if votes < 1:
-        raise InvalidConfigError("votes must be >= 1")
+    if not isinstance(votes, Integral) or votes < 1:
+        raise InvalidConfigError(f"votes must be an integer >= 1, got {votes!r}")
     votes = min(votes, train_idx.size)
 
     # the votes are selected one block of test rows at a time, as topk_arrays
@@ -346,22 +348,7 @@ class PipelineConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for f in fields(self):  # bool and numeric fields, by their annotations
-            kind = (
-                bool if f.type == "bool"
-                else Integral if "int" in f.type
-                else Real if f.type == "float"
-                else None
-            )
-            value = getattr(self, f.name)
-            values = value if f.type.startswith("list") else [value]
-            if kind is None or (value is None and f.type.endswith("None")):
-                continue
-            # JSON's true and false are bools, and a bool is an Integral too
-            if not isinstance(values, (list, tuple)) or not all(
-                isinstance(v, kind) and isinstance(v, bool) == (kind is bool) for v in values
-            ):
-                raise InvalidConfigError(f"{f.name} must hold {kind.__name__} values, got {value!r}")
+        check_types(vars(self), PipelineConfig.__annotations__)
         if len(self.features) < 2:
             raise InvalidConfigError("pipeline needs at least two modalities")
         for spec in self.features:
@@ -563,7 +550,7 @@ def _embed(config: PipelineConfig, k_val: int, d_val: int, affinity, samplers):
     with _Stage(f"embed[k={k_val},d={d_val}]"):
         cfg = config.train_config(d_val, derive_seed(config.seed, "train", k_val, d_val))
         embeddings, report = train(affinity, samplers, cfg)
-    return d_val, embeddings, report.summary()
+    return d_val, embeddings, asdict(report)
 
 
 def _graphs(config: PipelineConfig, k_val: int, indexes: list, last: bool) -> list:

@@ -15,6 +15,8 @@ stable sort would, and a sample is never its own neighbor.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from .dataset import FeatureMatrix
@@ -128,8 +130,8 @@ def _query_blocks(n_queries: int, width: int) -> list[slice]:
 
 
 def _check_k(n: int, k: int, name: str = "k") -> None:
-    if not 1 <= k <= n - 1:
-        raise KOutOfRangeError(f"{name}={k} outside [1, {n - 1}] for n={n}")
+    if not (isinstance(k, Integral) and 1 <= k <= n - 1):
+        raise KOutOfRangeError(f"{name}={k} is not an integer in [1, {n - 1}] for n={n}")
 
 
 def _block_rows(n: int) -> int:

@@ -381,15 +381,13 @@ def test_fuse_rejects_arrays_that_do_not_form_csr(flaw):
 
 def test_pipeline_releases_each_stage_once_consumed(tmp_path, monkeypatch):
     """In a k sweep, each k's graphs, fused graph, affinity and samplers are
-    dead when the next k's first graph is built, the knn indexes, their
-    searches and the features are dead once the last k's graphs exist, and
-    each training report's context is dead before its cell is classified."""
+    dead when the next k's first graph is built, and the knn indexes, their
+    searches and the features are dead once the last k's graphs exist."""
     params = write_fixture(tmp_path)
     params.update(k=[3, 5, 4], d=[2, 3], epochs=1, samples_per_node=2)
     ks = params["k"]
     made = {k: [] for k in ks}  # weakrefs to each k's graphs, fused graph, affinity, samplers
     features, memos = [], []  # weakrefs to the feature arrays, the indexes and their searches
-    contexts = []  # weakrefs to each trained report's context vectors
     seen = {"k": None, "classify": []}
 
     def dead(refs):
@@ -406,8 +404,6 @@ def test_pipeline_releases_each_stage_once_consumed(tmp_path, monkeypatch):
                 memos.append(weakref.ref(result))
             elif name == "load_features":
                 features.append(weakref.ref(result.data))
-            elif name == "train":
-                contexts.append(weakref.ref(result[1].context.vectors))
             elif name != "knn_classify":
                 made[seen["k"]].append(weakref.ref(result))
             return result
@@ -433,7 +429,6 @@ def test_pipeline_releases_each_stage_once_consumed(tmp_path, monkeypatch):
         assert dead(made[seen["k"]][-2:-1]), "the fused graph outlives its normalization"
 
     def before_classify(*args):
-        assert dead(contexts), "a training report outlives its cell's training"
         seen["classify"].append(dead(memos + features))
 
     record(evalharness, "load_features")
@@ -442,12 +437,10 @@ def test_pipeline_releases_each_stage_once_consumed(tmp_path, monkeypatch):
     record(fusion, "fuse_graphs", before_fuse)
     record(fusion, "normalize_affinity", before_normalize)
     record(fusion, "build_samplers", before_samplers)
-    record(evalharness, "train")
     record(evalharness, "knn_classify", before_classify)
     result = evalharness.run_pipeline(PipelineConfig(**params))
     assert [len(made[k]) for k in ks] == [5, 5, 5]  # two graphs, fused, affinity, samplers
     assert len(memos) == 2 + 2 and len(features) == 2  # two indexes and their ids
-    assert len(contexts) == len(ks) * 2
     assert seen["classify"][-1]  # the last classify runs with every index dead
     assert [(r.k, r.d) for r in result.table.fgf_rows()] == [(k, d) for k in ks for d in (2, 3)]
 

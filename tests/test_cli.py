@@ -99,6 +99,7 @@ def test_stagewise_chain(fixture_dir, tmp_path):
     assert emb.vectors.shape == (32, 8)
     report = json.loads((tmp_path / "report.json").read_text())
     assert len(report["epoch_loss"]) == 4
+    assert list(report) == ["epoch_loss", "positive_pairs", "wall_seconds"]
 
     proc = run_cli(
         "eval", "--embeddings", tmp_path / "emb.bin", "--format", "binary",

@@ -427,6 +427,9 @@ def test_synth_rejects_bad_args():
         synth_multimodal(1, 10)
     with pytest.raises(InvalidConfigError):
         synth_multimodal(4, 10, complementarity=1.5)
+    for args in ((2.5, 10), (4, 10.0), (4, 10, 0.0, 1.0, 1.5)):
+        with pytest.raises(InvalidConfigError):
+            synth_multimodal(*args)
 
 
 def test_synth_complementary_separation_structure():

@@ -11,7 +11,6 @@ from fgfusion import (
     build_samplers,
     init_embeddings,
     sgd_step,
-    surrogate_loss,
     train,
 )
 from fgfusion.embed import _step
@@ -49,6 +48,9 @@ def test_init_bound_scales_inversely_with_d():
 def test_init_rejects_bad_args():
     with pytest.raises(InvalidConfigError):
         init_embeddings(0, 4)
+    for args in ((2.5, 3), (4, 2.5), (4, 3, 1.0, 1.5)):
+        with pytest.raises(InvalidConfigError):
+            init_embeddings(*args)
     for init_scale in (0.0, float("nan"), float("inf")):
         with pytest.raises(InvalidConfigError, match="init_scale"):
             init_embeddings(4, 4, init_scale=init_scale)
@@ -194,10 +196,9 @@ def test_training_repeats_bit_for_bit_at_any_node_count(n):
     cfg = TrainConfig(d=3, samples_per_node=4, negatives=2, epochs=3, seed=n)
     emb1, rep1 = train(aff, samplers, cfg)
     emb2, rep2 = train(aff, samplers, cfg)
-    assert emb1.vectors.shape == rep1.context.vectors.shape == (n, 3)
+    assert emb1.vectors.shape == (n, 3)
     assert np.isfinite(emb1.vectors).all() and len(rep1.epoch_loss) == 3
     assert emb1.vectors.tobytes() == emb2.vectors.tobytes()
-    assert rep1.context.vectors.tobytes() == rep2.context.vectors.tobytes()
     assert rep1.epoch_loss == rep2.epoch_loss
 
 
@@ -309,48 +310,10 @@ def test_config_validation():
         TrainConfig(d=4, lr_start=0.01, lr_end=0.02).validate()
     with pytest.raises(InvalidConfigError):
         TrainConfig(d=4, lr_start=0.01, lr_end=0.0).validate()
+    for field in ("d", "samples_per_node", "negatives", "epochs", "seed"):
+        with pytest.raises(InvalidConfigError, match=field):
+            TrainConfig(**{"d": 4, field: 1.5}).validate()
     for field, value in [("init_scale", math.nan), ("init_scale", math.inf),
                          ("lr_start", math.inf), ("lr_start", math.nan), ("lr_end", math.nan)]:
         with pytest.raises(InvalidConfigError, match=field.split("_")[0]):
             TrainConfig(d=4, **{field: value}).validate()
-
-
-# ---------------------------------------------------------------------------
-# Surrogate loss
-# ---------------------------------------------------------------------------
-
-
-def test_loss_of_zero_embeddings_is_analytic(two_block_affinity):
-    samplers = build_samplers(two_block_affinity)
-    zeros = np.zeros((10, 4))
-    for negatives in (1, 5):
-        loss = surrogate_loss(
-            two_block_affinity, zeros, zeros, samplers, sample_count=50,
-            seed=3, negatives=negatives,
-        )
-        assert loss == pytest.approx((1 + negatives) * math.log(2.0), rel=1e-12)
-
-
-def test_training_reduces_surrogate_loss(two_block_affinity):
-    samplers = build_samplers(two_block_affinity)
-    cfg = TrainConfig(d=4, samples_per_node=50, epochs=20, seed=4)
-    init_t, init_c = init_embeddings(10, 4, cfg.init_scale, cfg.seed)
-    before = surrogate_loss(two_block_affinity, init_t, init_c, samplers, 2000, seed=77)
-    emb, report = train(two_block_affinity, samplers, cfg)
-    after = surrogate_loss(two_block_affinity, emb, report.context, samplers, 2000, seed=77)
-    assert after < before
-
-
-def test_monte_carlo_consistency(two_block_affinity):
-    """Doubling the probe count moves the estimate by < 3 standard errors."""
-    samplers = build_samplers(two_block_affinity)
-    rng = np.random.default_rng(8)
-    target = rng.normal(scale=0.3, size=(10, 4))
-    context = rng.normal(scale=0.3, size=(10, 4))
-    estimates = [
-        surrogate_loss(two_block_affinity, target, context, samplers, 1000, seed=s)
-        for s in range(12)
-    ]
-    se = np.std(estimates, ddof=1)
-    big = surrogate_loss(two_block_affinity, target, context, samplers, 2000, seed=100)
-    assert abs(big - np.mean(estimates)) < 3 * se

@@ -172,6 +172,9 @@ def test_bad_specs():
         make_splits(labels, SplitSpec("per_class_train_m", 2.5, repeats=1, seed=0))
     with pytest.raises(InvalidSpecError):
         make_splits(labels_of("aaaa"), SplitSpec("per_class_train_m", 1, repeats=1, seed=0))
+    for repeats, seed in ((2.5, 0), (1, 1.5)):
+        with pytest.raises(InvalidSpecError):
+            make_splits(labels, SplitSpec("per_class_train_m", 1, repeats=repeats, seed=seed))
 
 
 @pytest.mark.parametrize("value", [None, float("nan"), float("inf")])
@@ -283,6 +286,10 @@ def test_majority_vote_with_tie_falls_back_to_nearest():
     # clear majority (2 of 3) overrides the nearest single neighbor
     labels3 = labels_of(["y", "x", "y", "y", "x"])
     assert knn_classify(data, labels3, np.arange(1, 5), np.array([0]), votes=3) == 1.0
+    assert knn_classify(data, labels3, np.arange(1, 5), np.array([0]), votes=np.int64(3)) == 1.0
+    for votes in (0, 2.5, float("nan")):
+        with pytest.raises(InvalidConfigError, match="votes"):
+            knn_classify(data, labels3, np.arange(1, 5), np.array([0]), votes=votes)
 
 
 def sorted_vote_accuracy(data, labels, train_idx, test_idx, votes):
@@ -690,3 +697,6 @@ def test_pipeline_manifest_contents(tmp_path):
     assert manifest["classifier"]["fgf_metric"] == "cosine"
     assert "k6_d8" in manifest["train_reports"]
     assert len(manifest["train_reports"]["k6_d8"]["epoch_loss"]) == 6
+    assert list(manifest["train_reports"]["k6_d8"]) == [
+        "epoch_loss", "positive_pairs", "wall_seconds"
+    ]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fgfusion import FeatureMatrix, build_index, knn, pairwise_distances
+from fgfusion import FeatureMatrix, build_ejg, build_index, knn, pairwise_distances
 from fgfusion.knn import stable_topk, topk_arrays
 from fgfusion.errors import (
     DimensionMismatchError,
@@ -219,6 +219,10 @@ def test_k_out_of_range():
         topk_arrays(index, 4)
     with pytest.raises(KOutOfRangeError):
         topk_arrays(index, 0)
+    for search in (topk_arrays, build_ejg, lambda index, k: index.topk(k)):
+        with pytest.raises(KOutOfRangeError):
+            search(index, 2.5)
+    assert topk_arrays(index, np.int64(2))[0].shape == (4, 2)
 
 
 def test_accepts_feature_matrix():
