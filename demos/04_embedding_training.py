@@ -18,7 +18,7 @@ affinity = AffinityMatrix(indptr, indices, np.full(40, 0.25), sigma_sq=np.ones(1
 samplers = build_samplers(affinity)
 cfg = TrainConfig(d=4, samples_per_node=50, epochs=20, seed=0)
 
-emb, report = train(affinity, samplers, cfg)
+emb, report = train(samplers, cfg)
 print(f"mean pair loss, epoch 1:   {report.epoch_loss[0]:.4f}")
 print(f"mean pair loss, epoch {cfg.epochs}:  {report.epoch_loss[-1]:.4f}")
 print(f"epoch losses: {[round(v, 3) for v in report.epoch_loss[:8]]} ...")

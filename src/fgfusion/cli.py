@@ -201,9 +201,13 @@ def _cmd_embed(args) -> int:
     cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     cfg.validate()
     check_noise_power(args.noise_power)
-    affinity = load_affinity(args.affinity, args.affinity_format)
-    samplers = build_samplers(affinity, noise_power=args.noise_power)
-    embeddings, report = train(affinity, samplers, cfg)
+    # the loaded affinity is an argument of the sampler build alone, so it is
+    # freed once its table exists
+    samplers = build_samplers(
+        load_affinity(args.affinity, args.affinity_format), noise_power=args.noise_power
+    )
+    # cfg by keyword: perfbench's tracer finds it only as args[2] or kwargs["cfg"]
+    embeddings, report = train(samplers, cfg=cfg)
     save_embeddings(embeddings, args.out, args.format)
     if args.report is not None:
         args.report.write_text(json.dumps(asdict(report), indent=2), encoding="utf-8")
@@ -256,7 +260,7 @@ def _cmd_pipeline(args) -> int:
         "embeddings": emb_paths,
     }
     for axis in ("k", "d"):
-        if len(set(getattr(config, axis))) >= 2:
+        if len(getattr(config, axis)) >= 2:  # validate() rejects a repeated value
             sweep_path = args.out_dir / f"sweep_{axis}.csv"
             sweep_path.write_text(sweep_report(result.table, axis), encoding="utf-8")
             result.manifest["outputs"][f"sweep_{axis}"] = str(sweep_path)

@@ -1,9 +1,10 @@
 """Fused-feature learning with negative-sampling SGD.
 
 Each node's affinity row is treated as a context distribution. Training
-draws context nodes from it, pulls the (target, context) vector pair
-together through a logistic objective, and pushes sampled noise pairs
-apart. The returned fused features are the target matrix; the context
+reads only the sampler table built from the affinity: it draws context
+nodes from a node's row, pulls the (target, context) vector pair together
+through a logistic objective, and pushes sampled noise pairs apart. The
+returned fused features are the target matrix; the context
 matrix is an auxiliary parameter set, as in the standard two-matrix
 word-embedding setup, and dies inside :func:`train`.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from .dataset import EmbeddingMatrix
 from .errors import DivergenceError, InvalidConfigError, check_types
-from .fusion import AffinityMatrix, SamplerTable
+from .fusion import SamplerTable
 from .randomness import rng_stream
 
 DIVERGENCE_LIMIT = 1e3
@@ -137,12 +138,9 @@ def _draw_pairs(
     return np.concatenate((ctx.T[:, :, None], negs.transpose(1, 0, 2)), axis=2)
 
 
-def train(
-    affinity: AffinityMatrix,
-    samplers: SamplerTable,
-    cfg: TrainConfig,
-) -> tuple[EmbeddingMatrix, TrainReport]:
-    """Learn fused features from the affinity's context distributions.
+def train(samplers: SamplerTable, cfg: TrainConfig) -> tuple[EmbeddingMatrix, TrainReport]:
+    """Learn fused features from the context distributions of ``samplers``,
+    one per node, and its noise distribution.
 
     Per epoch, nodes are visited in a random order, in blocks of
     ``min(32, max(1, n // 8))``. Each node draws ``samples_per_node``
@@ -156,9 +154,7 @@ def train(
     deterministic in cfg.seed.
     """
     cfg.validate()
-    n = affinity.n
-    if samplers.n != n:
-        raise InvalidConfigError(f"sampler covers {samplers.n} nodes, affinity {n}")
+    n = samplers.n
 
     started = time.perf_counter()
     # the matrices' arrays are trained in place

@@ -86,7 +86,7 @@ def complementary_run(run_seed, k, with_baselines=True):
     affinity = normalize_affinity(fuse_graphs(graphs))
     samplers = build_samplers(affinity)
     cfg = TrainConfig(d=32, samples_per_node=50, epochs=30, lr_start=0.05, seed=run_seed + 13)
-    emb, _ = train(affinity, samplers, cfg)
+    emb, _ = train(samplers, cfg)
     acc_fgf = np.mean([knn_classify(emb, labels, tr, te, "cosine") for tr, te in splits])
     return acc_a, acc_b, acc_joint, acc_fgf
 
@@ -191,7 +191,7 @@ def test_criterion_5_descent_and_structure_recovery(two_block_affinity, block_la
         for seed in range(5):
             samplers = build_samplers(two_block_affinity)
             cfg = TrainConfig(d=4, samples_per_node=50, epochs=20, seed=seed)
-            emb, report = train(two_block_affinity, samplers, cfg)
+            emb, report = train(samplers, cfg)
             assert report.epoch_loss[4] < report.epoch_loss[0]
             unit = emb.vectors / np.linalg.norm(emb.vectors, axis=1, keepdims=True)
             sims = unit @ unit.T

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from fgfusion import (
-    AffinityMatrix,
     LabelVector,
     ResultRow,
     ResultTable,
@@ -283,9 +282,9 @@ def test_every_embed_flag_reaches_train(fixture_dir, tmp_path, monkeypatch):
     save_affinity(normalize_affinity(fuse_graphs(graphs)), tmp_path / "aff.bin", "binary")
     calls = []
 
-    def fake_train(affinity, samplers, cfg):
+    def fake_train(samplers, cfg):
         calls.append((samplers, cfg))
-        return EmbeddingMatrix(np.zeros((affinity.n, cfg.d))), TrainReport()
+        return EmbeddingMatrix(np.zeros((samplers.n, cfg.d))), TrainReport()
 
     monkeypatch.setattr(cli, "train", fake_train)
     training = {
@@ -305,21 +304,6 @@ def test_every_embed_flag_reaches_train(fixture_dir, tmp_path, monkeypatch):
         init_scale=0.5, seed=11,
     )
     assert samplers.noise_power == 0.5
-
-
-def test_embed_validates_its_affinity_once(fixture_dir, tmp_path, monkeypatch):
-    graphs = [
-        build_ejg(build_index(load_features(fixture_dir / f"modality_{name}.csv")), 4)
-        for name in ("a", "b")
-    ]
-    save_affinity(normalize_affinity(fuse_graphs(graphs)), tmp_path / "aff.bin", "binary")
-    checks = []
-    validate = AffinityMatrix.validate
-    monkeypatch.setattr(AffinityMatrix, "validate", lambda aff: checks.append(aff) or validate(aff))
-    argv = ["embed", "--affinity", str(tmp_path / "aff.bin"), "--out", str(tmp_path / "emb.bin"),
-            "--affinity-format", "binary", "--dim", "4", "--epochs", "1"]
-    assert cli.main(argv) == 0
-    assert len(checks) == 1
 
 
 def test_exit_code_2_on_bad_flag():
@@ -394,6 +378,20 @@ def test_pipeline_exits_2_on_a_bad_config_value(fixture_dir, tmp_path, capsys, f
     argv = ["pipeline", "--config", str(tmp_path / "config.json"), "--out-dir", str(tmp_path / "o")]
     assert cli.main(argv) == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field", ["k", "d"])
+def test_pipeline_exits_2_on_a_repeated_sweep_value(fixture_dir, tmp_path, capsys, field):
+    config = {
+        "features": [{"path": "data/modality_a.csv"}, {"path": "data/modality_b.csv"}],
+        "labels": "data/labels.txt",
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    argv = ["pipeline", "--config", str(tmp_path / "config.json"), "--out-dir", str(tmp_path / "o"),
+            f"--{field}", "5", "5"]
+    assert cli.main(argv) == 2
+    assert f"{field} sweep repeats a value" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -175,7 +175,7 @@ def test_block_step_sums_the_per_pair_steps_at_the_prestep_rows():
 def test_zero_epochs_returns_initialization(two_block_affinity):
     samplers = build_samplers(two_block_affinity)
     cfg = TrainConfig(d=4, samples_per_node=10, epochs=0, seed=12)
-    emb, report = train(two_block_affinity, samplers, cfg)
+    emb, report = train(samplers, cfg)
     init_target, _ = init_embeddings(10, 4, cfg.init_scale, cfg.seed)
     assert emb.vectors.tobytes() == init_target.vectors.tobytes()
     assert report.epoch_loss == [] and report.positive_pairs == 0
@@ -194,8 +194,8 @@ def test_training_repeats_bit_for_bit_at_any_node_count(n):
     aff = ring_affinity(n)
     samplers = build_samplers(aff)
     cfg = TrainConfig(d=3, samples_per_node=4, negatives=2, epochs=3, seed=n)
-    emb1, rep1 = train(aff, samplers, cfg)
-    emb2, rep2 = train(aff, samplers, cfg)
+    emb1, rep1 = train(samplers, cfg)
+    emb2, rep2 = train(samplers, cfg)
     assert emb1.vectors.shape == (n, 3)
     assert np.isfinite(emb1.vectors).all() and len(rep1.epoch_loss) == 3
     assert emb1.vectors.tobytes() == emb2.vectors.tobytes()
@@ -205,8 +205,8 @@ def test_training_repeats_bit_for_bit_at_any_node_count(n):
 def test_training_is_bitwise_deterministic(two_block_affinity):
     samplers = build_samplers(two_block_affinity)
     cfg = TrainConfig(d=4, samples_per_node=20, epochs=5, seed=9)
-    emb1, rep1 = train(two_block_affinity, samplers, cfg)
-    emb2, rep2 = train(two_block_affinity, samplers, cfg)
+    emb1, rep1 = train(samplers, cfg)
+    emb2, rep2 = train(samplers, cfg)
     assert emb1.vectors.tobytes() == emb2.vectors.tobytes()
     assert rep1.epoch_loss == rep2.epoch_loss
 
@@ -217,7 +217,7 @@ def test_two_block_recovery_and_descent(two_block_affinity, block_labels):
     for seed in range(5):
         samplers = build_samplers(two_block_affinity)
         cfg = TrainConfig(d=4, samples_per_node=50, epochs=20, seed=seed)
-        emb, report = train(two_block_affinity, samplers, cfg)
+        emb, report = train(samplers, cfg)
         assert report.epoch_loss[4] < report.epoch_loss[0]
 
         unit = emb.vectors / np.linalg.norm(emb.vectors, axis=1, keepdims=True)
@@ -244,7 +244,7 @@ def test_three_block_recovery():
     aff = AffinityMatrix(*csr(zip(neighbor_ids, probs)), sigma_sq=np.ones(12))
     for seed in range(3):
         samplers = build_samplers(aff)
-        emb, _ = train(aff, samplers, TrainConfig(d=4, samples_per_node=50, epochs=20, seed=seed))
+        emb, _ = train(samplers, TrainConfig(d=4, samples_per_node=50, epochs=20, seed=seed))
         unit = emb.vectors / np.linalg.norm(emb.vectors, axis=1, keepdims=True)
         sims = unit @ unit.T
         np.fill_diagonal(sims, -2.0)
@@ -254,7 +254,7 @@ def test_three_block_recovery():
 def test_embeddings_stay_bounded_with_default_lr(two_block_affinity):
     samplers = build_samplers(two_block_affinity)
     cfg = TrainConfig(d=8, samples_per_node=50, epochs=30, seed=1)
-    emb, _ = train(two_block_affinity, samplers, cfg)
+    emb, _ = train(samplers, cfg)
     assert np.abs(emb.vectors).max() <= 1e3
 
 
@@ -262,7 +262,7 @@ def test_divergence_detector_trips_on_huge_learning_rate(two_block_affinity):
     samplers = build_samplers(two_block_affinity)
     cfg = TrainConfig(d=4, samples_per_node=50, epochs=10, lr_start=200.0, lr_end=0.1, seed=1)
     with pytest.raises(DivergenceError):
-        train(two_block_affinity, samplers, cfg)
+        train(samplers, cfg)
 
 
 @contextlib.contextmanager
@@ -291,14 +291,14 @@ def test_concentrated_noise_distribution_raises_instead_of_hanging():
     samplers = build_samplers(aff, noise_power=200.0)
     assert samplers.noise_probs[0] > 1 - 1e-12
     with time_limit(20), pytest.raises(InvalidConfigError, match="noise_power"):
-        train(aff, samplers, TrainConfig(d=4, samples_per_node=5, epochs=1, seed=0))
+        train(samplers, TrainConfig(d=4, samples_per_node=5, epochs=1, seed=0))
 
 
 def test_train_rejects_a_threads_argument(two_block_affinity):
     samplers = build_samplers(two_block_affinity)
     cfg = TrainConfig(d=4, samples_per_node=10, epochs=2, seed=2)
     with pytest.raises(TypeError):
-        train(two_block_affinity, samplers, cfg, threads=2)
+        train(samplers, cfg, threads=2)
 
 
 def test_config_validation():

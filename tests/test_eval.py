@@ -598,6 +598,14 @@ def test_pipeline_config_rejects_bad_noise_power(tmp_path, power):
         ("noise_power", False),
         ("header", "false"),
         ("header", 0),
+        # the shape checks from_json applies, on a config built in Python
+        ("features", [{"path": 1}, {"path": 2}]),
+        ("features", [{"name": "a"}, {"name": "b"}]),
+        ("features", ["a.csv", "b.csv"]),
+        ("features", None),
+        ("features", [{"path": "a.csv", "name": 5}, {"path": "b.csv"}]),
+        ("labels", None),
+        ("labels", 5),
     ],
 )
 def test_pipeline_config_rejects_wrongly_typed_fields(tmp_path, field, value):
@@ -625,6 +633,14 @@ def test_pipeline_config_rejects_bad_values_before_any_stage(tmp_path, field, va
     params = write_fixture(tmp_path)
     params[field] = value
     with pytest.raises(InvalidConfigError, match=field.split("_")[0]):
+        PipelineConfig(**params).validate()
+
+
+@pytest.mark.parametrize("field, values", [("k", [5, 5]), ("d", [4, 8, 4])])
+def test_pipeline_config_rejects_a_repeated_sweep_value(tmp_path, field, values):
+    params = write_fixture(tmp_path)
+    params[field] = values
+    with pytest.raises(InvalidConfigError, match=f"{field} sweep repeats a value"):
         PipelineConfig(**params).validate()
 
 
