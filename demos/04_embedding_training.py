@@ -23,7 +23,6 @@ print(f"mean pair loss, epoch 1:   {report.epoch_loss[0]:.4f}")
 print(f"mean pair loss, epoch {cfg.epochs}:  {report.epoch_loss[-1]:.4f}")
 print(f"epoch losses: {[round(v, 3) for v in report.epoch_loss[:8]]} ...")
 print(f"positive pairs processed:  {report.positive_pairs}")
-print(f"wall seconds:              {report.wall_seconds:.2f}")
 
 unit = emb.vectors / np.linalg.norm(emb.vectors, axis=1, keepdims=True)
 sims = unit @ unit.T

@@ -155,10 +155,10 @@ def _check_finite(arr: np.ndarray, where: str = "") -> None:
 
 @contextmanager
 def _open_text(path: Path):
-    """``path`` opened as UTF-8 text; bytes that are not UTF-8 raise
-    ParseError wherever the reader meets them."""
+    """``path`` opened as UTF-8 text, one leading byte-order mark skipped;
+    bytes that are not UTF-8 raise ParseError wherever the reader meets them."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -185,7 +185,7 @@ def _read_csv_table(source, dtype, ndmin: int, skiprows: int = 0) -> np.ndarray 
             warnings.simplefilter("error")
             return np.loadtxt(
                 source, dtype=dtype, delimiter=",", comments=None, quotechar=None,
-                encoding="utf-8", ndmin=ndmin, skiprows=skiprows,
+                encoding="utf-8-sig", ndmin=ndmin, skiprows=skiprows,
             )
     except (ValueError, OverflowError, Warning):
         return None

@@ -12,7 +12,6 @@ word-embedding setup, and dies inside :func:`train`.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +58,6 @@ class TrainConfig:
 class TrainReport:
     epoch_loss: list[float] = field(default_factory=list)
     positive_pairs: int = 0
-    wall_seconds: float = 0.0
 
 
 def init_embeddings(
@@ -155,8 +153,6 @@ def train(samplers: SamplerTable, cfg: TrainConfig) -> tuple[EmbeddingMatrix, Tr
     """
     cfg.validate()
     n = samplers.n
-
-    started = time.perf_counter()
     # the matrices' arrays are trained in place
     target, context = (m.vectors for m in init_embeddings(n, cfg.d, cfg.init_scale, cfg.seed))
     order_rng = rng_stream(cfg.seed, "order")
@@ -202,5 +198,4 @@ def train(samplers: SamplerTable, cfg: TrainConfig) -> tuple[EmbeddingMatrix, Tr
                 raise DivergenceError(
                     f"embedding magnitude exceeded {DIVERGENCE_LIMIT:g}; lower the learning rate"
                 )
-    report.wall_seconds = time.perf_counter() - started
     return EmbeddingMatrix(target), report

@@ -12,6 +12,7 @@ from __future__ import annotations
 import inspect
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral
 from pathlib import Path
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import ejgraph, fusion, knn
 from .dataset import (
+    FORMATS,
     EmbeddingMatrix,
     FeatureMatrix,
     LabelVector,
@@ -381,7 +383,7 @@ class PipelineConfig:
         if not path.exists():
             raise FileNotFoundError(path)
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            raw = json.loads(path.read_text(encoding="utf-8-sig"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InvalidConfigError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(raw, dict):
@@ -400,16 +402,11 @@ class PipelineConfig:
         cfg.labels = str((base / cfg.labels).resolve())
         return cfg
 
-    def resolved(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["features"] = [dict(spec) for spec in self.features]
-        return out
-
 
 def _check_sources(features, labels, where: str = "") -> None:
     """Raise InvalidConfigError, its message led by ``where``, unless ``features``
-    lists objects with a 'path' string and an optional 'name' string and
-    ``labels`` is a path string."""
+    lists objects with a 'path' string, an optional 'format' in FORMATS and an
+    optional 'name' string, and no other key, and ``labels`` is a path string."""
     if not isinstance(features, list) or not all(
         isinstance(spec, dict) and isinstance(spec.get("path"), str)
         and isinstance(spec.get("name", ""), str) for spec in features
@@ -417,6 +414,12 @@ def _check_sources(features, labels, where: str = "") -> None:
         raise InvalidConfigError(
             f"{where}'features' must list objects with a 'path' and an optional 'name' string"
         )
+    for spec in features:
+        # a misspelt key or format would otherwise fall back to its default unseen
+        if unknown := sorted(set(spec) - {"path", "format", "name"}):
+            raise InvalidConfigError(f"{where}'features' entry has unknown keys {unknown}")
+        if (fmt := spec.get("format", "csv")) not in FORMATS:
+            raise InvalidConfigError(f"{where}'features' format {fmt!r} not in {FORMATS}")
     if not isinstance(labels, str):
         raise InvalidConfigError(f"{where}'labels' must be a path string")
 
@@ -433,17 +436,17 @@ class PipelineResult:
     embeddings: dict[tuple[int, int], EmbeddingMatrix]
 
 
-class _Stage:
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, (FgfError, OSError)):
-            raise PipelineStageError(self.name, exc) from exc
-        return False
+@contextmanager
+def _stage(name: str, stages: list):
+    """Run one pipeline stage. An FgfError or OSError it raises becomes a
+    PipelineStageError naming it; a clean exit appends its record,
+    ``{"stage": name, "seconds": wall time}``, to ``stages``."""
+    started = time.perf_counter()
+    try:
+        yield
+    except (FgfError, OSError) as exc:
+        raise PipelineStageError(name, exc) from exc
+    stages.append({"stage": name, "seconds": time.perf_counter() - started})
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
@@ -455,26 +458,27 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     (the affinity keeps its ``indptr`` and ``indices``), its affinity once
     its sampler table is built, and the table once its embeddings are
     trained, before the next k's graphs are built. Each training report
-    dies on return; only its summary is kept, for the manifest.
+    dies on return; only its summary is kept, for the manifest, whose
+    ``stages`` timings are all that differ between runs of one config.
     """
     config.validate()
-    timings: dict[str, float] = {}
-    labels, splits, table, indexes = _score_baselines_and_index(config, timings)
+    stages: list[dict] = []
+    labels, splits, table, indexes = _score_baselines_and_index(config, stages)
     embeddings: dict[tuple[int, int], EmbeddingMatrix] = {}
     summaries: dict[str, dict] = {}
     ks = [int(v) for v in config.k]
     for position, k_val in enumerate(ks):
-        trained = _train_at_k(config, k_val, indexes, position == len(ks) - 1, timings)
+        trained = _train_at_k(config, k_val, indexes, position == len(ks) - 1, stages)
         for d_val, emb, summary in trained:
             embeddings[(k_val, d_val)] = emb
             summaries[f"k{k_val}_d{d_val}"] = summary
-            with _Stage(f"classify[k={k_val},d={d_val}]"):
+            with _stage(f"classify[k={k_val},d={d_val}]", stages):
                 table.rows.append(
                     _score(FGF_METHOD, k_val, emb, labels, splits, FGF_METRIC, config.votes)
                 )
 
     manifest = {
-        "config": config.resolved(),
+        "config": asdict(config),
         "n_samples": labels.n,
         "n_classes": labels.n_classes,
         "classifier": {
@@ -486,16 +490,16 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         "joint_baseline": "per-dimension z-score within each modality, then concatenation",
         "std_convention": "sample standard deviation (ddof=1); 0.0 for a single split",
         "train_reports": summaries,
-        "timings": timings,
+        "stages": stages,
     }
     return PipelineResult(table=table, manifest=manifest, embeddings=embeddings)
 
 
-def _score_baselines_and_index(config: PipelineConfig, timings: dict):
+def _score_baselines_and_index(config: PipelineConfig, stages: list):
     """Load, split and score the baselines, then index every modality and run
     its one search at the sweep's widest k: (labels, splits, table, indexes),
     where ``indexes`` lists each modality's (name, index)."""
-    with _Stage("load"):
+    with _stage("load", stages):
         modalities = [
             load_features(
                 spec["path"],
@@ -512,38 +516,35 @@ def _score_baselines_and_index(config: PipelineConfig, timings: dict):
         if value is not None:
             knn._check_k(n, value, name)
 
-    with _Stage("splits"):
+    with _stage("splits", stages):
         splits = make_splits(
             labels,
             SplitSpec(config.protocol, config.m_or_fraction, config.repeats, config.seed),
         )
 
     table = ResultTable()
-    with _Stage("baselines"):
+    with _stage("baselines", stages):
         for modality in modalities:
             table.rows.append(_score(modality.modality_name, None, modality, labels, splits,
                                      BASELINE_METRIC, config.votes))
         table.rows.append(_score(JOINT_METHOD, None, zscore_concat(modalities), labels, splits,
                                  BASELINE_METRIC, config.votes))
 
-    with _Stage("knn"):
-        started = time.perf_counter()
+    with _stage("knn", stages):
         indexes = [(m.modality_name, knn.build_index(m, config.metric)) for m in modalities]
         # one search per modality at the sweep's widest k: every graph of the
         # sweep takes a prefix of it
         widest = max(v for v in (*config.k, config.k1, config.k2) if v is not None)
         for _, index in indexes:
             index.topk(int(widest))
-        timings["knn"] = time.perf_counter() - started
     return labels, splits, table, indexes
 
 
-def _train_at_k(config: PipelineConfig, k_val: int, indexes: list, last: bool, timings: dict):
+def _train_at_k(config: PipelineConfig, k_val: int, indexes: list, last: bool, stages: list):
     """The (d, embeddings, report summary) of every d of the sweep at k_val. The
     graphs, the fused graph and the affinity are call arguments alone, so each
-    dies once consumed."""
-    with _Stage(f"graphs[k={k_val}]"):
-        started = time.perf_counter()
+    dies once consumed; each report dies once summarized."""
+    with _stage(f"graphs[k={k_val}]", stages):
         samplers = fusion.build_samplers(
             fusion.normalize_affinity(
                 fusion.fuse_graphs(_graphs(config, k_val, indexes, last), combine=config.combine),
@@ -551,17 +552,14 @@ def _train_at_k(config: PipelineConfig, k_val: int, indexes: list, last: bool, t
             ),
             noise_power=config.noise_power,
         )
-        timings[f"graphs_k{k_val}"] = time.perf_counter() - started
-    return [_embed(config, k_val, int(d_val), samplers) for d_val in config.d]
-
-
-def _embed(config: PipelineConfig, k_val: int, d_val: int, samplers):
-    """(d_val, embeddings, report summary) of one cell; the report dies on return."""
-    with _Stage(f"embed[k={k_val},d={d_val}]"):
-        cfg = config.train_config(d_val, derive_seed(config.seed, "train", k_val, d_val))
-        # cfg by keyword: perfbench's tracer finds it only as args[2] or kwargs["cfg"]
-        embeddings, report = train(samplers, cfg=cfg)
-    return d_val, embeddings, asdict(report)
+    trained = []
+    for d_val in map(int, config.d):
+        with _stage(f"embed[k={k_val},d={d_val}]", stages):
+            cfg = config.train_config(d_val, derive_seed(config.seed, "train", k_val, d_val))
+            # cfg by keyword: perfbench's tracer finds it only as args[2] or kwargs["cfg"]
+            embeddings, report = train(samplers, cfg=cfg)
+        trained.append((d_val, embeddings, asdict(report)))
+    return trained
 
 
 def _graphs(config: PipelineConfig, k_val: int, indexes: list, last: bool) -> list:

@@ -282,7 +282,8 @@ def test_every_embed_flag_reaches_train(fixture_dir, tmp_path, monkeypatch):
     save_affinity(normalize_affinity(fuse_graphs(graphs)), tmp_path / "aff.bin", "binary")
     calls = []
 
-    def fake_train(samplers, cfg):
+    # cfg keyword-only: the command must pass it by keyword
+    def fake_train(samplers, *, cfg):
         calls.append((samplers, cfg))
         return EmbeddingMatrix(np.zeros((samplers.n, cfg.d))), TrainReport()
 
@@ -330,6 +331,19 @@ def test_exit_code_2_on_unknown_config_key(fixture_dir, tmp_path):
     proc = run_cli("pipeline", "--config", tmp_path / "config.json", "--out-dir", tmp_path / "o")
     assert proc.returncode == 2
     assert "turbo" in proc.stderr
+
+
+@pytest.mark.parametrize("spec", [
+    {"path": "data/modality_a.csv", "format": "csv", "nmae": "rgb"},
+    {"path": "data/modality_a.csv", "fromat": "csv"},
+])
+def test_exit_code_2_on_unknown_feature_spec_key(fixture_dir, tmp_path, spec):
+    config = {"features": [spec, {"path": "data/modality_b.csv"}], "labels": "data/labels.txt"}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    proc = run_cli("pipeline", "--config", tmp_path / "config.json", "--out-dir", tmp_path / "o")
+    assert proc.returncode == 2
+    assert (set(spec) - {"path", "format"}).pop() in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_threads_is_rejected_as_a_flag_and_as_a_config_key(fixture_dir, tmp_path):

@@ -372,6 +372,24 @@ def test_labels_with_instance_ids(tmp_path):
     assert list(labels.instance_ids) == ["m1", "m2", "b1", "b2"]
 
 
+def test_a_leading_byte_order_mark_is_skipped(tmp_path):
+    """A BOM-prefixed copy loads equal to the original: it neither adds a
+    class to a labels file nor makes a feature CSV's first field non-numeric."""
+    texts = {"labels.txt": "c00,i0\nc01,i1\nc02,i2\nc03,i3\nc00,i4\n",
+             "features.csv": "4.02,1\n-2,3.5\n0.25,7\n"}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        (tmp_path / f"bom_{name}").write_text(text, encoding="utf-8-sig")
+    plain, bom = (load_labels(tmp_path / f"{prefix}labels.txt") for prefix in ("", "bom_"))
+    assert bom.n_classes == plain.n_classes == 4
+    assert list(bom.labels) == list(plain.labels)
+    assert list(bom.instance_ids) == list(plain.instance_ids)
+    for header in (False, True):
+        plain, bom = (load_features(tmp_path / f"{prefix}features.csv", header=header)
+                      for prefix in ("", "bom_"))
+        assert bom.data.tobytes() == plain.data.tobytes()
+
+
 def test_labels_skip_blank_lines_and_report_physical_line_numbers(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("\nmug\t m1\n   \n\t\n bowl ,b1\n")

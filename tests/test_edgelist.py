@@ -155,6 +155,15 @@ def test_csv_fields_padded_with_separator_bytes_load(tmp_path, kind, fast):
     assert rows_of(loaded) == [[((q + 1) % 8, 1.0)] for q in range(8)]
 
 
+@pytest.mark.parametrize("kind", LOADERS)
+@pytest.mark.parametrize("fast", [True, False])
+def test_csv_leading_byte_order_mark_is_skipped(tmp_path, kind, fast):
+    fast_read = ejgraph._read_csv_table if fast else (lambda *args, **kwargs: None)
+    with mock.patch.object(ejgraph, "_read_csv_table", fast_read):
+        loaded = load_text(tmp_path, kind, "\ufeff" + "\n".join(GOOD_LINES) + "\n")
+    assert rows_of(loaded) == EXPECTED_ROWS
+
+
 ID_TOKENS = ["0", "1", "2", "3", "+1", " 2 ", "00", "\x0c1", "\xa02"]
 ODD_ID_TOKENS = ["-1", "5.0", "1e3", "0_1", "\u0665", str(2**63), "", "x", "1 2", "-0", "\x1f1"]
 

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import signal
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -208,7 +209,8 @@ def test_training_is_bitwise_deterministic(two_block_affinity):
     emb1, rep1 = train(samplers, cfg)
     emb2, rep2 = train(samplers, cfg)
     assert emb1.vectors.tobytes() == emb2.vectors.tobytes()
-    assert rep1.epoch_loss == rep2.epoch_loss
+    # the whole report depends only on (samplers, cfg): it holds no timing
+    assert asdict(rep1) == asdict(rep2)
 
 
 def test_two_block_recovery_and_descent(two_block_affinity, block_labels):

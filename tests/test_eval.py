@@ -606,6 +606,11 @@ def test_pipeline_config_rejects_bad_noise_power(tmp_path, power):
         ("features", [{"path": "a.csv", "name": 5}, {"path": "b.csv"}]),
         ("labels", None),
         ("labels", 5),
+        # a misspelt spec key or an unknown format, caught before any file is read
+        ("features", [{"path": "a.bin", "format": "binary", "nmae": "rgb"}, {"path": "b.csv"}]),
+        ("features", [{"path": "a.bin", "fromat": "binary"}, {"path": "b.csv"}]),
+        ("features", [{"path": "a.bin", "format": "bin"}, {"path": "b.csv"}]),
+        ("features", [{"path": "a.csv", "format": None}, {"path": "b.csv"}]),
     ],
 )
 def test_pipeline_config_rejects_wrongly_typed_fields(tmp_path, field, value):
@@ -653,6 +658,15 @@ def test_pipeline_config_rejects_a_string_from_json(tmp_path):
         PipelineConfig.from_json(config_path).validate()
 
 
+def test_pipeline_config_from_json_skips_a_leading_byte_order_mark(tmp_path):
+    text = json.dumps(write_fixture(tmp_path))
+    (tmp_path / "config.json").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.json").write_text(text, encoding="utf-8-sig")
+    assert (tmp_path / "bom.json").read_bytes().startswith(b"\xef\xbb\xbf")
+    plain, bom = (PipelineConfig.from_json(tmp_path / name) for name in ("config.json", "bom.json"))
+    assert bom == plain
+
+
 def test_pipeline_config_from_json(tmp_path):
     params = write_fixture(tmp_path)
     # make paths relative to exercise resolution against the config location
@@ -682,9 +696,15 @@ def test_pipeline_config_from_json(tmp_path):
         ('{"features": [{"path": "a.csv", "name": 5}, {"path": "b.csv"}], "labels": "l.txt"}',
          "'features' must list"),
         ('{"features": [{"path": "a.csv"}, {"path": "b.csv"}], "labels": 5}', "'labels' must"),
+        ('{"features": [{"path": "a.bin", "nmae": "rgb"}, {"path": "b.csv"}], "labels": "l.txt"}',
+         "unknown keys \\['nmae'\\]"),
+        ('{"features": [{"path": "a.bin", "fromat": "binary"}, {"path": "b.csv"}], '
+         '"labels": "l.txt"}', "unknown keys \\['fromat'\\]"),
+        ('{"features": [{"path": "a.bin", "format": "bin"}, {"path": "b.csv"}], '
+         '"labels": "l.txt"}', "format 'bin' not in"),
     ],
     ids=["number", "list", "feature-strings", "no-path", "features-object", "name-number",
-         "labels-number"],
+         "labels-number", "misspelt-name", "misspelt-format", "unknown-format"],
 )
 def test_pipeline_config_from_json_rejects_a_malformed_shape(tmp_path, text, problem):
     config_path = tmp_path / "config.json"
@@ -713,6 +733,32 @@ def test_pipeline_manifest_contents(tmp_path):
     assert manifest["classifier"]["fgf_metric"] == "cosine"
     assert "k6_d8" in manifest["train_reports"]
     assert len(manifest["train_reports"]["k6_d8"]["epoch_loss"]) == 6
-    assert list(manifest["train_reports"]["k6_d8"]) == [
-        "epoch_loss", "positive_pairs", "wall_seconds"
-    ]
+    # a report depends only on its inputs; each cell's time is its embed stage's record
+    assert list(manifest["train_reports"]["k6_d8"]) == ["epoch_loss", "positive_pairs"]
+    assert "timings" not in manifest
+
+
+def _sweep_config(tmp_path) -> PipelineConfig:
+    return PipelineConfig(**{**write_fixture(tmp_path), "k": [6, 4], "d": [8, 3], "epochs": 2})
+
+
+def test_pipeline_manifest_lists_every_stage_in_run_order(tmp_path):
+    stages = run_pipeline(_sweep_config(tmp_path)).manifest["stages"]
+    expected = ["load", "splits", "baselines", "knn"]
+    for k in (6, 4):
+        expected += [f"graphs[k={k}]"]
+        expected += [f"embed[k={k},d={d}]" for d in (8, 3)]
+        expected += [f"classify[k={k},d={d}]" for d in (8, 3)]
+    assert [record["stage"] for record in stages] == expected
+    for record in stages:
+        assert list(record) == ["stage", "seconds"]
+        assert np.isfinite(record["seconds"]) and record["seconds"] >= 0
+
+
+def test_pipeline_manifests_differ_only_in_stage_seconds(tmp_path):
+    config = _sweep_config(tmp_path)
+    manifests = [run_pipeline(config).manifest for _ in range(2)]
+    for manifest in manifests:
+        for record in manifest["stages"]:
+            del record["seconds"]
+    assert manifests[0] == manifests[1]
