@@ -18,6 +18,7 @@ from . import __version__
 from .dataset import (
     FORMATS,
     _check_label_count,
+    _replacing,
     load_embeddings,
     load_features,
     load_labels,
@@ -214,7 +215,8 @@ def _cmd_embed(args) -> int:
     summary = {**asdict(report), "wall_seconds": time.perf_counter() - started}
     save_embeddings(embeddings, args.out, args.format)
     if args.report is not None:
-        args.report.write_text(json.dumps(summary, indent=2), encoding="utf-8")
+        with _replacing(args.report) as fh:
+            fh.write(json.dumps(summary, indent=2))
     print(f"{args.out}: {embeddings.n} x {embeddings.dim}")
     return EXIT_OK
 
@@ -266,11 +268,11 @@ def _cmd_pipeline(args) -> int:
     for axis in ("k", "d"):
         if len(getattr(config, axis)) >= 2:  # validate() rejects a repeated value
             sweep_path = args.out_dir / f"sweep_{axis}.csv"
-            sweep_path.write_text(sweep_report(result.table, axis), encoding="utf-8")
+            with _replacing(sweep_path) as fh:
+                fh.write(sweep_report(result.table, axis))
             result.manifest["outputs"][f"sweep_{axis}"] = str(sweep_path)
-    (args.out_dir / "manifest.json").write_text(
-        json.dumps(result.manifest, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    with _replacing(args.out_dir / "manifest.json") as fh:
+        fh.write(json.dumps(result.manifest, indent=2, sort_keys=True))
     sys.stdout.write(result.table.to_csv())
     return EXIT_OK
 

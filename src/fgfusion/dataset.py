@@ -164,6 +164,30 @@ def _open_text(path: Path):
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+@contextmanager
+def _replacing(path, binary: bool = False):
+    """A new file, opened for writing beside ``path``, that replaces ``path``
+    only once the block completes. A writer that raises, or a process killed
+    mid-write, leaves ``path`` as it was; on an exception the new file is
+    removed."""
+    path = Path(path)
+    mode, encoding = ("b", None) if binary else ("", "utf-8")
+    if path.exists() and not path.is_file():
+        # a device or a pipe (os.devnull, /dev/stdout) holds no file to keep
+        with open(path, "w" + mode, encoding=encoding) as fh:
+            yield fh
+        return
+    path = Path(os.path.realpath(path))  # through a symlink, as open() writes
+    new = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(new, "x" + mode, encoding=encoding) as fh:
+            yield fh
+        os.replace(new, path)
+    except BaseException:
+        new.unlink(missing_ok=True)
+        raise
+
+
 def _records(lines, separators: str):
     """(line number, fields) of each non-blank line: the line stripped, split
     where the regex ``separators`` matches, and each field stripped by
@@ -243,7 +267,7 @@ def _parse_csv_lines(lines, skip_header: bool, path: Path) -> np.ndarray:
 def _write_numeric_csv(arr: np.ndarray, path: Path) -> None:
     # repr() of a Python float is the shortest round-tripping decimal form,
     # so CSV persistence is value-exact.
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         for row in arr:
             fh.write(",".join(repr(float(v)) for v in row))
             fh.write("\n")
@@ -256,7 +280,7 @@ def _write_binary(path, magic: bytes, a: int, b: int, parts) -> None:
     """Write the 24-byte header (magic, u32 version, u64 a, u64 b), then the
     bytes of each C-contiguous array in ``parts``, straight from the array."""
     header = np.array([(magic, BINARY_VERSION, a, b)], dtype=_HEADER)
-    with open(path, "wb") as fh:
+    with _replacing(path, binary=True) as fh:
         fh.write(header)
         for part in parts:
             fh.write(part)
@@ -368,7 +392,7 @@ def load_labels(path: str | Path) -> LabelVector:
 
 
 def save_labels(labels: LabelVector, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         for i in range(labels.n):
             if labels.instance_ids is not None:
                 fh.write(f"{labels.labels[i]},{labels.instance_ids[i]}\n")

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import _check_format, _open_binary, _open_text, _read_csv_table, _read_into
-from .dataset import _records, _write_binary
+from .dataset import _records, _replacing, _write_binary
 from .errors import InvalidConfigError, ParseError
 from .knn import KnnIndex, _check_k
 
@@ -219,7 +219,7 @@ def _write_edges(path, fmt, matrix: _Csr, magic, node_values=None) -> None:
     src, dst, val = matrix._entry_rows(), matrix.indices, matrix.data
     if fmt == "csv":
         val = np.asarray(val, dtype=np.float64)
-        with open(path, "w", encoding="utf-8") as fh:
+        with _replacing(path) as fh:
             for at in range(0, src.size, _EDGE_CHUNK):
                 part = slice(at, at + _EDGE_CHUNK)
                 # each distinct id and value of the chunk is formatted once, the

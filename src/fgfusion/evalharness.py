@@ -26,6 +26,7 @@ from .dataset import (
     FeatureMatrix,
     LabelVector,
     _check_label_count,
+    _replacing,
     load_features,
     load_labels,
     validate_alignment,
@@ -199,12 +200,14 @@ def knn_classify(
     votes = min(votes, train_idx.size)
 
     # the votes are selected one block of test rows at a time, as topk_arrays
-    # selects its neighbours, so no (test, train) distance matrix is held whole
+    # selects its neighbours, so no (test, train) key matrix is held whole;
+    # only the selected keys are finished into distances
+    finish = knn.finisher(metric)
     gallery = matrix[train_idx]
     nearest = np.empty((test_idx.size, votes), dtype=np.int64)
     for block in knn._query_blocks(test_idx.size, train_idx.size):
-        dists = knn.pairwise_distances(matrix[test_idx[block]], gallery, metric)
-        nearest[block] = knn.stable_topk(dists, votes)
+        keys = knn.pairwise_distances(matrix[test_idx[block]], gallery, metric, keys=True)
+        nearest[block] = knn.stable_topk(keys, votes, finish)
     vote_labels = labels.labels[train_idx[nearest]]
     # counts[r, i]: how many of row r's votes share vote i's label; the first
     # vote, in distance order, whose label reaches the row's maximum wins
@@ -285,7 +288,8 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
     def save_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv(), encoding="utf-8")
+        with _replacing(path) as fh:
+            fh.write(self.to_csv())
 
 
 def sweep_report(table: ResultTable, axis: str) -> str:

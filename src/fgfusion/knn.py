@@ -1,16 +1,20 @@
 """Exact brute-force k-nearest-neighbor search.
 
-Queries are answered from full pairwise distances: one matrix product per
-call or per block of query rows, finished into distances in place, one
-cache-sized slice of rows at a time. A top-k block holds about 4 MiB of
-distances, and never fewer than 128 rows, so the search's working set stays
-bounded as n grows. A distance's last bits can depend on which matrix
-product produced it: where the gallery width is not a multiple of the BLAS
-kernel's (8 columns), another partition of the query rows can round the last
-columns differently. The row blocks are therefore a function of n alone,
-and the slicing of the finish never changes a bit. The top k are selected,
-not sorted, but ties are broken by ascending sample index exactly as a
-stable sort would, and a sample is never its own neighbor.
+Queries are answered from full pairwise comparisons: one matrix product per
+call or per block of query rows, turned in place, one cache-sized slice of
+rows at a time, into ranking keys (|a|^2 + |b|^2 - 2 a.b, or 1 - cos). A
+distance is its key finished elementwise: clamped at 0 and, for euclidean,
+rooted. The finish never ranks a larger key below a smaller one, so the
+search ranks on the keys and finishes only what it selects, to the bits a
+fully finished matrix holds there. A top-k block holds about 4 MiB of keys,
+and never fewer than 128 rows, so the search's working set stays bounded as
+n grows. A key's last bits can depend on which matrix product produced it:
+where the gallery width is not a multiple of the BLAS kernel's (8 columns),
+another partition of the query rows can round the last columns differently.
+The row blocks are therefore a function of n alone, and the slicing never
+changes a bit. The top k are selected, not sorted, but ties are broken by
+ascending sample index exactly as a stable sort of the distances would, and
+a sample is never its own neighbor.
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ from .errors import InvalidMetricError, KOutOfRangeError, ZeroVectorError
 
 METRICS = ("euclidean", "cosine")
 
-_BLOCK_BYTES = 1 << 22  # bytes of distances per matrix product in topk_arrays
+_BLOCK_BYTES = 1 << 22  # bytes of keys per matrix product in topk_arrays
 # rows per product at least: fewer would repack the whole gallery for too few
 # rows (at n = 50k, D = 100, on two OpenBLAS threads, a 32-row gemm costs a
 # third more per row than 64 to 1 024 rows)
 _MIN_BLOCK_ROWS = 128
-_SLICE_BYTES = 1 << 20  # bytes of distances finished per slice, so each stays in cache
+_SLICE_BYTES = 1 << 20  # bytes of keys made per slice, so each stays in cache
 
 
 class KnnIndex:
@@ -38,6 +42,7 @@ class KnnIndex:
 
     def __init__(self, matrix: np.ndarray, metric: str):
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        self._finish_keys = finisher(metric)
         self._rows, self._sq_norms = _prepare(matrix, metric)
         self.n = self._rows.shape[0]
         self._ids = None  # read-only neighbor ids of the widest search so far
@@ -60,41 +65,91 @@ class KnnIndex:
         dots = self._rows[rows] @ self._rows.T
         ids = np.empty((rows.size, k), dtype=np.int64)
         top = np.empty((rows.size, k), dtype=np.float64)
-        # each slice's top k is selected while its distances are still in cache
-        for part, dists in _finish(dots, None if sq is None else sq[rows], sq):
-            dists[np.arange(len(dists)), rows[part]] = np.inf  # exclude self
-            ids[part] = stable_topk(dists, k)
-            top[part] = np.take_along_axis(dists, ids[part], axis=1)
+        # each slice's top k is selected while its keys are still in cache,
+        # and only the k selected are finished into distances
+        for part, keys in _finish(dots, None if sq is None else sq[rows], sq, keys=True):
+            keys[np.arange(len(keys)), rows[part]] = np.inf  # exclude self
+            ids[part] = stable_topk(keys, k, self._finish_keys)
+            self._finish_keys(np.take_along_axis(keys, ids[part], axis=1), out=top[part])
         return ids, top
 
 
-def stable_topk(dists: np.ndarray, k: int) -> np.ndarray:
-    """Column ids of the k smallest entries of each row, ordered by (value, id).
+def stable_topk(keys: np.ndarray, k: int, finish=None) -> np.ndarray:
+    """Column ids of the k smallest distances of each row, ordered by (distance, id).
 
-    Returns exactly ``np.argsort(dists, axis=1, kind="stable")[:, :k]``, so
-    equal values resolve to the lower column id, but selects in linear time
-    per row. Only rows whose k-th value ties an entry outside the selected
-    candidates (or that hold a NaN) fall back to the full stable sort.
+    The distances are ``finish(keys)``, an elementwise and non-decreasing map
+    (see :func:`finisher`); without a finish the keys are the distances.
+    Returns exactly ``np.argsort(finish(keys), axis=1, kind="stable")[:, :k]``,
+    so equal distances resolve to the lower column id, but ranks on the keys
+    in linear time per row and finishes only the k + 1 candidates it keeps.
+    Only rows where the finish may tie the k-th distance with one outside
+    the candidates (or that hold a NaN) are finished whole and fully sorted.
+    At k = 1 under the euclidean finish, each row's minimum is masked in
+    ``keys`` for a moment and then restored.
     """
-    m = dists.shape[1]
+    finish = finish or _as_is
+    m = keys.shape[1]
     if k >= m:
-        return np.argsort(dists, axis=1, kind="stable")[:, :k]
+        return np.argsort(finish(keys), axis=1, kind="stable")[:, :k]
     if k == 1:
-        first = np.argmin(dists, axis=1)[:, None]
-        # argmin returns the first minimum, as the stable sort does, unless
-        # the row holds a NaN: argmin picks that, the sort puts it last
-        if not np.isnan(np.take_along_axis(dists, first, axis=1)).any():
-            return first
-    part = np.argpartition(dists, k, axis=1)[:, : k + 1]
-    vals = np.take_along_axis(dists, part, axis=1)
-    cand, cand_vals = part[:, :k], vals[:, :k]
-    top = np.take_along_axis(cand, np.lexsort((cand, cand_vals), axis=1), axis=1)
-    # where the (k+1)-th smallest is not above the k-th (a tie, or a NaN),
-    # the partition may have kept a higher id of that value over a lower one
-    tied = np.flatnonzero(~(vals[:, k] > cand_vals.max(axis=1)))
-    if tied.size:
-        top[tied] = np.argsort(dists[tied], axis=1, kind="stable")[:, :k]
+        # argmin returns the first smallest key, as the stable sort does; it
+        # is the first smallest distance unless the finish gives a larger key
+        # the same distance, or the row holds a NaN (argmin picks that, the
+        # sort puts it last)
+        first = np.argmin(keys, axis=1)
+        rows = np.arange(len(keys))
+        low = keys[rows, first]
+        if finish is _as_is or finish is _clamp:
+            # the identity, and the clamp above 0, never equate two keys
+            unsure = ~(low > (-np.inf if finish is _as_is else 0.0))
+        else:
+            # no other key may finish to the minimum's distance (an argmin
+            # and a gather take less time than np.min's row reduction)
+            keys[rows, first] = np.inf
+            second = keys[rows, np.argmin(keys, axis=1)]
+            keys[rows, first] = low
+            unsure = ~(finish(second) > finish(low))
+        top = first[:, None]
+    else:
+        part = np.argpartition(keys, k, axis=1)[:, : k + 1]
+        vals = np.take_along_axis(keys, part, axis=1)
+        vals = finish(vals, out=vals)
+        cand, cand_vals = part[:, :k], vals[:, :k]
+        top = np.take_along_axis(cand, np.lexsort((cand, cand_vals), axis=1), axis=1)
+        # where the (k+1)-th smallest distance is not above the k-th (a tie,
+        # also of two keys the finish equates, or a NaN), the partition may
+        # have kept a higher id of that distance over a lower one
+        unsure = ~(vals[:, k] > cand_vals.max(axis=1))
+    unsure = np.flatnonzero(unsure)
+    if unsure.size:
+        top[unsure] = np.argsort(finish(keys[unsure]), axis=1, kind="stable")[:, :k]
     return top
+
+
+def finisher(metric: str):
+    """The finish of ``metric``: ``finish(keys, out=None)`` turns its ranking
+    keys into distances elementwise, so any subset of the keys finishes to
+    the bits the whole finished matrix holds there."""
+    if metric not in METRICS:
+        raise InvalidMetricError(f"unknown metric {metric!r}, expected one of {METRICS}")
+    return _clamp_root if metric == "euclidean" else _clamp
+
+
+def _as_is(values: np.ndarray, out=None) -> np.ndarray:
+    """The finish of keys that are already distances; ``out`` is always
+    ``values`` itself or None."""
+    return values
+
+
+def _clamp(keys: np.ndarray, out=None) -> np.ndarray:
+    """Cosine distances from 1 - cos, which rounding can take below 0."""
+    return np.maximum(keys, 0.0, out=out)
+
+
+def _clamp_root(keys: np.ndarray, out=None) -> np.ndarray:
+    """Euclidean distances from squared ones, which rounding can take below 0."""
+    out = np.maximum(keys, 0.0, out=out)
+    return np.sqrt(out, out=out)
 
 
 def build_index(features: FeatureMatrix | np.ndarray, metric: str = "euclidean") -> KnnIndex:
@@ -140,10 +195,9 @@ def _block_rows(n: int) -> int:
 
 
 def _prepare(matrix: np.ndarray, metric: str, what: str = "vector"):
-    """The rows ``_distances`` takes: the rows and their squared norms for
+    """The rows ``_finish`` takes: the rows and their squared norms for
     euclidean, unit-length rows and None for cosine."""
-    if metric not in METRICS:
-        raise InvalidMetricError(f"unknown metric {metric!r}, expected one of {METRICS}")
+    finisher(metric)  # rejects an unknown metric
     if metric == "euclidean":
         return matrix, np.einsum("ij,ij->i", matrix, matrix)
     norms = np.linalg.norm(matrix, axis=1)
@@ -153,15 +207,18 @@ def _prepare(matrix: np.ndarray, metric: str, what: str = "vector"):
     return matrix / norms[:, None], None
 
 
-def _finish(dots: np.ndarray, q_sq=None, g_sq=None):
+def _finish(dots: np.ndarray, q_sq=None, g_sq=None, keys: bool = False):
     """Turn the (queries, gallery) dot products into distances in place, one
-    slice of rows at a time, and yield each finished slice with its rows.
+    slice of rows at a time, and yield each slice with its rows; with
+    ``keys``, stop at the ranking keys, unclamped, for the caller to finish
+    only what it selects.
 
     Euclidean from the rows' squared norms q_sq and g_sq, else cosine from
     unit-length rows. The operations and their order are those of the plain
-    expressions |a|^2 + |b|^2 - 2 a.b and 1 - cos, so results are bit for bit
-    the same whatever the slice height.
+    expressions |a|^2 + |b|^2 - 2 a.b and 1 - cos, then the metric's finish,
+    so results are bit for bit the same whatever the slice height.
     """
+    finish = _clamp if q_sq is None else _clamp_root
     step = max(1, _SLICE_BYTES // (8 * max(1, dots.shape[1])))
     if q_sq is not None:
         sq = np.empty((min(step, dots.shape[0]), dots.shape[1]))
@@ -177,18 +234,19 @@ def _finish(dots: np.ndarray, q_sq=None, g_sq=None):
             np.copyto(rows_sq, g_sq)
             rows_sq += q_sq[part, None]
             np.subtract(rows_sq, dists, out=dists)
-            np.maximum(dists, 0.0, out=dists)
-            np.sqrt(dists, out=dists)
         else:
             np.subtract(1.0, dists, out=dists)
-            np.maximum(dists, 0.0, out=dists)
+        if not keys:
+            finish(dists, out=dists)
         yield part, dists
 
 
 def pairwise_distances(
-    queries: np.ndarray, gallery: np.ndarray, metric: str = "euclidean"
+    queries: np.ndarray, gallery: np.ndarray, metric: str = "euclidean", *,
+    keys: bool = False,
 ) -> np.ndarray:
-    """Dense (len(queries), len(gallery)) distance matrix.
+    """Dense (len(queries), len(gallery)) distance matrix; with ``keys``, the
+    ranking keys that ``finisher(metric)`` turns into those distances.
 
     When queries and gallery are the same object the diagonal is exactly 0,
     which the quadratic-expansion trick alone does not guarantee.
@@ -202,7 +260,7 @@ def pairwise_distances(
     q, q_sq = _prepare(queries, metric, "query vector")
     g, g_sq = _prepare(gallery, metric, "gallery vector")
     out = q @ g.T
-    for _ in _finish(out, q_sq, g_sq):
+    for _ in _finish(out, q_sq, g_sq, keys):
         pass
     if same:
         np.fill_diagonal(out, 0.0)

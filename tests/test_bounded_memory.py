@@ -207,8 +207,8 @@ def classify_in_blocks(monkeypatch, rows, data, labels, train, test, votes):
     """(accuracy, vote ids, blocks) of knn_classify with ``rows`` test rows per block."""
     picked = []
 
-    def recorded_topk(dists, k):
-        picked.append(stable_topk(dists, k))
+    def recorded_topk(dists, k, finish=None):
+        picked.append(stable_topk(dists, k, finish))
         return picked[-1]
 
     monkeypatch.setattr(knn, "_block_rows", lambda width: rows)

@@ -1,3 +1,5 @@
+import builtins
+import os
 import struct
 import tracemalloc
 import warnings
@@ -11,13 +13,22 @@ from hypothesis import strategies as st
 from fgfusion import (
     FeatureMatrix,
     LabelVector,
+    ResultRow,
+    ResultTable,
+    build_ejg,
+    build_index,
+    fuse_graphs,
     load_affinity,
     load_embeddings,
     load_features,
     load_graph,
     load_labels,
+    normalize_affinity,
+    save_affinity,
     save_embeddings,
     save_features,
+    save_graph,
+    save_labels,
     synth_multimodal,
     validate_alignment,
 )
@@ -338,6 +349,84 @@ def test_embedding_random_csv_roundtrip_is_value_exact(tmp_path):
     save_embeddings(emb, path, "csv")
     back = load_embeddings(path, "csv")
     assert back.vectors.tobytes() == emb.vectors.tobytes()
+
+
+class FailsAfterItsFirstWrite:
+    """A file whose first write lands and then raises, as a full disk or a
+    killed process cuts a stream."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data)
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def writers():
+    """(name, writer of version 0 or 1 of a file) for every file kind."""
+    rng = np.random.default_rng(0)
+    data = [rng.normal(size=(30, 4)) for _ in range(2)]
+    graphs = [build_ejg(build_index(d), 5) for d in data]
+
+    def affinity(version):
+        return normalize_affinity(fuse_graphs(graphs, ("sum", "max")[version]))
+
+    def table(version):
+        return ResultTable([ResultRow("fgf", 5, 4, (0.5, 0.25 * version))])
+
+    yield "features.csv", lambda v, p: save_features(FeatureMatrix(data[v]), p, "csv")
+    yield "features.bin", lambda v, p: save_features(FeatureMatrix(data[v]), p, "binary")
+    yield "labels.txt", lambda v, p: save_labels(LabelVector(np.array(["a", "b"][v:] * 20,
+                                                                      dtype=object)), p)
+    yield "graph.csv", lambda v, p: save_graph(graphs[v], p, "csv")
+    yield "graph.bin", lambda v, p: save_graph(graphs[v], p, "binary")
+    yield "affinity.csv", lambda v, p: save_affinity(affinity(v), p, "csv")
+    yield "affinity.bin", lambda v, p: save_affinity(affinity(v), p, "binary")
+    yield "results.csv", lambda v, p: table(v).save_csv(p)
+
+
+@pytest.mark.parametrize("name, write", [pytest.param(*w, id=w[0]) for w in writers()])
+def test_a_write_cut_midstream_leaves_the_old_file(tmp_path, monkeypatch, name, write):
+    path = tmp_path / name
+    write(0, path)
+    old = path.read_bytes()
+    write(1, tmp_path / "new")
+    assert (tmp_path / "new").read_bytes() != old  # the cut write would change the file
+    (tmp_path / "new").unlink()
+    # every writer opens its file through dataset's one atomic-write helper
+    monkeypatch.setattr(dataset, "open", lambda *args, **kwargs: FailsAfterItsFirstWrite(
+        builtins.open(*args, **kwargs)), raising=False)
+    for target in (path, tmp_path / "never_written"):
+        with pytest.raises(OSError, match="No space left"):
+            write(1, target)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_a_write_goes_through_a_symlink_and_into_a_pipe(tmp_path):
+    labels = LabelVector(np.array(["a", "b"], dtype=object))
+    (tmp_path / "target.txt").write_text("old\n")
+    (tmp_path / "link.txt").symlink_to(tmp_path / "target.txt")
+    save_labels(labels, tmp_path / "link.txt")
+    assert (tmp_path / "link.txt").is_symlink()
+    assert (tmp_path / "target.txt").read_text() == "a\nb\n"
+    # a named pipe, like a device, is written into, not replaced
+    os.mkfifo(tmp_path / "pipe")
+    reader = os.open(tmp_path / "pipe", os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        save_labels(labels, tmp_path / "pipe")
+        assert os.read(reader, 100) == b"a\nb\n"
+    finally:
+        os.close(reader)
+    assert (tmp_path / "pipe").is_fifo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "pipe", "target.txt"]
 
 
 def test_save_to_unwritable_path(tmp_path):

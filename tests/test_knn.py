@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fgfusion import FeatureMatrix, build_ejg, build_index, knn, pairwise_distances
+from fgfusion import FeatureMatrix, LabelVector, build_ejg, build_index, knn, knn_classify
+from fgfusion import pairwise_distances
 from fgfusion.knn import stable_topk, topk_arrays
 from fgfusion.errors import (
     DimensionMismatchError,
@@ -331,6 +332,89 @@ def test_stable_topk_tie_straddling_the_kth_slot():
     for k in (1, 2, 3, 4, 6, 7):
         np.testing.assert_array_equal(stable_topk(dists, k), stable_sort_topk(dists, k))
     assert stable_topk(dists, 3).tolist() == [[3, 1, 4]]
+
+
+# keys that a finish equates: both sides of 0 clamp to 0, and 1 and the next
+# two doubles above it all root to 1
+finish_heavy = st.integers(1, 12).flatmap(
+    lambda m: st.tuples(
+        arrays(np.float64, st.tuples(st.integers(1, 6), st.just(m)),
+               elements=st.sampled_from([-1e-17, -5e-324, 0.0, 5e-324, 1.0,
+                                         np.nextafter(1.0, 2.0), 1.0 + 4.5e-16, 4.0,
+                                         np.inf, np.nan])),
+        st.integers(1, m),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finish_heavy, st.sampled_from(["euclidean", "cosine"]))
+def test_stable_topk_on_keys_equals_stable_argsort_of_the_finished(case, metric):
+    keys, k = case
+    given_keys = keys.tobytes()
+    finish = knn.finisher(metric)
+    expected = stable_sort_topk(finish(keys), k)
+    np.testing.assert_array_equal(stable_topk(keys, k, finish), expected)
+    assert keys.tobytes() == given_keys
+
+
+KEYED_N = 40
+
+
+def keyed_data(kind: str) -> np.ndarray:
+    """KEYED_N rows whose ranking keys the finish changes the order of."""
+    rng = np.random.default_rng(3)
+    if kind == "grid":  # small integers tie many distances; no zero row, for cosine
+        return rng.integers(1, 4, size=(KEYED_N, 3)).astype(np.float64)
+    if kind == "duplicated":
+        # four copies of each row, all but the first nudged an ulp per entry:
+        # the keys between copies differ, fall either side of 0 and clamp to 0
+        rows = np.repeat(rng.normal(size=(KEYED_N // 4, 5)), 4, axis=0)
+        nudged = np.nextafter(rows, np.where(rng.random(rows.shape) < 0.5, np.inf, -np.inf))
+        nudged[::4] = rows[::4]
+        return nudged
+    # tiny rows have subnormal euclidean keys; huge rows overflow them to NaN
+    scale = {"normal": 1.0, "tiny": 1e-160, "huge": 1e200}[kind]
+    return rng.normal(size=(KEYED_N, 6)) * scale
+
+
+KEYED_KINDS = ["normal", "grid", "duplicated", "tiny", "huge"]
+
+
+@pytest.mark.parametrize("k", [1, 17, KEYED_N - 1])
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+@pytest.mark.parametrize("kind", KEYED_KINDS)
+def test_the_search_finishes_only_what_it_selects(kind, metric, k):
+    data = keyed_data(kind)
+    with np.errstate(over="ignore", invalid="ignore"):  # the huge rows overflow
+        ids, dists = topk_arrays(build_index(data, metric), k)
+        # the gallery is a copy, so both take the same matrix product
+        expected = brute_pairwise_distances(data, data.copy(), metric)
+    np.fill_diagonal(expected, np.inf)  # a sample is never its own neighbor
+    expected_ids = stable_sort_topk(expected, k)
+    assert np.array_equal(ids, expected_ids)
+    assert dists.tobytes() == np.take_along_axis(expected, expected_ids, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 17, KEYED_N - 1])
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+@pytest.mark.parametrize("kind", KEYED_KINDS)
+def test_the_classifier_finishes_only_the_votes_it_selects(monkeypatch, kind, metric, k):
+    data = keyed_data(kind)
+    labels = LabelVector(np.array([str(i % 3) for i in range(KEYED_N)], dtype=object))
+    # each test row sits between two train rows, its copies when duplicated
+    train, test = np.arange(0, KEYED_N, 2), np.arange(1, KEYED_N, 2)
+    votes = []
+
+    def recorded_topk(keys, k, finish=None):
+        votes.append(stable_topk(keys, k, finish))
+        return votes[-1]
+
+    monkeypatch.setattr(knn, "stable_topk", recorded_topk)
+    with np.errstate(over="ignore", invalid="ignore"):
+        knn_classify(data, labels, train, test, metric, votes=k)
+        dists = pairwise_distances(data[test], data[train], metric)
+    assert np.array_equal(np.vstack(votes), stable_topk(dists, min(k, train.size)))
 
 
 def test_knn_ties_with_duplicate_points_follow_lower_index():
