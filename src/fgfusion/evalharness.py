@@ -1,10 +1,10 @@
 """Split protocols, nearest-neighbor classification, and the pipeline driver.
 
-The driver runs load -> knn -> per-modality graph -> fusion -> affinity ->
-samplers -> embedding training, then scores raw single-modality baselines,
-a z-scored concatenation baseline, and the fused embeddings on identical
-train/test splits. Results are collected in a table of per-split
-accuracies with mean and sample standard deviation per row.
+The driver runs load -> splits -> knn -> baselines (raw single modalities,
+their votes served by the knn search, and a z-scored concatenation) -> per
+k: graphs -> fusion -> affinity -> samplers -> embedding training -> fused
+scores, all on identical train/test splits. Results are collected in a
+table of per-split accuracies with mean and sample standard deviation.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .errors import (
     FgfError,
     InsufficientDataError,
     InvalidConfigError,
+    InvalidMetricError,
     InvalidSpecError,
     PipelineStageError,
     check_types,
@@ -162,6 +163,8 @@ def _as_matrix(data) -> np.ndarray:
         return data.data
     if isinstance(data, EmbeddingMatrix):
         return data.vectors
+    if isinstance(data, knn.KnnIndex):
+        return data._rows
     return np.asarray(data, dtype=np.float64)
 
 
@@ -175,9 +178,17 @@ def knn_classify(
 ) -> float:
     """Majority-vote nearest-neighbor accuracy of test against train.
 
+    ``data`` may be a KnnIndex built under ``metric``; it classifies its own
+    rows (under euclidean, its features). Once it has searched, it serves each
+    test row's votes: with train_idx ascending, the first ``votes`` train
+    members of the row's neighbor list. Rows whose list holds fewer are
+    compared with the train rows, as every row of other data is.
+
     Vote ties are resolved in favor of the tied label whose representative
     appears earliest in the distance-ordered vote list.
     """
+    if isinstance(data, knn.KnnIndex) and data._finish_keys is not knn.finisher(metric):
+        raise InvalidMetricError(f"the index was not built under the {metric!r} metric")
     matrix = _as_matrix(data)
     _check_label_count(labels, len(matrix))
     train_idx, test_idx = np.asarray(train_idx), np.asarray(test_idx)
@@ -193,28 +204,49 @@ def knn_classify(
         if not (0 <= idx.min() and idx.max() < n):
             raise InvalidSpecError(f"{name} indices outside [0, {n})")
     train_idx, test_idx = train_idx.astype(np.int64), test_idx.astype(np.int64)
-    if _mask(train_idx, n)[test_idx].any():
+    member = _mask(train_idx, n)
+    if member[test_idx].any():
         raise InvalidSpecError("train and test indices overlap")
     if not isinstance(votes, Integral) or votes < 1:
         raise InvalidConfigError(f"votes must be an integer >= 1, got {votes!r}")
     votes = min(votes, train_idx.size)
 
-    # the votes are selected one block of test rows at a time, as topk_arrays
-    # selects its neighbours, so no (test, train) key matrix is held whole;
-    # only the selected keys are finished into distances
-    finish = knn.finisher(metric)
-    gallery = matrix[train_idx]
-    nearest = np.empty((test_idx.size, votes), dtype=np.int64)
-    for block in knn._query_blocks(test_idx.size, train_idx.size):
-        keys = knn.pairwise_distances(matrix[test_idx[block]], gallery, metric, keys=True)
-        nearest[block] = knn.stable_topk(keys, votes, finish)
-    vote_labels = labels.labels[train_idx[nearest]]
+    listed = data._ids if isinstance(data, knn.KnnIndex) else None
+    vote_labels = labels.labels[_vote_ids(matrix, listed, member, train_idx, test_idx, metric, votes)]
     # counts[r, i]: how many of row r's votes share vote i's label; the first
     # vote, in distance order, whose label reaches the row's maximum wins
     counts = (vote_labels[:, :, None] == vote_labels[:, None, :]).sum(axis=2)
     first = np.argmax(counts == counts.max(axis=1, keepdims=True), axis=1)
     winners = vote_labels[np.arange(len(vote_labels)), first]
     return float(np.mean(winners == labels.labels[test_idx]))
+
+
+def _vote_ids(matrix, listed, member, train_idx, test_idx, metric, votes) -> np.ndarray:
+    """The sample ids of each test row's ``votes`` nearest train rows, nearest
+    first. ``member`` marks the train rows among the rows of ``matrix``;
+    ``listed`` is None or the neighbor ids of an index's search over them."""
+    nearest = np.empty((test_idx.size, votes), dtype=np.int64)
+    rest = np.arange(test_idx.size)  # the test rows classified against the train rows
+    if listed is not None and np.all(train_idx[1:] > train_idx[:-1]):
+        # each list is in (distance, id) order over every other sample, so its
+        # first train members are the train rows' own (distance, id) order
+        listed = listed[test_idx]
+        hits = member[listed]
+        seen = np.cumsum(hits, axis=1)
+        served = seen[:, -1] >= votes
+        # a boolean mask reads in row-major order: each row's votes in list order
+        nearest[served] = listed[hits & (seen <= votes) & served[:, None]].reshape(-1, votes)
+        rest = np.flatnonzero(~served)
+    # the votes are selected one block of test rows at a time, as topk_arrays
+    # selects its neighbours, so no (test, train) key matrix is held whole;
+    # only the selected keys are finished into distances
+    finish = knn.finisher(metric)
+    gallery = matrix[train_idx]
+    for block in knn._query_blocks(rest.size, train_idx.size):
+        rows = rest[block]
+        keys = knn.pairwise_distances(matrix[test_idx[rows]], gallery, metric, keys=True)
+        nearest[rows] = train_idx[knn.stable_topk(keys, votes, finish)]
+    return nearest
 
 
 def _score(method: str, k: int | None, data, labels: LabelVector, splits,
@@ -226,13 +258,17 @@ def _score(method: str, k: int | None, data, labels: LabelVector, splits,
 
 def zscore_concat(modalities: list[FeatureMatrix]) -> np.ndarray:
     """Concatenate modalities after per-dimension standardization."""
-    parts = []
+    out = np.empty((modalities[0].n, sum(m.dim for m in modalities)))
+    start = 0
     for m in modalities:
         mean = m.data.mean(axis=0)
         std = m.data.std(axis=0)
         std[std == 0.0] = 1.0
-        parts.append((m.data - mean) / std)
-    return np.hstack(parts)
+        cols = out[:, start:start + m.dim]
+        np.subtract(m.data, mean, out=cols)
+        cols /= std
+        start += m.dim
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +503,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """
     config.validate()
     stages: list[dict] = []
-    labels, splits, table, indexes = _score_baselines_and_index(config, stages)
+    labels, splits, table, indexes = _index_and_score_baselines(config, stages)
     embeddings: dict[tuple[int, int], EmbeddingMatrix] = {}
     summaries: dict[str, dict] = {}
     ks = [int(v) for v in config.k]
@@ -499,10 +535,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     return PipelineResult(table=table, manifest=manifest, embeddings=embeddings)
 
 
-def _score_baselines_and_index(config: PipelineConfig, stages: list):
-    """Load, split and score the baselines, then index every modality and run
-    its one search at the sweep's widest k: (labels, splits, table, indexes),
-    where ``indexes`` lists each modality's (name, index)."""
+def _index_and_score_baselines(config: PipelineConfig, stages: list):
+    """Load and split, index every modality and run its one search at the
+    sweep's widest k, then score the baselines: (labels, splits, table,
+    indexes), where ``indexes`` lists each modality's (name, index)."""
     with _stage("load", stages):
         modalities = [
             load_features(
@@ -526,14 +562,6 @@ def _score_baselines_and_index(config: PipelineConfig, stages: list):
             SplitSpec(config.protocol, config.m_or_fraction, config.repeats, config.seed),
         )
 
-    table = ResultTable()
-    with _stage("baselines", stages):
-        for modality in modalities:
-            table.rows.append(_score(modality.modality_name, None, modality, labels, splits,
-                                     BASELINE_METRIC, config.votes))
-        table.rows.append(_score(JOINT_METHOD, None, zscore_concat(modalities), labels, splits,
-                                 BASELINE_METRIC, config.votes))
-
     with _stage("knn", stages):
         indexes = [(m.modality_name, knn.build_index(m, config.metric)) for m in modalities]
         # one search per modality at the sweep's widest k: every graph of the
@@ -541,6 +569,16 @@ def _score_baselines_and_index(config: PipelineConfig, stages: list):
         widest = max(v for v in (*config.k, config.k1, config.k2) if v is not None)
         for _, index in indexes:
             index.topk(int(widest))
+
+    table = ResultTable()
+    with _stage("baselines", stages):
+        # an index built under the baseline metric serves its modality's votes
+        served = config.metric == BASELINE_METRIC
+        for modality, (name, index) in zip(modalities, indexes):
+            table.rows.append(_score(name, None, index if served else modality, labels, splits,
+                                     BASELINE_METRIC, config.votes))
+        table.rows.append(_score(JOINT_METHOD, None, zscore_concat(modalities), labels, splits,
+                                 BASELINE_METRIC, config.votes))
     return labels, splits, table, indexes
 
 

@@ -36,6 +36,7 @@ from fgfusion.errors import (
     EmptyTrainSetError,
     InsufficientDataError,
     InvalidConfigError,
+    InvalidMetricError,
     InvalidSpecError,
     KOutOfRangeError,
     LengthMismatchError,
@@ -341,6 +342,103 @@ def test_majority_vote_matches_a_per_row_count(case):
     order = stable_topk(pairwise_distances(data[test], data[train]), min(votes, train.size))
     expected = brute_vote_accuracy(labels.labels[train[order]], labels.labels[test])
     assert knn_classify(data, labels, train, test, votes=votes) == expected
+
+
+# ---------------------------------------------------------------------------
+# An index serves the classifier's votes from its search
+# ---------------------------------------------------------------------------
+
+
+def served_and_searched(monkeypatch, index, labels, splits, votes):
+    """Per split: (vote ids that ``index`` serves, vote ids of a search of the
+    train rows, test rows the served classifier still searched)."""
+    searched = []
+    pairwise = knn.pairwise_distances
+
+    def counted(queries, gallery, metric, **kwargs):
+        searched.append(len(queries))
+        return pairwise(queries, gallery, metric, **kwargs)
+
+    monkeypatch.setattr(knn, "pairwise_distances", counted)
+    out = []
+    for train, test in splits:
+        args = (evalharness._mask(train, index.n), train, test, "euclidean",
+                min(votes, train.size))
+        searched.clear()
+        served = evalharness._vote_ids(index._rows, index._ids, *args)
+        rows = sum(searched)
+        out.append((served, evalharness._vote_ids(index._rows, None, *args), rows))
+        assert knn_classify(index, labels, train, test, "euclidean", votes) == \
+            knn_classify(index._rows, labels, train, test, "euclidean", votes)
+    return out
+
+
+@pytest.mark.parametrize("votes", [1, 3, 5])
+@pytest.mark.parametrize("protocol, m_or_fraction",
+                         [("per_class_train_m", 8), ("random_fraction", 0.15)])
+@pytest.mark.parametrize("n, dim", [(2009, 42), (1961, 38)])
+def test_an_index_serves_the_votes_a_search_of_the_train_rows_selects(
+        monkeypatch, n, dim, protocol, m_or_fraction, votes):
+    rng = np.random.default_rng(n + votes)
+    index = build_index(rng.normal(size=(n, dim)))
+    index.topk(20)
+    labels = labels_of(rng.permutation(np.arange(n) % 40))
+    splits = make_splits(labels, SplitSpec(protocol, m_or_fraction, repeats=2, seed=votes))
+    for served, searched, rows in served_and_searched(monkeypatch, index, labels, splits, votes):
+        assert np.array_equal(served, searched)
+        assert rows < len(served)  # some rows were served
+
+
+@pytest.mark.parametrize("votes", [1, 3, 5])
+def test_an_index_breaks_distance_ties_as_a_search_of_the_train_rows(monkeypatch, votes):
+    # integer points on a 4 x 4 x 4 grid: the keys are exact, and most
+    # distances tie, so the lower sample id must win as the lower train position
+    rng = np.random.default_rng(votes)
+    data = rng.integers(0, 4, size=(300, 3)).astype(np.float64)
+    index = build_index(data)
+    index.topk(40)
+    labels = labels_of(rng.choice(["a", "b", "c"], size=300))
+    for protocol, value in (("per_class_train_m", 30), ("random_fraction", 0.3)):
+        splits = make_splits(labels, SplitSpec(protocol, value, repeats=3, seed=votes))
+        results = served_and_searched(monkeypatch, index, labels, splits, votes)
+        for served, searched, rows in results:
+            assert np.array_equal(served, searched)
+            assert rows < len(served)
+    # train rows out of order rank ties by train position: the index serves no row
+    train, test = splits[0]
+    shuffled = [(rng.permutation(train), test)]
+    [(served, searched, rows)] = served_and_searched(monkeypatch, index, labels, shuffled, votes)
+    assert np.array_equal(served, searched) and rows == len(test)
+
+
+@pytest.mark.parametrize("width", [None, 1])
+@pytest.mark.parametrize("votes", [1, 3])
+def test_rows_an_index_cannot_serve_are_searched(monkeypatch, width, votes):
+    """An index that has not searched serves no row; one that kept a single
+    neighbor serves only rows whose nearest sample is a train row."""
+    rng = np.random.default_rng(votes)
+    index = build_index(rng.normal(size=(400, 6)))
+    if width is not None:
+        index.topk(width)
+    labels = labels_of(rng.permutation(np.arange(400) % 10))
+    splits = make_splits(labels, SplitSpec("per_class_train_m", 8, repeats=3, seed=1))
+    for served, searched, rows in served_and_searched(monkeypatch, index, labels, splits, votes):
+        assert np.array_equal(served, searched)
+        if width is None or votes > width:
+            assert rows == len(served)
+        else:
+            assert 0.5 * len(served) < rows < len(served)
+
+
+def test_an_index_classifies_only_under_its_own_metric():
+    data = np.random.default_rng(0).normal(size=(20, 3))
+    labels = labels_of("ab" * 10)
+    train, test = np.arange(10), np.arange(10, 20)
+    for built, asked in (("cosine", "euclidean"), ("euclidean", "cosine")):
+        index = build_index(data, built)
+        index.topk(5)
+        with pytest.raises(InvalidMetricError, match=f"not built under the '{asked}' metric"):
+            knn_classify(index, labels, train, test, asked)
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +824,38 @@ def test_pipeline_manifest_names_the_metric_each_classifier_used(tmp_path, monke
     assert used["fgf"] == [classifier["fgf_metric"]] * 3
 
 
+@pytest.mark.parametrize("seed, votes", [(0, 1), (5, 3)])
+def test_pipeline_baselines_score_alike_from_the_index_and_the_features(
+        tmp_path, monkeypatch, seed, votes):
+    params = {**write_fixture(tmp_path, n_classes=8, per_class=25, seed=seed),
+              "seed": seed, "votes": votes}
+    served = run_pipeline(PipelineConfig(**params)).table.to_csv()
+    indexes = []
+
+    def from_features(data, labels, train_idx, test_idx, metric, votes):
+        if isinstance(data, knn.KnnIndex):
+            indexes.append(data)
+            data = FeatureMatrix(data._rows)
+        return knn_classify(data, labels, train_idx, test_idx, metric, votes)
+
+    monkeypatch.setattr(evalharness, "knn_classify", from_features)
+    assert run_pipeline(PipelineConfig(**params)).table.to_csv() == served
+    assert len(indexes) == 2 * params["repeats"]  # each modality's baseline, on every split
+
+
+def test_pipeline_baselines_take_the_features_when_the_graphs_search_under_cosine(
+        tmp_path, monkeypatch):
+    given = []
+
+    def recording(data, labels, train_idx, test_idx, metric, votes):
+        given.append(type(data))
+        return knn_classify(data, labels, train_idx, test_idx, metric, votes)
+
+    monkeypatch.setattr(evalharness, "knn_classify", recording)
+    run_pipeline(PipelineConfig(**{**write_fixture(tmp_path), "metric": "cosine"}))
+    assert given == [FeatureMatrix] * 6 + [np.ndarray] * 3 + [EmbeddingMatrix] * 3
+
+
 def test_pipeline_manifest_contents(tmp_path):
     result = run_pipeline(PipelineConfig(**write_fixture(tmp_path)))
     manifest = result.manifest
@@ -744,7 +874,7 @@ def _sweep_config(tmp_path) -> PipelineConfig:
 
 def test_pipeline_manifest_lists_every_stage_in_run_order(tmp_path):
     stages = run_pipeline(_sweep_config(tmp_path)).manifest["stages"]
-    expected = ["load", "splits", "baselines", "knn"]
+    expected = ["load", "splits", "knn", "baselines"]
     for k in (6, 4):
         expected += [f"graphs[k={k}]"]
         expected += [f"embed[k={k},d={d}]" for d in (8, 3)]
