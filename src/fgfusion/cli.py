@@ -83,16 +83,7 @@ def _settings(parser: argparse.ArgumentParser, *names: str, override: bool = Fal
         )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fgfusion",
-        description="Multi-modal feature fusion via extended Jaccard graphs "
-        "and negative-sampling graph embeddings.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic two-modality fixture")
+def _synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--noise", type=float, default=0.0)
@@ -101,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--format", choices=FORMATS, default="csv")
 
-    p = sub.add_parser("build-graph", help="build one modality's extended Jaccard graph")
+
+def _build_graph_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--features", type=Path, required=True)
     p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--header", action="store_true", help="skip the first CSV line")
@@ -110,14 +102,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--graph-format", choices=FORMATS, default="csv")
 
-    p = sub.add_parser("fuse", help="fuse modality graphs and emit the affinity matrix")
+
+def _fuse_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graphs", type=Path, nargs="+", required=True)
     p.add_argument("--graph-format", choices=FORMATS, default="csv")
     _settings(p, "combine", "kernel")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--affinity-format", choices=FORMATS, default="binary")
 
-    p = sub.add_parser("embed", help="train fused embeddings from an affinity matrix")
+
+def _embed_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--affinity", type=Path, required=True)
     p.add_argument("--affinity-format", choices=FORMATS, default="binary")
     p.add_argument("--dim", dest="d", metavar="DIM", type=int, required=True)
@@ -127,7 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=FORMATS, default="binary")
     p.add_argument("--report", type=Path, default=None, help="write a JSON training report")
 
-    p = sub.add_parser("eval", help="split-and-classify a feature or embedding file")
+
+def _eval_flags(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--features", type=Path)
     src.add_argument("--embeddings", type=Path)
@@ -141,7 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=_default(knn_classify, "metric"))
     p.add_argument("--out", type=Path, default=None, help="write results CSV here")
 
-    p = sub.add_parser("pipeline", help="run the full fusion + evaluation pipeline")
+
+def _pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, required=True, help="pipeline JSON config")
     p.add_argument("--out-dir", type=Path, required=True)
     _settings(
@@ -153,6 +149,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "--embeddings-format", choices=FORMATS, default="binary",
         help="format of the emitted embedding files",
     )
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, each listed by name and help line.
+    With None every subcommand gets its flags, else only ``command`` does:
+    a run parses one subcommand's flags alone."""
+    parser = argparse.ArgumentParser(
+        prog="fgfusion",
+        description="Multi-modal feature fusion via extended Jaccard graphs "
+        "and negative-sampling graph embeddings.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_flags(p)
     return parser
 
 
@@ -277,13 +290,15 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
+# subcommand -> (its help line, the function adding its flags, the function running it)
 _COMMANDS = {
-    "synth": _cmd_synth,
-    "build-graph": _cmd_build_graph,
-    "fuse": _cmd_fuse,
-    "embed": _cmd_embed,
-    "eval": _cmd_eval,
-    "pipeline": _cmd_pipeline,
+    "synth": ("generate a synthetic two-modality fixture", _synth_flags, _cmd_synth),
+    "build-graph": ("build one modality's extended Jaccard graph", _build_graph_flags,
+                    _cmd_build_graph),
+    "fuse": ("fuse modality graphs and emit the affinity matrix", _fuse_flags, _cmd_fuse),
+    "embed": ("train fused embeddings from an affinity matrix", _embed_flags, _cmd_embed),
+    "eval": ("split-and-classify a feature or embedding file", _eval_flags, _cmd_eval),
+    "pipeline": ("run the full fusion + evaluation pipeline", _pipeline_flags, _cmd_pipeline),
 }
 
 
@@ -303,10 +318,15 @@ def _exit_code(exc: Exception) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser takes no option with a value, so its first
+    # positional argument names the subcommand; without one, argparse exits
+    # before it would read any subcommand's flags
+    command = next((arg for arg in argv if not arg.startswith("-")), "")
+    args = _build_parser(command).parse_args(argv)
+    _, _, run = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        return run(args)
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
         code = _exit_code(exc)
         print(f"error: {exc}", file=sys.stderr)

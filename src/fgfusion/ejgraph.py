@@ -34,6 +34,11 @@ WEIGHT_MODES = ("literal", "jaccard-scaled")
 
 GRAPH_MAGIC = b"EJGG"
 
+# members of N_k2(i) that every confirmation probe reads before the rest; 4
+# was the fastest head on the benchmark's graphs (k = 20 and 50), where
+# 95-99% of the pairs confirm within it
+_PROBE_HEAD = 4
+
 
 class RowView(Sequence):
     """Rows of a CSR array: item q is the numpy view ``values[indptr[q]:indptr[q + 1]]``.
@@ -123,18 +128,41 @@ class SparseGraph(_Csr):
             raise InvalidConfigError(f"row {q}: {problem[check]}")
 
 
-def _isin_rows(sets: np.ndarray, nbrs: np.ndarray, n: int) -> np.ndarray:
-    """Whether nbrs[sets[r, a], b] is a member of sets[r], for every r, a, b.
-
-    Ids lie in [0, n). Row r's set is scattered into entries r * n + id of
-    one flat boolean table, so each probe is one lookup.
-    """
+def _membership(sets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(table, base): row r's set of ids in [0, n) scattered into entries
+    base[r] + id of one flat boolean table, so each probe is one lookup."""
     base = np.arange(len(sets))[:, None] * n
     table = np.zeros(len(sets) * n, dtype=bool)
     table[base + sets] = True
-    probes = nbrs[sets]
-    probes += base[:, :, None]  # in place: the probes are the block's largest array
+    return table, base
+
+
+def _probe(table: np.ndarray, base: np.ndarray, sets: np.ndarray, lists_t: np.ndarray):
+    """Whether lists_t[b, sets[r, a]] is a member of set r, for every b, r, a.
+
+    ``lists_t`` holds neighbor lists as columns, so the answers come out
+    column by column and reduce over their first axis as whole slabs.
+    """
+    probes = lists_t[:, sets]
+    probes += base  # in place: the probes are the block's largest array
     return table.take(probes)
+
+
+def _overlapping(sets: np.ndarray, head_t: np.ndarray, tail: np.ndarray, n: int) -> np.ndarray:
+    """Whether the neighbor list of sets[r, a] shares a member with sets[r],
+    for every r, a; each list is ``head_t[:, id]`` then ``tail[id]``.
+
+    One shared member decides, so every pair probes its list's head and only
+    the pairs without a hit there probe the tail.
+    """
+    table, base = _membership(sets, n)
+    hit = _probe(table, base, sets, head_t).any(axis=0)
+    miss = np.flatnonzero(~hit)
+    if miss.size and tail.shape[1]:
+        probes = tail[sets.take(miss)]
+        probes += (miss // sets.shape[1] * n)[:, None]
+        np.put(hit, miss, table.take(probes).any(axis=1))
+    return hit
 
 
 def build_ejg(
@@ -163,28 +191,31 @@ def build_ejg(
     ids_max = index.topk(kmax)
     nbrs_k = ids_max[:, :k].copy()  # the graph's own ids: its rows are writable
     nbrs_k1 = ids_max[:, :k1]
-    nbrs_k2 = ids_max[:, :k2]
 
     # Blocks of kmax rows keep every membership table at most kmax x n
-    # booleans, smaller than the (n, kmax) neighbor ids themselves.
+    # booleans, smaller than the (n, kmax) neighbor ids themselves; the
+    # probes of a block are at most kmax x k1 x kmax ids.
     blocks = [slice(start, start + kmax) for start in range(0, n, kmax)]
 
     # confirmations[c] = |{i in N_k1(c) : N_k1(c) ∩ N_k2(i) != ∅}|; the
     # membership condition of the indicator holds for every summand, so
-    # only the overlap test remains.
+    # only the overlap test remains, and one shared member passes it.
+    head = min(k2, _PROBE_HEAD)
+    head_t = ids_max[:, :head].T.copy()
     confirmations = np.empty(n, dtype=np.int64)
     for rows in blocks:
-        sets = nbrs_k1[rows]
-        confirmations[rows] = _isin_rows(sets, nbrs_k2, n).any(axis=2).sum(axis=1)
+        hit = _overlapping(nbrs_k1[rows], head_t, ids_max[:, head:k2], n)
+        confirmations[rows] = hit.sum(axis=1)
 
     if mode == "literal":
         weights = confirmations[nbrs_k].astype(np.float64)
     else:
         weights = np.empty((n, k), dtype=np.float64)
+        nbrs_k1_t = nbrs_k1.T.copy()
         for rows in blocks:
             cs = nbrs_k[rows]
             # |N_k1(c) ∩ N_k(q)| for every edge q -> c of the block
-            ic = _isin_rows(cs, nbrs_k1, n).sum(axis=2)
+            ic = _probe(*_membership(cs, n), cs, nbrs_k1_t).sum(axis=0)
             jac = ic / (k1 + k - ic)
             weights[rows] = jac * confirmations[cs] / k1
     indptr = np.arange(n + 1, dtype=np.int64) * k
@@ -214,35 +245,63 @@ _EDGE_CHUNK = 1 << 13  # edges formatted, packed or unpacked at a time
 def _write_edges(path, fmt, matrix: _Csr, magic, node_values=None) -> None:
     """Write a CSR matrix's entries as `src,dst,value` lines, or as the binary
     edge table: the header (n, edge count), one record per edge, then n f64
-    ``node_values`` if given."""
+    ``node_values`` if given.
+
+    CSV ids are looked up in one table of the n ids' texts, made once per
+    file; a chunk whose dst ids leave [0, n) (only unvalidated arrays hold
+    such ids) formats each distinct one of them instead. Each distinct value
+    of a chunk is formatted once, keyed by its bits so that -0.0 and 0.0
+    stay apart. A chunk's texts fill one reused object array, (src, dst,
+    value) at strides of 3, and are written as one joined string.
+    """
     _check_format(fmt)
-    src, dst, val = matrix._entry_rows(), matrix.indices, matrix.data
-    if fmt == "csv":
-        val = np.asarray(val, dtype=np.float64)
-        with _replacing(path) as fh:
-            for at in range(0, src.size, _EDGE_CHUNK):
-                part = slice(at, at + _EDGE_CHUNK)
-                # each distinct id and value of the chunk is formatted once, the
-                # value keyed by its bits so that -0.0 and 0.0 stay apart
-                ids, id_at = np.unique(np.concatenate((src[part], dst[part])), return_inverse=True)
-                id_text = np.array([f"{i}," for i in ids.tolist()], dtype=object)[id_at]
-                bits, val_at = np.unique(val[part].view(np.int64), return_inverse=True)
-                values = bits.view(np.float64).tolist()
-                val_text = np.array([f"{v!r}\n" for v in values], dtype=object)
-                half = id_at.size // 2
-                fh.write("".join(id_text[:half] + id_text[half:] + val_text[val_at]))
-    else:
-        _write_binary(path, magic, matrix.n, src.size, _binary_parts(src, dst, val, node_values))
+    matrix._row_counts()  # the arrays must form CSR
+    n_edges, chunks = matrix.indices.size, _edge_chunks(matrix)
+    if fmt == "binary":
+        _write_binary(path, magic, matrix.n, n_edges, _binary_parts(chunks, n_edges, node_values))
+        return
+    ids = np.array([f"{i}," for i in range(matrix.n)], dtype=object)
+    text = np.empty(3 * min(n_edges, _EDGE_CHUNK), dtype=object)
+    with _replacing(path) as fh:
+        for src, dst, val in chunks:
+            lines = text[: 3 * src.size]
+            lines[0::3] = ids[src]
+            if dst.min() >= 0 and dst.max() < matrix.n:
+                lines[1::3] = ids[dst]
+            else:
+                lines[1::3] = _distinct_texts(dst, np.int64, ",")
+            lines[2::3] = _distinct_texts(val.view(np.int64), np.float64, "\n")
+            fh.write("".join(lines.tolist()))
 
 
-def _binary_parts(src, dst, val, node_values):
+def _edge_chunks(matrix: _Csr):
+    """(src, dst, value) arrays of the entries of CSR arrays, _EDGE_CHUNK
+    entries at a time; each chunk's src ids come from the rows holding its
+    entries alone."""
+    indptr, val = matrix.indptr, np.asarray(matrix.data, dtype=np.float64)
+    for start in range(0, matrix.indices.size, _EDGE_CHUNK):
+        stop = min(start + _EDGE_CHUNK, matrix.indices.size)
+        # rows lo to hi - 1 hold the entries start to stop - 1
+        lo = np.searchsorted(indptr, start, side="right") - 1
+        hi = np.searchsorted(indptr, stop, side="left")
+        counts = np.diff(np.clip(indptr[lo : hi + 1], start, stop))
+        yield np.repeat(np.arange(lo, hi), counts), matrix.indices[start:stop], val[start:stop]
+
+
+def _distinct_texts(keys: np.ndarray, dtype, end: str) -> np.ndarray:
+    """``repr(x) + end`` of each key read as ``dtype``, as an object array;
+    each distinct key is formatted once."""
+    distinct, at = np.unique(keys, return_inverse=True)
+    return np.array([f"{x!r}{end}" for x in distinct.view(dtype).tolist()], dtype=object)[at]
+
+
+def _binary_parts(chunks, n_edges: int, node_values):
     """The binary edge table's payload, packed one chunk of records at a time
     into a single reused buffer."""
-    records = np.empty(min(src.size, _EDGE_CHUNK), dtype=_EDGE_RECORD)
-    for at in range(0, src.size, _EDGE_CHUNK):
-        part = slice(at, at + _EDGE_CHUNK)
-        chunk = records[: src[part].size]
-        chunk["src"], chunk["dst"], chunk["value"] = src[part], dst[part], val[part]
+    records = np.empty(min(n_edges, _EDGE_CHUNK), dtype=_EDGE_RECORD)
+    for src, dst, val in chunks:
+        chunk = records[: src.size]
+        chunk["src"], chunk["dst"], chunk["value"] = src, dst, val
         yield chunk
     if node_values is not None:
         yield np.ascontiguousarray(node_values, dtype="<f8")

@@ -82,6 +82,8 @@ def stable_topk(keys: np.ndarray, k: int, finish=None) -> np.ndarray:
     Returns exactly ``np.argsort(finish(keys), axis=1, kind="stable")[:, :k]``,
     so equal distances resolve to the lower column id, but ranks on the keys
     in linear time per row and finishes only the k + 1 candidates it keeps.
+    The k are sorted by distance alone, and again by (distance, id) only in
+    rows where two of them share a distance.
     Only rows where the finish may tie the k-th distance with one outside
     the candidates (or that hold a NaN) are finished whole and fully sorted.
     At k = 1 under the euclidean finish, each row's minimum is masked in
@@ -115,11 +117,20 @@ def stable_topk(keys: np.ndarray, k: int, finish=None) -> np.ndarray:
         vals = np.take_along_axis(keys, part, axis=1)
         vals = finish(vals, out=vals)
         cand, cand_vals = part[:, :k], vals[:, :k]
-        top = np.take_along_axis(cand, np.lexsort((cand, cand_vals), axis=1), axis=1)
         # where the (k+1)-th smallest distance is not above the k-th (a tie,
         # also of two keys the finish equates, or a NaN), the partition may
         # have kept a higher id of that distance over a lower one
         unsure = ~(vals[:, k] > cand_vals.max(axis=1))
+        order = np.argsort(cand_vals, axis=1)
+        sorted_vals = np.take_along_axis(cand_vals, order, axis=1)
+        top = np.take_along_axis(cand, order, axis=1)
+        # one sort by distance is the (distance, id) order unless two
+        # candidates share a distance (-0.0 and 0.0 included): only those
+        # rows are sorted again with their ids as the tie-break
+        tied = np.flatnonzero((sorted_vals[:, 1:] == sorted_vals[:, :-1]).any(axis=1) & ~unsure)
+        if tied.size:
+            cand, cand_vals = cand[tied], cand_vals[tied]
+            top[tied] = np.take_along_axis(cand, np.lexsort((cand, cand_vals), axis=1), axis=1)
     unsure = np.flatnonzero(unsure)
     if unsure.size:
         top[unsure] = np.argsort(finish(keys[unsure]), axis=1, kind="stable")[:, :k]

@@ -165,8 +165,9 @@ def test_pipeline_cli_overrides(fixture_dir, tmp_path):
     assert manifest["config"]["k"] == [5] and manifest["config"]["seed"] == 9
 
 
-def _subparser(command):
-    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+def _subparser(command, parser=None):
+    parser = cli._build_parser() if parser is None else parser
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return sub.choices[command]
 
 
@@ -247,6 +248,45 @@ def test_eval_classifies_with_the_library_defaults(capsys):
             cli.main([command, "--help"])
         assert exit_.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: fgfusion {command}")
+
+
+ACTION_FIELDS = ("option_strings", "dest", "nargs", "choices", "default", "required",
+                 "metavar", "help", "type")
+
+
+def _actions(parser):
+    """Every action's fields and every mutually exclusive group's dests."""
+    return (
+        [tuple(getattr(a, f) for f in ACTION_FIELDS) for a in parser._actions],
+        [(g.required, [a.dest for a in g._group_actions])
+         for g in parser._mutually_exclusive_groups],
+    )
+
+
+def _listed(parser):
+    """The (name, help line) of each subcommand ``fgfusion --help`` lists."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(a.dest, a.help) for a in sub._choices_actions]
+
+
+@pytest.mark.parametrize("command", REQUIRED_ARGS)
+def test_a_run_builds_its_subcommands_flags_as_the_full_parser_does(command, monkeypatch):
+    lazy = cli._build_parser(command)
+    assert _actions(_subparser(command, lazy)) == _actions(_subparser(command))
+    assert _listed(lazy) == _listed(cli._build_parser())
+    for other in set(REQUIRED_ARGS) - {command}:
+        assert [a.dest for a in _subparser(other, lazy)._actions] == ["help"]
+
+    built, build = [], cli._build_parser
+
+    def recorded(name=None):
+        built.append(name)
+        return build(name)
+
+    monkeypatch.setattr(cli, "_build_parser", recorded)
+    monkeypatch.setitem(cli._COMMANDS, command, (*cli._COMMANDS[command][:2], lambda args: 0))
+    assert cli.main([command, *REQUIRED_ARGS[command]]) == 0
+    assert built == [command]
 
 
 def test_every_pipeline_override_flag_lands_in_the_manifest(fixture_dir, tmp_path):

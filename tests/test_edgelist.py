@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fgfusion import (
     AffinityMatrix,
+    SparseGraph,
     load_affinity,
     load_graph,
     normalize_affinity,
@@ -268,6 +269,38 @@ def test_csv_write_over_several_chunks_matches_the_per_edge_oracle(tmp_path):
     matrix = ejgraph._Csr(indptr, rng.integers(-2, n + 2, edges), values)
     ejgraph._write_edges(tmp_path / "edges.csv", "csv", matrix, b"EJGG")
     assert (tmp_path / "edges.csv").read_bytes() == brute_csv_edges(matrix).encode("utf-8")
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7])
+def test_csv_write_of_chunks_mixing_in_and_out_of_range_ids(tmp_path, chunk):
+    # row 1 holds -1 and 3 beside the in-range 0, outside the table of [0, 3)
+    matrix = ejgraph._Csr(*csr([
+        ([1, 2, 0], [0.5, -0.0, 0.0]),
+        ([0, -1, 3], [1.0, 2.0, 1.0]),
+        ([2, 2**63 - 1, 1], [0.1 + 0.2, 1e16, 0.5]),
+    ]))
+    with mock.patch.object(ejgraph, "_EDGE_CHUNK", chunk):
+        ejgraph._write_edges(tmp_path / "edges.csv", "csv", matrix, b"EJGG")
+    assert (tmp_path / "edges.csv").read_bytes() == brute_csv_edges(matrix).encode("utf-8")
+
+
+@pytest.mark.parametrize("chunk", [1, 2, ejgraph._EDGE_CHUNK])
+def test_csv_write_of_a_graph_with_more_nodes_than_ids_present(tmp_path, chunk):
+    # rows 3 to 9 are empty, and no edge names a node above 2
+    g = graph_from_rows(10, {0: [(1, 0.5), (2, 0.25)], 1: [(2, 1.0)], 2: [(0, 0.0)]})
+    with mock.patch.object(ejgraph, "_EDGE_CHUNK", chunk):
+        save_graph(g, tmp_path / "g.csv", "csv")
+    assert (tmp_path / "g.csv").read_bytes() == brute_csv_edges(g).encode("utf-8")
+
+
+def test_csv_write_of_an_affinity_over_several_chunks(tmp_path):
+    rng = np.random.default_rng(6)
+    n, k = 700, 13  # 9 100 edges: one chunk and part of another
+    ids = (np.arange(n)[:, None] + rng.permutation(np.arange(1, n))[:k]) % n
+    g = SparseGraph(np.arange(n + 1) * k, ids.reshape(-1), rng.integers(0, 5, n * k) / 4.0)
+    aff = normalize_affinity(g)
+    save_affinity(aff, tmp_path / "a.csv", "csv")
+    assert (tmp_path / "a.csv").read_bytes() == brute_csv_edges(aff).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

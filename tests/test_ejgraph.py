@@ -15,7 +15,8 @@ from fgfusion import (
     save_graph,
     synth_multimodal,
 )
-from fgfusion import knn
+from fgfusion import ejgraph, knn
+from fgfusion.ejgraph import WEIGHT_MODES
 from fgfusion.errors import InvalidConfigError, KOutOfRangeError
 
 from bruteforce import brute_edge_weight, brute_ejg_weights, brute_jaccard, csr
@@ -204,13 +205,55 @@ def test_matches_oracle_with_duplicates_and_distance_ties(metric, mode):
     check()
 
 
+def duplicated_fixture():
+    """13 exact points: scaled copies of four sign vectors, some repeated."""
+    signs = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [-1, -1, 1, 1], [1, 1, -1, 1]], float)
+    return np.vstack([signs, 2 * signs, signs[:2], 4 * signs[1:]])
+
+
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
 @pytest.mark.parametrize("mode", ["literal", "jaccard-scaled"])
 def test_distinct_k_k1_k2_on_a_duplicated_fixture(metric, mode):
-    signs = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [-1, -1, 1, 1], [1, 1, -1, 1]], float)
-    matrix = np.vstack([signs, 2 * signs, signs[:2], 4 * signs[1:]])  # 13 points
     for k, k1, k2 in [(3, 5, 7), (7, 2, 4), (4, 9, 1), (12, 6, 3)]:
-        assert_matches_oracle(matrix, k, k1, k2, metric, mode)
+        assert_matches_oracle(duplicated_fixture(), k, k1, k2, metric, mode)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+@pytest.mark.parametrize("mode", WEIGHT_MODES)
+def test_confirmations_when_k2_is_within_the_probe_head(metric, mode):
+    assert ejgraph._PROBE_HEAD > 3  # so each N_k2(i) below is probed whole at once
+    for k, k1, k2 in [(3, 5, 1), (6, 2, 2), (2, 7, 3), (9, 4, 3)]:
+        assert_matches_oracle(duplicated_fixture(), k, k1, k2, metric, mode)
+
+
+class ListIndex:
+    """Stands in for a KnnIndex: its searches return hand-built neighbor lists."""
+
+    def __init__(self, lists: np.ndarray):
+        self.lists, self.n = lists, len(lists)
+
+    def topk(self, k: int) -> np.ndarray:
+        return self.lists[:, :k]
+
+
+@pytest.mark.parametrize("mode", WEIGHT_MODES)
+@pytest.mark.parametrize("k, k1, k2, seed", [(2, 4, 7, 0), (6, 3, 11, 1), (5, 9, 8, 2)])
+def test_confirmations_found_only_past_the_probe_head(mode, k, k1, k2, seed):
+    """Lists where some pair (c, i) shares no member of N_k1(c) with the head of
+    N_k2(i) but shares one further on, and some pair shares none at all."""
+    n, head = 20, ejgraph._PROBE_HEAD
+    rng = np.random.default_rng(seed)
+    lists = np.array([rng.permutation(np.delete(np.arange(n), q)) for q in range(n)])
+    n_k, n_k1, n_k2 = ({q: lists[q, :width].tolist() for q in range(n)} for width in (k, k1, k2))
+    # where each pair's first shared member lies in N_k2(i), k2 for none
+    first = [next((at for at, j in enumerate(n_k2[i]) if j in n_k1[c]), k2)
+             for c in range(n) for i in n_k1[c]]
+    assert min(first) < head and head <= max(f for f in first if f < k2) and max(first) == k2
+    graph = build_ejg(ListIndex(lists), k, k1, k2, mode=mode)
+    for q in range(n):
+        assert graph.neighbor_ids[q].tolist() == n_k[q]
+        for c, w in zip(n_k[q], graph.weights[q].tolist()):
+            assert w == brute_edge_weight(n_k[q], n_k1[c], n_k2, k1, mode)
 
 
 def test_build_allocates_nothing_quadratic(monkeypatch):

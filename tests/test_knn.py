@@ -358,6 +358,92 @@ def test_stable_topk_on_keys_equals_stable_argsort_of_the_finished(case, metric)
     assert keys.tobytes() == given_keys
 
 
+# equal distances inside the top k, not only across the k-th slot
+TIED_INSIDE = {
+    # -0.0 beside two 0.0s: three equal distances lead the row
+    "signed zeros": (np.array([[3.0, -0.0, 5.0, 0.0, 1.0, 7.0, 0.0, 9.0]]), None),
+    # 1.0 and the next double above it root to 1; -1e-17 and 0.0 clamp to 0
+    "finish-equated": (
+        np.array([[4.0, 1.0, 9.0, np.nextafter(1.0, 2.0), 16.0, -1e-17, 0.0, 25.0]]),
+        "euclidean",
+    ),
+}
+
+
+def finished(keys, metric):
+    """The finish of ``metric``, or None for keys that are distances, and
+    the stable sort of the distances."""
+    finish = knn.finisher(metric) if metric else None
+    return finish, stable_sort_topk(finish(keys.copy()) if finish else keys, keys.shape[1])
+
+
+@pytest.mark.parametrize("case", TIED_INSIDE)
+def test_stable_topk_orders_ties_inside_the_top_k_by_id(case):
+    keys, metric = TIED_INSIDE[case]
+    finish, expected = finished(keys, metric)
+    for k in range(1, keys.shape[1]):
+        np.testing.assert_array_equal(stable_topk(keys, k, finish), expected[:, :k])
+
+
+def duplicated_keys():
+    """Exact euclidean keys between integer points, each present three
+    times, with rows that tie inside their top k."""
+    points = np.repeat(np.random.default_rng(8).integers(0, 4, size=(15, 3)), 3, axis=0) * 1.0
+    keys = pairwise_distances(points, points.copy(), keys=True)
+    np.fill_diagonal(keys, np.inf)
+    return keys
+
+
+def lexsort_recorder(monkeypatch):
+    """The sorted primary keys of the rows each np.lexsort call receives."""
+    seen, lexsort = [], np.lexsort
+
+    def recorded(keys, axis=-1):
+        seen.append(np.sort(keys[-1], axis=axis))
+        return lexsort(keys, axis=axis)
+
+    monkeypatch.setattr(np, "lexsort", recorded)
+    return seen
+
+
+def assert_every_sorted_row_ties(seen):
+    for rows in seen:
+        assert (rows[:, 1:] == rows[:, :-1]).any(axis=1).all()
+
+
+@pytest.mark.parametrize("metric", [None, "euclidean", "cosine"])
+def test_stable_topk_on_rows_of_duplicated_points(monkeypatch, metric):
+    keys = duplicated_keys()
+    finish, expected = finished(keys, metric)
+    seen = lexsort_recorder(monkeypatch)
+    for k in (2, 3, 5, 9, 20, 44):
+        np.testing.assert_array_equal(stable_topk(keys, k, finish), expected[:, :k])
+    assert seen  # the duplicates tie inside the top k
+    assert_every_sorted_row_ties(seen)
+
+
+def test_stable_topk_sorts_again_only_rows_that_tie(monkeypatch):
+    rng = np.random.default_rng(12)
+    keys = rng.random((60, 40))
+    seen = lexsort_recorder(monkeypatch)
+    for k in (2, 10, 39):
+        np.testing.assert_array_equal(stable_topk(keys, k), stable_sort_topk(keys, k))
+    assert seen == []  # no two distances of a row are equal
+    # every third row gets a copy of one of its five smallest distances; every
+    # fourth row's smallest becomes 0.0, and every eighth row's next one -0.0
+    ranks = np.argsort(keys, axis=1)
+    for r in range(0, 60, 3):
+        keys[r, ranks[r, 30 + r % 10]] = keys[r, ranks[r, r % 5]]
+    rows = np.arange(0, 60, 4)
+    keys[rows, ranks[rows, 0]] = 0.0
+    keys[rows[::2], ranks[rows[::2], 1]] = -0.0
+    for k in (2, 6, 10, 39):
+        seen.clear()
+        np.testing.assert_array_equal(stable_topk(keys, k), stable_sort_topk(keys, k))
+        assert_every_sorted_row_ties(seen)
+    assert seen
+
+
 KEYED_N = 40
 
 
