@@ -38,7 +38,6 @@ from .errors import (
     FgfError,
     InsufficientDataError,
     InvalidConfigError,
-    InvalidMetricError,
     InvalidSpecError,
     PipelineStageError,
     check_types,
@@ -163,8 +162,6 @@ def _as_matrix(data) -> np.ndarray:
         return data.data
     if isinstance(data, EmbeddingMatrix):
         return data.vectors
-    if isinstance(data, knn.KnnIndex):
-        return data._rows
     return np.asarray(data, dtype=np.float64)
 
 
@@ -178,25 +175,21 @@ def knn_classify(
 ) -> float:
     """Majority-vote nearest-neighbor accuracy of test against train.
 
-    ``data`` may be a KnnIndex built under ``metric``; it classifies its own
-    rows (under euclidean, its features). Once it has searched, it serves each
-    test row's votes: with train_idx ascending, the first ``votes`` train
-    members of the row's neighbor list. Rows whose list holds fewer are
-    compared with the train rows, as every row of other data is.
+    ``data`` may be a KnnIndex built under ``metric``, which serves the votes
+    of its search (see :func:`knn.vote_ids`).
 
     Vote ties are resolved in favor of the tied label whose representative
     appears earliest in the distance-ordered vote list.
     """
-    if isinstance(data, knn.KnnIndex) and data._finish_keys is not knn.finisher(metric):
-        raise InvalidMetricError(f"the index was not built under the {metric!r} metric")
-    matrix = _as_matrix(data)
-    _check_label_count(labels, len(matrix))
+    if not isinstance(data, knn.KnnIndex):
+        data = _as_matrix(data)
+    n = len(data)
+    _check_label_count(labels, n)
     train_idx, test_idx = np.asarray(train_idx), np.asarray(test_idx)
     if train_idx.size == 0:
         raise EmptyTrainSetError("empty train set")
     if test_idx.size == 0:
         raise InvalidSpecError("empty test set")
-    n = len(matrix)
     for name, idx in (("train", train_idx), ("test", test_idx)):
         # a float index would be truncated to the row below it
         if idx.dtype.kind not in "iu":
@@ -211,8 +204,7 @@ def knn_classify(
         raise InvalidConfigError(f"votes must be an integer >= 1, got {votes!r}")
     votes = min(votes, train_idx.size)
 
-    listed = data._ids if isinstance(data, knn.KnnIndex) else None
-    vote_labels = labels.labels[_vote_ids(matrix, listed, member, train_idx, test_idx, metric, votes)]
+    vote_labels = labels.labels[knn.vote_ids(data, member, train_idx, test_idx, metric, votes)]
     # counts[r, i]: how many of row r's votes share vote i's label; the first
     # vote, in distance order, whose label reaches the row's maximum wins
     counts = (vote_labels[:, :, None] == vote_labels[:, None, :]).sum(axis=2)
@@ -221,38 +213,12 @@ def knn_classify(
     return float(np.mean(winners == labels.labels[test_idx]))
 
 
-def _vote_ids(matrix, listed, member, train_idx, test_idx, metric, votes) -> np.ndarray:
-    """The sample ids of each test row's ``votes`` nearest train rows, nearest
-    first. ``member`` marks the train rows among the rows of ``matrix``;
-    ``listed`` is None or the neighbor ids of an index's search over them."""
-    nearest = np.empty((test_idx.size, votes), dtype=np.int64)
-    rest = np.arange(test_idx.size)  # the test rows classified against the train rows
-    if listed is not None and np.all(train_idx[1:] > train_idx[:-1]):
-        # each list is in (distance, id) order over every other sample, so its
-        # first train members are the train rows' own (distance, id) order
-        listed = listed[test_idx]
-        hits = member[listed]
-        seen = np.cumsum(hits, axis=1)
-        served = seen[:, -1] >= votes
-        # a boolean mask reads in row-major order: each row's votes in list order
-        nearest[served] = listed[hits & (seen <= votes) & served[:, None]].reshape(-1, votes)
-        rest = np.flatnonzero(~served)
-    # the votes are selected one block of test rows at a time, as topk_arrays
-    # selects its neighbours, so no (test, train) key matrix is held whole;
-    # only the selected keys are finished into distances
-    finish = knn.finisher(metric)
-    gallery = matrix[train_idx]
-    for block in knn._query_blocks(rest.size, train_idx.size):
-        rows = rest[block]
-        keys = knn.pairwise_distances(matrix[test_idx[rows]], gallery, metric, keys=True)
-        nearest[rows] = train_idx[knn.stable_topk(keys, votes, finish)]
-    return nearest
-
-
 def _score(method: str, k: int | None, data, labels: LabelVector, splits,
-           metric: str, votes: int) -> ResultRow:
-    """The table row of ``method``: its nearest-neighbor accuracy on each split."""
-    accs = tuple(knn_classify(data, labels, tr, te, metric, votes) for tr, te in splits)
+           metric: str, votes: int, index=None) -> ResultRow:
+    """The table row of ``method``: its nearest-neighbor accuracy on each split,
+    classified by ``index``, if given, an index over ``data``."""
+    source = data if index is None else index
+    accs = tuple(knn_classify(source, labels, tr, te, metric, votes) for tr, te in splits)
     return ResultRow(method=method, k=k, d=_as_matrix(data).shape[1], accuracies=accs)
 
 
@@ -575,8 +541,8 @@ def _index_and_score_baselines(config: PipelineConfig, stages: list):
         # an index built under the baseline metric serves its modality's votes
         served = config.metric == BASELINE_METRIC
         for modality, (name, index) in zip(modalities, indexes):
-            table.rows.append(_score(name, None, index if served else modality, labels, splits,
-                                     BASELINE_METRIC, config.votes))
+            table.rows.append(_score(name, None, modality, labels, splits, BASELINE_METRIC,
+                                     config.votes, index if served else None))
         table.rows.append(_score(JOINT_METHOD, None, zscore_concat(modalities), labels, splits,
                                  BASELINE_METRIC, config.votes))
     return labels, splits, table, indexes

@@ -47,6 +47,9 @@ class KnnIndex:
         self.n = self._rows.shape[0]
         self._ids = None  # read-only neighbor ids of the widest search so far
 
+    def __len__(self) -> int:
+        return self.n
+
     def topk(self, k: int) -> np.ndarray:
         """A read-only view of the ids of ``topk_arrays(self, k)``.
 
@@ -74,11 +77,11 @@ class KnnIndex:
         return ids, top
 
 
-def stable_topk(keys: np.ndarray, k: int, finish=None) -> np.ndarray:
+def stable_topk(keys: np.ndarray, k: int, finish) -> np.ndarray:
     """Column ids of the k smallest distances of each row, ordered by (distance, id).
 
     The distances are ``finish(keys)``, an elementwise and non-decreasing map
-    (see :func:`finisher`); without a finish the keys are the distances.
+    (see :func:`finisher`).
     Returns exactly ``np.argsort(finish(keys), axis=1, kind="stable")[:, :k]``,
     so equal distances resolve to the lower column id, but ranks on the keys
     in linear time per row and finishes only the k + 1 candidates it keeps.
@@ -89,7 +92,6 @@ def stable_topk(keys: np.ndarray, k: int, finish=None) -> np.ndarray:
     At k = 1 under the euclidean finish, each row's minimum is masked in
     ``keys`` for a moment and then restored.
     """
-    finish = finish or _as_is
     m = keys.shape[1]
     if k >= m:
         return np.argsort(finish(keys), axis=1, kind="stable")[:, :k]
@@ -101,9 +103,9 @@ def stable_topk(keys: np.ndarray, k: int, finish=None) -> np.ndarray:
         first = np.argmin(keys, axis=1)
         rows = np.arange(len(keys))
         low = keys[rows, first]
-        if finish is _as_is or finish is _clamp:
-            # the identity, and the clamp above 0, never equate two keys
-            unsure = ~(low > (-np.inf if finish is _as_is else 0.0))
+        if finish is _clamp:
+            # the clamp never equates two keys above 0
+            unsure = ~(low > 0.0)
         else:
             # no other key may finish to the minimum's distance (an argmin
             # and a gather take less time than np.min's row reduction)
@@ -146,12 +148,6 @@ def finisher(metric: str):
     return _clamp_root if metric == "euclidean" else _clamp
 
 
-def _as_is(values: np.ndarray, out=None) -> np.ndarray:
-    """The finish of keys that are already distances; ``out`` is always
-    ``values`` itself or None."""
-    return values
-
-
 def _clamp(keys: np.ndarray, out=None) -> np.ndarray:
     """Cosine distances from 1 - cos, which rounding can take below 0."""
     return np.maximum(keys, 0.0, out=out)
@@ -181,6 +177,45 @@ def topk_arrays(index: KnnIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
     for block in _query_blocks(index.n, index.n):
         ids[block], dists[block] = index._topk_block(np.arange(block.start, block.stop), k)
     return ids, dists
+
+
+def vote_ids(data, member, train_idx, test_idx, metric: str, votes: int) -> np.ndarray:
+    """The sample ids of each test row's ``votes`` nearest train rows, nearest
+    first, in (distance, id) order; ``member`` marks the train rows.
+
+    ``data`` is a matrix or a KnnIndex built under ``metric``, whose rows
+    (under euclidean, its features) it classifies. Once an index has
+    searched, it serves each test row's votes: with train_idx ascending, the
+    first ``votes`` train members of the row's neighbor list. Rows whose list
+    holds fewer are compared with the train rows, as every row of a matrix is.
+    """
+    listed = None
+    if isinstance(data, KnnIndex):
+        if data._finish_keys is not finisher(metric):
+            raise InvalidMetricError(f"the index was not built under the {metric!r} metric")
+        data, listed = data._rows, data._ids
+    nearest = np.empty((test_idx.size, votes), dtype=np.int64)
+    rest = np.arange(test_idx.size)  # the test rows compared with the train rows
+    if listed is not None and np.all(train_idx[1:] > train_idx[:-1]):
+        # each list is in (distance, id) order over every other sample, so its
+        # first train members are the train rows' own (distance, id) order
+        listed = listed[test_idx]
+        hits = member[listed]
+        seen = np.cumsum(hits, axis=1)
+        served = seen[:, -1] >= votes
+        # a boolean mask reads in row-major order: each row's votes in list order
+        nearest[served] = listed[hits & (seen <= votes) & served[:, None]].reshape(-1, votes)
+        rest = np.flatnonzero(~served)
+    # the votes are selected one block of test rows at a time, as topk_arrays
+    # selects its neighbours, so no (test, train) key matrix is held whole;
+    # only the selected keys are finished into distances
+    finish = finisher(metric)
+    gallery = data[train_idx]
+    for block in _query_blocks(rest.size, train_idx.size):
+        rows = rest[block]
+        keys = pairwise_distances(data[test_idx[rows]], gallery, metric, keys=True)
+        nearest[rows] = train_idx[stable_topk(keys, votes, finish)]
+    return nearest
 
 
 def _query_blocks(n_queries: int, width: int) -> list[slice]:

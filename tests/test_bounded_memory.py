@@ -221,7 +221,7 @@ def classify_in_blocks(monkeypatch, rows, data, labels, train, test, votes):
     """(accuracy, vote ids, blocks) of knn_classify with ``rows`` test rows per block."""
     picked = []
 
-    def recorded_topk(dists, k, finish=None):
+    def recorded_topk(dists, k, finish):
         picked.append(stable_topk(dists, k, finish))
         return picked[-1]
 

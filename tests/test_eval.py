@@ -44,7 +44,7 @@ from fgfusion.errors import (
 )
 from fgfusion.knn import stable_topk, topk_arrays
 
-from bruteforce import brute_splits, brute_vote_accuracy
+from bruteforce import as_is, brute_splits, brute_vote_accuracy
 
 
 def labels_of(seq, instances=None):
@@ -339,7 +339,8 @@ def test_majority_vote_matches_a_per_row_count(case):
     train, test = np.flatnonzero(in_train), np.flatnonzero(~np.array(in_train))
     assume(train.size and test.size)
     labels = labels_of(names)
-    order = stable_topk(pairwise_distances(data[test], data[train]), min(votes, train.size))
+    order = stable_topk(pairwise_distances(data[test], data[train]), min(votes, train.size),
+                        as_is)
     expected = brute_vote_accuracy(labels.labels[train[order]], labels.labels[test])
     assert knn_classify(data, labels, train, test, votes=votes) == expected
 
@@ -365,9 +366,9 @@ def served_and_searched(monkeypatch, index, labels, splits, votes):
         args = (evalharness._mask(train, index.n), train, test, "euclidean",
                 min(votes, train.size))
         searched.clear()
-        served = evalharness._vote_ids(index._rows, index._ids, *args)
+        served = knn.vote_ids(index, *args)
         rows = sum(searched)
-        out.append((served, evalharness._vote_ids(index._rows, None, *args), rows))
+        out.append((served, knn.vote_ids(index._rows, *args), rows))
         assert knn_classify(index, labels, train, test, "euclidean", votes) == \
             knn_classify(index._rows, labels, train, test, "euclidean", votes)
     return out

@@ -17,7 +17,7 @@ from fgfusion.errors import (
     ZeroVectorError,
 )
 
-from bruteforce import brute_knn, brute_pairwise_distances
+from bruteforce import as_is, brute_knn, brute_pairwise_distances
 
 
 def test_build_index_validates_a_raw_array_as_a_feature_matrix():
@@ -278,7 +278,7 @@ def test_pairwise_distances_bit_equal_to_the_plain_expressions(rows, metric, sam
         dists = pairwise_distances(gallery[block], gallery, metric)
         dists[np.arange(block.size), block] = np.inf
         ids, top = build_index(gallery, metric)._topk_block(block, len(gallery) - 1)
-        assert np.array_equal(ids, stable_topk(dists, len(gallery) - 1))
+        assert np.array_equal(ids, stable_topk(dists, len(gallery) - 1, as_is))
         assert top.tobytes() == np.take_along_axis(dists, ids, axis=1).tobytes()
 
 
@@ -315,7 +315,7 @@ tie_heavy = st.integers(1, 12).flatmap(
 @given(tie_heavy)
 def test_stable_topk_equals_stable_argsort_on_ties(case):
     dists, k = case
-    np.testing.assert_array_equal(stable_topk(dists, k), stable_sort_topk(dists, k))
+    np.testing.assert_array_equal(stable_topk(dists, k, as_is), stable_sort_topk(dists, k))
 
 
 @pytest.mark.parametrize("decimals", [0, 1, 3])
@@ -323,15 +323,15 @@ def test_stable_topk_on_rounded_random_rows(decimals):
     rng = np.random.default_rng(decimals)
     dists = np.round(rng.random((40, 60)) * 4, decimals)
     for k in (1, 2, 7, 20, 59, 60):
-        np.testing.assert_array_equal(stable_topk(dists, k), stable_sort_topk(dists, k))
+        np.testing.assert_array_equal(stable_topk(dists, k, as_is), stable_sort_topk(dists, k))
 
 
 def test_stable_topk_tie_straddling_the_kth_slot():
     # the 2nd and 3rd smallest are equal: the lower id must win slot 2
     dists = np.array([[5.0, 1.0, 3.0, 0.0, 1.0, 9.0, 1.0]])
     for k in (1, 2, 3, 4, 6, 7):
-        np.testing.assert_array_equal(stable_topk(dists, k), stable_sort_topk(dists, k))
-    assert stable_topk(dists, 3).tolist() == [[3, 1, 4]]
+        np.testing.assert_array_equal(stable_topk(dists, k, as_is), stable_sort_topk(dists, k))
+    assert stable_topk(dists, 3, as_is).tolist() == [[3, 1, 4]]
 
 
 # keys that a finish equates: both sides of 0 clamp to 0, and 1 and the next
@@ -371,10 +371,10 @@ TIED_INSIDE = {
 
 
 def finished(keys, metric):
-    """The finish of ``metric``, or None for keys that are distances, and
-    the stable sort of the distances."""
-    finish = knn.finisher(metric) if metric else None
-    return finish, stable_sort_topk(finish(keys.copy()) if finish else keys, keys.shape[1])
+    """The finish of ``metric``, or the identity for keys that are distances,
+    and the stable sort of the distances."""
+    finish = knn.finisher(metric) if metric else as_is
+    return finish, stable_sort_topk(finish(keys.copy()), keys.shape[1])
 
 
 @pytest.mark.parametrize("case", TIED_INSIDE)
@@ -427,7 +427,7 @@ def test_stable_topk_sorts_again_only_rows_that_tie(monkeypatch):
     keys = rng.random((60, 40))
     seen = lexsort_recorder(monkeypatch)
     for k in (2, 10, 39):
-        np.testing.assert_array_equal(stable_topk(keys, k), stable_sort_topk(keys, k))
+        np.testing.assert_array_equal(stable_topk(keys, k, as_is), stable_sort_topk(keys, k))
     assert seen == []  # no two distances of a row are equal
     # every third row gets a copy of one of its five smallest distances; every
     # fourth row's smallest becomes 0.0, and every eighth row's next one -0.0
@@ -439,7 +439,7 @@ def test_stable_topk_sorts_again_only_rows_that_tie(monkeypatch):
     keys[rows[::2], ranks[rows[::2], 1]] = -0.0
     for k in (2, 6, 10, 39):
         seen.clear()
-        np.testing.assert_array_equal(stable_topk(keys, k), stable_sort_topk(keys, k))
+        np.testing.assert_array_equal(stable_topk(keys, k, as_is), stable_sort_topk(keys, k))
         assert_every_sorted_row_ties(seen)
     assert seen
 
@@ -492,7 +492,7 @@ def test_the_classifier_finishes_only_the_votes_it_selects(monkeypatch, kind, me
     train, test = np.arange(0, KEYED_N, 2), np.arange(1, KEYED_N, 2)
     votes = []
 
-    def recorded_topk(keys, k, finish=None):
+    def recorded_topk(keys, k, finish):
         votes.append(stable_topk(keys, k, finish))
         return votes[-1]
 
@@ -500,7 +500,7 @@ def test_the_classifier_finishes_only_the_votes_it_selects(monkeypatch, kind, me
     with np.errstate(over="ignore", invalid="ignore"):
         knn_classify(data, labels, train, test, metric, votes=k)
         dists = pairwise_distances(data[test], data[train], metric)
-    assert np.array_equal(np.vstack(votes), stable_topk(dists, min(k, train.size)))
+    assert np.array_equal(np.vstack(votes), stable_topk(dists, min(k, train.size), as_is))
 
 
 def test_knn_ties_with_duplicate_points_follow_lower_index():
