@@ -99,6 +99,11 @@ class ZeroVectorError(DataError):
     """Zero-norm sample under a metric that cannot handle it."""
 
 
+class NormRangeError(DataError):
+    """Sample whose squared norm leaves float64's range: above max / 4, where
+    the |a|^2 + |b|^2 of a distance would overflow, or 0 in a nonzero row."""
+
+
 class NodeCountMismatchError(DataError):
     pass
 

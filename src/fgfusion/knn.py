@@ -1,20 +1,27 @@
-"""Exact brute-force k-nearest-neighbor search.
+"""Exact brute-force k-nearest-neighbor search, and the classifier's votes.
 
-Queries are answered from full pairwise comparisons: one matrix product per
-call or per block of query rows, turned in place, one cache-sized slice of
-rows at a time, into ranking keys (|a|^2 + |b|^2 - 2 a.b, or 1 - cos). A
-distance is its key finished elementwise: clamped at 0 and, for euclidean,
-rooted. The finish never ranks a larger key below a smaller one, so the
-search ranks on the keys and finishes only what it selects, to the bits a
-fully finished matrix holds there. A top-k block holds about 4 MiB of keys,
-and never fewer than 128 rows, so the search's working set stays bounded as
-n grows. A key's last bits can depend on which matrix product produced it:
-where the gallery width is not a multiple of the BLAS kernel's (8 columns),
-another partition of the query rows can round the last columns differently.
-The row blocks are therefore a function of n alone, and the slicing never
-changes a bit. The top k are selected, not sorted, but ties are broken by
-ascending sample index exactly as a stable sort of the distances would, and
-a sample is never its own neighbor.
+Every nearest-neighbor selection of the package is made here: the (n, k)
+neighbor lists of a search over all samples, and each test row's votes
+among the train rows, which an index serves from its lists where it can
+and which are otherwise compared with the train rows. Queries are answered
+from full pairwise comparisons: one matrix product per call or per block
+of query rows, turned in place, one cache-sized slice of rows at a time,
+into ranking keys (|a|^2 + |b|^2 - 2 a.b, or 1 - cos). A distance is its
+key finished elementwise by the metric's finish: clamped at 0 and, for
+euclidean, rooted. The finish never ranks a larger key below a smaller
+one, so every selection ranks on the keys and takes the finish, which it
+applies only to what it selects, to the bits a fully finished matrix holds
+there. A row is rejected (NormRangeError) if its squared norm is above
+max / 4, where a key could overflow, or is 0 while the row is not. A top-k
+block holds about 4 MiB of keys, and never fewer than 128 rows, so the
+search's working set stays bounded as n grows. A key's last bits can
+depend on which matrix product produced it: where the gallery width is not
+a multiple of the BLAS kernel's (8 columns), another partition of the
+query rows can round the last columns differently. The row blocks are
+therefore a function of n alone, and the slicing never changes a bit. The
+top k are selected, not sorted, but ties are broken by ascending sample
+index exactly as a stable sort of the distances would, and a sample is
+never its own neighbor.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from numbers import Integral
 import numpy as np
 
 from .dataset import FeatureMatrix
-from .errors import InvalidMetricError, KOutOfRangeError, ZeroVectorError
+from .errors import InvalidMetricError, KOutOfRangeError, NormRangeError, ZeroVectorError
 
 METRICS = ("euclidean", "cosine")
 
@@ -34,6 +41,8 @@ _BLOCK_BYTES = 1 << 22  # bytes of keys per matrix product in topk_arrays
 # third more per row than 64 to 1 024 rows)
 _MIN_BLOCK_ROWS = 128
 _SLICE_BYTES = 1 << 20  # bytes of keys made per slice, so each stays in cache
+# squared norms up to this keep |a|^2 + |b|^2, and so every key, finite
+_MAX_SQ_NORM = np.finfo(np.float64).max / 4
 
 
 class KnnIndex:
@@ -242,15 +251,32 @@ def _block_rows(n: int) -> int:
 
 def _prepare(matrix: np.ndarray, metric: str, what: str = "vector"):
     """The rows ``_finish`` takes: the rows and their squared norms for
-    euclidean, unit-length rows and None for cosine."""
+    euclidean, unit-length rows and None for cosine.
+
+    Raises NormRangeError naming the first row whose squared norm is above
+    _MAX_SQ_NORM (or NaN), or is 0 in a nonzero row, where every square
+    underflowed: its keys would be NaN or wrong, and its ids too.
+    """
     finisher(metric)  # rejects an unknown metric
     if metric == "euclidean":
-        return matrix, np.einsum("ij,ij->i", matrix, matrix)
-    norms = np.linalg.norm(matrix, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ZeroVectorError(f"cosine metric undefined for zero {what} at row {zero[0]}")
-    return matrix / norms[:, None], None
+        sq = np.einsum("ij,ij->i", matrix, matrix)
+    else:
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            sq = np.add.reduce(matrix * matrix, axis=1)  # as np.linalg.norm squares
+    zero = sq == 0.0
+    bad = ~(sq <= _MAX_SQ_NORM)
+    bad[zero] = matrix[zero].any(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise NormRangeError(
+            f"{what} at row {row} has squared norm {float(sq[row]):g}: distances need it "
+            f"nonzero and at most {_MAX_SQ_NORM:g}; rescale the features"
+        )
+    if metric == "euclidean":
+        return matrix, sq
+    if zero.any():
+        raise ZeroVectorError(f"cosine metric undefined for zero {what} at row {np.argmax(zero)}")
+    return matrix / np.sqrt(sq)[:, None], None
 
 
 def _finish(dots: np.ndarray, q_sq=None, g_sq=None, keys: bool = False):

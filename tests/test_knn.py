@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,13 +8,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fgfusion import FeatureMatrix, LabelVector, build_ejg, build_index, knn, knn_classify
-from fgfusion import pairwise_distances
+from fgfusion import cli, pairwise_distances
+from fgfusion.dataset import save_features, save_labels, synth_multimodal
 from fgfusion.knn import stable_topk, topk_arrays
 from fgfusion.errors import (
     DimensionMismatchError,
     InvalidMetricError,
     KOutOfRangeError,
     NonFiniteValueError,
+    NormRangeError,
     ZeroVectorError,
 )
 
@@ -269,6 +272,12 @@ def test_pairwise_distances_bit_equal_to_the_plain_expressions(rows, metric, sam
         # the library rejects rows of norm 0 under cosine; the reference divides by 0
         queries[np.linalg.norm(queries, axis=1) == 0.0, 0] = 1.0
         gallery[np.linalg.norm(gallery, axis=1) == 0.0, 0] = 1.0
+    if any(((rows * rows == 0.0).all(axis=1) & rows.any(axis=1)).any()
+           for rows in (queries, gallery)):
+        # a nonzero row whose squares all underflow has no squared norm to rank by
+        with pytest.raises(NormRangeError):
+            pairwise_distances(queries, gallery, metric)
+        return
     got = pairwise_distances(queries, gallery, metric)
     assert got.tobytes() == brute_pairwise_distances(queries, gallery, metric).tobytes()
     # the index's blocks share the kernel: a block's top k is the selection
@@ -459,8 +468,9 @@ def keyed_data(kind: str) -> np.ndarray:
         nudged = np.nextafter(rows, np.where(rng.random(rows.shape) < 0.5, np.inf, -np.inf))
         nudged[::4] = rows[::4]
         return nudged
-    # tiny rows have subnormal euclidean keys; huge rows overflow them to NaN
-    scale = {"normal": 1.0, "tiny": 1e-160, "huge": 1e200}[kind]
+    # tiny rows have subnormal euclidean keys; huge rows' squared norms come
+    # within a factor of 3 of the largest that knn accepts (NormRangeError)
+    scale = {"normal": 1.0, "tiny": 1e-160, "huge": 1e153}[kind]
     return rng.normal(size=(KEYED_N, 6)) * scale
 
 
@@ -472,10 +482,9 @@ KEYED_KINDS = ["normal", "grid", "duplicated", "tiny", "huge"]
 @pytest.mark.parametrize("kind", KEYED_KINDS)
 def test_the_search_finishes_only_what_it_selects(kind, metric, k):
     data = keyed_data(kind)
-    with np.errstate(over="ignore", invalid="ignore"):  # the huge rows overflow
-        ids, dists = topk_arrays(build_index(data, metric), k)
-        # the gallery is a copy, so both take the same matrix product
-        expected = brute_pairwise_distances(data, data.copy(), metric)
+    ids, dists = topk_arrays(build_index(data, metric), k)
+    # the gallery is a copy, so both take the same matrix product
+    expected = brute_pairwise_distances(data, data.copy(), metric)
     np.fill_diagonal(expected, np.inf)  # a sample is never its own neighbor
     expected_ids = stable_sort_topk(expected, k)
     assert np.array_equal(ids, expected_ids)
@@ -497,9 +506,8 @@ def test_the_classifier_finishes_only_the_votes_it_selects(monkeypatch, kind, me
         return votes[-1]
 
     monkeypatch.setattr(knn, "stable_topk", recorded_topk)
-    with np.errstate(over="ignore", invalid="ignore"):
-        knn_classify(data, labels, train, test, metric, votes=k)
-        dists = pairwise_distances(data[test], data[train], metric)
+    knn_classify(data, labels, train, test, metric, votes=k)
+    dists = pairwise_distances(data[test], data[train], metric)
     assert np.array_equal(np.vstack(votes), stable_topk(dists, min(k, train.size), as_is))
 
 
@@ -510,3 +518,70 @@ def test_knn_ties_with_duplicate_points_follow_lower_index():
         expected_ids, expected_d = brute_knn(matrix, q, 5)
         assert ids[q].tolist() == expected_ids
         np.testing.assert_array_equal(dists[q], expected_d)
+
+
+# ---------------------------------------------------------------------------
+# Features outside float64's range: the unscaled result, or a NormRangeError
+# ---------------------------------------------------------------------------
+
+
+def scaled_outcomes(tmp_path, capsys, scale, metric):
+    """Per knn call and subcommand, on synthetic features times ``scale``: its
+    result, or "NormRangeError" where it raised one (exit 3 naming it)."""
+    mat_a, mat_b, labels = synth_multimodal(4, 10, 0.25, 1.0, 5)
+    data = mat_a.data * scale
+    out = tmp_path / f"{scale:g}-{metric}"
+    out.mkdir()
+    save_features(FeatureMatrix(data), out / "a.csv", "csv")
+    save_features(FeatureMatrix(mat_b.data * scale), out / "b.csv", "csv")
+    save_labels(labels, out / "labels.txt")
+    config = {"features": [{"path": "a.csv"}, {"path": "b.csv"}], "labels": "labels.txt",
+              "metric": metric, "k": [5], "d": [4], "samples_per_node": 5, "epochs": 2,
+              "m_or_fraction": 4, "repeats": 3, "seed": 1}
+    (out / "config.json").write_text(json.dumps(config))
+    train, test = np.arange(0, labels.n, 2), np.arange(1, labels.n, 2)
+    calls = {
+        "topk_arrays": lambda: topk_arrays(build_index(data, metric), 5)[0],
+        "pairwise_distances": lambda: np.argsort(
+            pairwise_distances(data, data, metric), axis=1, kind="stable"),
+        "knn_classify": lambda: knn_classify(data, labels, train, test, metric, votes=3),
+    }
+    commands = {
+        "build-graph": (["build-graph", "--features", out / "a.csv", "--k", 5,
+                         "--metric", metric, "--out", out / "g.csv"], out / "g.csv"),
+        "eval": (["eval", "--features", out / "a.csv", "--labels", out / "labels.txt",
+                  "--m", 4, "--repeats", 3, "--classify-metric", metric,
+                  "--out", out / "eval.csv"], out / "eval.csv"),
+        "pipeline": (["pipeline", "--config", out / "config.json", "--out-dir", out / "run"],
+                     out / "run" / "results.csv"),
+    }
+    outcomes = {}
+    for name, call in calls.items():
+        try:
+            outcomes[name] = call()
+        except NormRangeError:
+            outcomes[name] = "NormRangeError"
+    for name, (argv, output) in commands.items():
+        code = cli.main(list(map(str, argv)))
+        err = capsys.readouterr().err
+        if code == 3 and "squared norm" in err:
+            outcomes[name] = "NormRangeError"
+        else:
+            assert code == 0, err
+            outcomes[name] = output.read_bytes()
+    return outcomes
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+@pytest.mark.parametrize("scale", [1e150, 1e-150, 1e155, 1e-155, 1e170, 1e-170, 1e200, 1e-200])
+def test_features_outside_float64s_range_give_the_unscaled_result_or_a_typed_error(
+        tmp_path, capsys, scale, metric):
+    # the rows' squared norms stay nonzero and below max / 4 at these scales
+    # alone; at the others they overflow, or every square underflows to 0
+    in_range = scale in (1e150, 1e-150, 1e-155)
+    unscaled = scaled_outcomes(tmp_path, capsys, 1.0, metric)
+    for name, got in scaled_outcomes(tmp_path, capsys, scale, metric).items():
+        if in_range:
+            assert np.array_equal(got, unscaled[name]), name
+        else:
+            assert isinstance(got, str), name  # "NormRangeError"
