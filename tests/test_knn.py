@@ -272,8 +272,8 @@ def test_pairwise_distances_bit_equal_to_the_plain_expressions(rows, metric, sam
         # the library rejects rows of norm 0 under cosine; the reference divides by 0
         queries[np.linalg.norm(queries, axis=1) == 0.0, 0] = 1.0
         gallery[np.linalg.norm(gallery, axis=1) == 0.0, 0] = 1.0
-    if any(((rows * rows == 0.0).all(axis=1) & rows.any(axis=1)).any()
-           for rows in (queries, gallery)):
+    if any(((side * side == 0.0).all(axis=1) & side.any(axis=1)).any()
+           for side in (queries, gallery)):
         # a nonzero row whose squares all underflow has no squared norm to rank by
         with pytest.raises(NormRangeError):
             pairwise_distances(queries, gallery, metric)
