@@ -235,19 +235,16 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.features is not None:
-        data = load_features(args.features, args.format, args.header)
-        source = args.features
-    else:
-        data = load_embeddings(args.embeddings, args.format)
-        source = args.embeddings
+    source = args.features or args.embeddings  # argparse requires exactly one
+    load = load_embeddings if args.features is None else load_features
+    data = load(source, args.format, args.header)
     labels = load_labels(args.labels)
     _check_label_count(labels, data.n)
     # SplitSpec decides which protocol needs which of the two
     m_or_fraction = args.fraction if args.protocol == "random_fraction" else args.m
     splits = make_splits(labels, SplitSpec(args.protocol, m_or_fraction, args.repeats, args.seed))
     table = ResultTable([_score(
-        Path(source).stem, None, data, labels, splits, args.classify_metric, args.votes
+        Path(source).stem, None, data.dim, data, labels, splits, args.classify_metric, args.votes
     )])
     if args.out is not None:
         table.save_csv(args.out)

@@ -356,8 +356,8 @@ def save_features(features: FeatureMatrix, path: str | Path, fmt: str = "csv") -
     _save_matrix(features.data, Path(path), fmt, FEATURE_MAGIC)
 
 
-def load_embeddings(path: str | Path, fmt: str = "csv") -> EmbeddingMatrix:
-    return EmbeddingMatrix(_load_matrix(Path(path), fmt, EMBEDDING_MAGIC))
+def load_embeddings(path: str | Path, fmt: str = "csv", header: bool = False) -> EmbeddingMatrix:
+    return EmbeddingMatrix(_load_matrix(Path(path), fmt, EMBEDDING_MAGIC, header))
 
 
 def save_embeddings(embeddings: EmbeddingMatrix, path: str | Path, fmt: str = "csv") -> None:

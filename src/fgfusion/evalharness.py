@@ -213,13 +213,12 @@ def knn_classify(
     return float(np.mean(winners == labels.labels[test_idx]))
 
 
-def _score(method: str, k: int | None, data, labels: LabelVector, splits,
-           metric: str, votes: int, index=None) -> ResultRow:
-    """The table row of ``method``: its nearest-neighbor accuracy on each split,
-    classified by ``index``, if given, an index over ``data``."""
-    source = data if index is None else index
-    accs = tuple(knn_classify(source, labels, tr, te, metric, votes) for tr, te in splits)
-    return ResultRow(method=method, k=k, d=_as_matrix(data).shape[1], accuracies=accs)
+def _score(method: str, k: int | None, d: int, data, labels: LabelVector, splits,
+           metric: str, votes: int) -> ResultRow:
+    """The table row of ``method``, ``d`` features wide: its nearest-neighbor
+    accuracy on each split, classifying ``data`` as knn_classify does."""
+    accs = tuple(knn_classify(data, labels, tr, te, metric, votes) for tr, te in splits)
+    return ResultRow(method=method, k=k, d=d, accuracies=accs)
 
 
 def zscore_concat(modalities: list[FeatureMatrix]) -> np.ndarray:
@@ -479,9 +478,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             embeddings[(k_val, d_val)] = emb
             summaries[f"k{k_val}_d{d_val}"] = summary
             with _stage(f"classify[k={k_val},d={d_val}]", stages):
-                table.rows.append(
-                    _score(FGF_METHOD, k_val, emb, labels, splits, FGF_METRIC, config.votes)
-                )
+                table.rows.append(_score(
+                    FGF_METHOD, k_val, d_val, emb, labels, splits, FGF_METRIC, config.votes
+                ))
 
     manifest = {
         "config": asdict(config),
@@ -541,9 +540,10 @@ def _index_and_score_baselines(config: PipelineConfig, stages: list):
         # an index built under the baseline metric serves its modality's votes
         served = config.metric == BASELINE_METRIC
         for modality, (name, index) in zip(modalities, indexes):
-            table.rows.append(_score(name, None, modality, labels, splits, BASELINE_METRIC,
-                                     config.votes, index if served else None))
-        table.rows.append(_score(JOINT_METHOD, None, zscore_concat(modalities), labels, splits,
+            table.rows.append(_score(name, None, modality.dim, index if served else modality,
+                                     labels, splits, BASELINE_METRIC, config.votes))
+        joint = zscore_concat(modalities)
+        table.rows.append(_score(JOINT_METHOD, None, joint.shape[1], joint, labels, splits,
                                  BASELINE_METRIC, config.votes))
     return labels, splits, table, indexes
 

@@ -5,16 +5,18 @@ neighbor lists of a search over all samples, and each test row's votes
 among the train rows, which an index serves from its lists where it can
 and which are otherwise compared with the train rows. Queries are answered
 from full pairwise comparisons: one matrix product per call or per block
-of query rows, turned in place, one cache-sized slice of rows at a time,
-into ranking keys (|a|^2 + |b|^2 - 2 a.b, or 1 - cos). A distance is its
-key finished elementwise by the metric's finish: clamped at 0 and, for
-euclidean, rooted. The finish never ranks a larger key below a smaller
-one, so every selection ranks on the keys and takes the finish, which it
-applies only to what it selects, to the bits a fully finished matrix holds
-there. A row is rejected (NormRangeError) if its squared norm is above
-max / 4, where a key could overflow, or is 0 while the row is not. A top-k
-block holds about 4 MiB of keys, and never fewer than 128 rows, so the
-search's working set stays bounded as n grows. A key's last bits can
+of query rows, which the kernel turns in place, one cache-sized slice of
+rows at a time, into ranking keys (|a|^2 + |b|^2 - 2 a.b, or 1 - cos) and
+nothing more. A distance is its key finished elementwise by the metric's
+finish, ``finisher(metric)``: clamped at 0 and, for euclidean, rooted. The
+finish never ranks a larger key below a smaller one, so every selection
+ranks on the keys and takes the finish, which it applies only to what it
+selects, to the bits a fully finished matrix holds there; a returned
+distance matrix takes it whole. A nonzero row needs a normal squared norm
+of at most max / 4: a subnormal one has lost bits, and a larger one could
+overflow a key. Any other nonzero row is rejected (NormRangeError). A
+top-k block holds about 4 MiB of keys, and never fewer than 128 rows, so
+the search's working set stays bounded as n grows. A key's last bits can
 depend on which matrix product produced it: where the gallery width is not
 a multiple of the BLAS kernel's (8 columns), another partition of the
 query rows can round the last columns differently. The row blocks are
@@ -43,16 +45,18 @@ _MIN_BLOCK_ROWS = 128
 _SLICE_BYTES = 1 << 20  # bytes of keys made per slice, so each stays in cache
 # squared norms up to this keep |a|^2 + |b|^2, and so every key, finite
 _MAX_SQ_NORM = np.finfo(np.float64).max / 4
+# a nonzero row's squared norm below this is subnormal and has lost bits
+_MIN_SQ_NORM = np.finfo(np.float64).tiny
 
 
 class KnnIndex:
-    """Index over one feature matrix under a fixed metric; it keeps the
-    neighbor ids of its widest top-k search (see :meth:`topk`)."""
+    """Index over one feature matrix under ``metric``, which it records; it
+    keeps the neighbor ids of its widest top-k search (see :meth:`topk`)."""
 
     def __init__(self, matrix: np.ndarray, metric: str):
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        self._finish_keys = finisher(metric)
         self._rows, self._sq_norms = _prepare(matrix, metric)
+        self.metric = metric
         self.n = self._rows.shape[0]
         self._ids = None  # read-only neighbor ids of the widest search so far
 
@@ -72,17 +76,19 @@ class KnnIndex:
             self._ids.flags.writeable = False
         return self._ids[:, :k]
 
-    def _topk_block(self, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        sq = self._sq_norms
-        dots = self._rows[rows] @ self._rows.T
-        ids = np.empty((rows.size, k), dtype=np.int64)
-        top = np.empty((rows.size, k), dtype=np.float64)
+    def _topk_block(self, block: slice, k: int) -> tuple[np.ndarray, np.ndarray]:
+        finish, sq = finisher(self.metric), self._sq_norms
+        # a copy: the matrix itself times its transpose would take BLAS syrk,
+        # which rounds unlike the gemm of a part of the rows
+        dots = self._rows[block].copy() @ self._rows.T
+        ids = np.empty((len(dots), k), dtype=np.int64)
+        top = np.empty((len(dots), k), dtype=np.float64)
         # each slice's top k is selected while its keys are still in cache,
         # and only the k selected are finished into distances
-        for part, keys in _finish(dots, None if sq is None else sq[rows], sq, keys=True):
-            keys[np.arange(len(keys)), rows[part]] = np.inf  # exclude self
-            ids[part] = stable_topk(keys, k, self._finish_keys)
-            self._finish_keys(np.take_along_axis(keys, ids[part], axis=1), out=top[part])
+        for part, keys in _keys(dots, None if sq is None else sq[block], sq):
+            np.fill_diagonal(keys[:, block.start + part.start:], np.inf)  # exclude self
+            ids[part] = stable_topk(keys, k, finish)
+            finish(np.take_along_axis(keys, ids[part], axis=1), out=top[part])
         return ids, top
 
 
@@ -184,7 +190,7 @@ def topk_arrays(index: KnnIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
     ids = np.empty((index.n, k), dtype=np.int64)
     dists = np.empty((index.n, k), dtype=np.float64)
     for block in _query_blocks(index.n, index.n):
-        ids[block], dists[block] = index._topk_block(np.arange(block.start, block.stop), k)
+        ids[block], dists[block] = index._topk_block(block, k)
     return ids, dists
 
 
@@ -200,7 +206,7 @@ def vote_ids(data, member, train_idx, test_idx, metric: str, votes: int) -> np.n
     """
     listed = None
     if isinstance(data, KnnIndex):
-        if data._finish_keys is not finisher(metric):
+        if data.metric != metric:
             raise InvalidMetricError(f"the index was not built under the {metric!r} metric")
         data, listed = data._rows, data._ids
     nearest = np.empty((test_idx.size, votes), dtype=np.int64)
@@ -250,12 +256,12 @@ def _block_rows(n: int) -> int:
 
 
 def _prepare(matrix: np.ndarray, metric: str, what: str = "vector"):
-    """The rows ``_finish`` takes: the rows and their squared norms for
+    """The rows ``_keys`` takes: the rows and their squared norms for
     euclidean, unit-length rows and None for cosine.
 
     Raises NormRangeError naming the first row whose squared norm is above
-    _MAX_SQ_NORM (or NaN), or is 0 in a nonzero row, where every square
-    underflowed: its keys would be NaN or wrong, and its ids too.
+    _MAX_SQ_NORM (or NaN), or is below _MIN_SQ_NORM in a nonzero row, where
+    the squares underflowed: its keys would be NaN or wrong, and its ids too.
     """
     finisher(metric)  # rejects an unknown metric
     if metric == "euclidean":
@@ -263,54 +269,49 @@ def _prepare(matrix: np.ndarray, metric: str, what: str = "vector"):
     else:
         with np.errstate(over="ignore"):  # an overflow is reported below
             sq = np.add.reduce(matrix * matrix, axis=1)  # as np.linalg.norm squares
-    zero = sq == 0.0
+    small = sq < _MIN_SQ_NORM
     bad = ~(sq <= _MAX_SQ_NORM)
-    bad[zero] = matrix[zero].any(axis=1)
+    bad[small] = matrix[small].any(axis=1)  # only a zero row may be that small
     if bad.any():
         row = int(np.argmax(bad))
         raise NormRangeError(
             f"{what} at row {row} has squared norm {float(sq[row]):g}: distances need it "
-            f"nonzero and at most {_MAX_SQ_NORM:g}; rescale the features"
+            f"at least {_MIN_SQ_NORM:g} and at most {_MAX_SQ_NORM:g}; rescale the features"
         )
     if metric == "euclidean":
         return matrix, sq
-    if zero.any():
-        raise ZeroVectorError(f"cosine metric undefined for zero {what} at row {np.argmax(zero)}")
+    if small.any():  # zero rows alone
+        raise ZeroVectorError(f"cosine metric undefined for zero {what} at row {np.argmax(small)}")
     return matrix / np.sqrt(sq)[:, None], None
 
 
-def _finish(dots: np.ndarray, q_sq=None, g_sq=None, keys: bool = False):
-    """Turn the (queries, gallery) dot products into distances in place, one
-    slice of rows at a time, and yield each slice with its rows; with
-    ``keys``, stop at the ranking keys, unclamped, for the caller to finish
-    only what it selects.
+def _keys(dots: np.ndarray, q_sq=None, g_sq=None):
+    """Turn the (queries, gallery) dot products into ranking keys in place,
+    one slice of rows at a time, and yield each slice with its rows.
 
     Euclidean from the rows' squared norms q_sq and g_sq, else cosine from
     unit-length rows. The operations and their order are those of the plain
-    expressions |a|^2 + |b|^2 - 2 a.b and 1 - cos, then the metric's finish,
-    so results are bit for bit the same whatever the slice height.
+    expressions |a|^2 + |b|^2 - 2 a.b and 1 - cos, so the keys are bit for
+    bit the same whatever the slice height; the caller finishes them.
     """
-    finish = _clamp if q_sq is None else _clamp_root
     step = max(1, _SLICE_BYTES // (8 * max(1, dots.shape[1])))
     if q_sq is not None:
         sq = np.empty((min(step, dots.shape[0]), dots.shape[1]))
     for start in range(0, dots.shape[0], step):
         part = slice(start, start + step)
-        dists = dots[part]
+        keys = dots[part]
         if q_sq is not None:
-            dists *= 2.0
+            keys *= 2.0
             # |b|^2 + |a|^2 as a broadcast copy and one in-place add, a third
             # faster than np.add broadcasting both; IEEE addition commutes,
             # so the bits are those of |a|^2 + |b|^2
-            rows_sq = sq[: len(dists)]
+            rows_sq = sq[: len(keys)]
             np.copyto(rows_sq, g_sq)
             rows_sq += q_sq[part, None]
-            np.subtract(rows_sq, dists, out=dists)
+            np.subtract(rows_sq, keys, out=keys)
         else:
-            np.subtract(1.0, dists, out=dists)
-        if not keys:
-            finish(dists, out=dists)
-        yield part, dists
+            np.subtract(1.0, keys, out=keys)
+        yield part, keys
 
 
 def pairwise_distances(
@@ -332,8 +333,10 @@ def pairwise_distances(
     q, q_sq = _prepare(queries, metric, "query vector")
     g, g_sq = _prepare(gallery, metric, "gallery vector")
     out = q @ g.T
-    for _ in _finish(out, q_sq, g_sq, keys):
+    for _ in _keys(out, q_sq, g_sq):
         pass
+    if not keys:
+        finisher(metric)(out, out=out)
     if same:
         np.fill_diagonal(out, 0.0)
     return out

@@ -525,6 +525,23 @@ def test_eval_leave_instance_out_needs_no_m(tmp_path, capsys):
     assert table == ResultTable([ResultRow("a", None, features.dim, accs)]).to_csv()
 
 
+@pytest.mark.parametrize("source", ["--features", "--embeddings"])
+def test_eval_skips_the_header_line_of_either_source(tmp_path, capsys, source):
+    features, _, labels = synth_multimodal(4, 10, 0.3, 1.0, 2)
+    save_labels(labels, tmp_path / "labels.txt")
+    for name in ("plain", "headed"):
+        (tmp_path / name).mkdir()
+    save_features(features, tmp_path / "plain" / "x.csv", "csv")
+    header = ",".join(f"c{j}" for j in range(features.dim))
+    (tmp_path / "headed" / "x.csv").write_text(
+        header + "\n" + (tmp_path / "plain" / "x.csv").read_text())
+    common = ["--labels", str(tmp_path / "labels.txt"), "--m", "3", "--repeats", "2"]
+    assert cli.main(["eval", source, str(tmp_path / "plain" / "x.csv"), *common]) == 0
+    table = capsys.readouterr().out
+    assert cli.main(["eval", source, str(tmp_path / "headed" / "x.csv"), "--header", *common]) == 0
+    assert capsys.readouterr().out == table
+
+
 @pytest.mark.parametrize(
     "protocol, given", [("per_class_train_m", []), ("per_class_train_m", ["--fraction", "0.5"]),
                         ("random_fraction", []), ("random_fraction", ["--m", "3"])],

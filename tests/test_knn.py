@@ -138,8 +138,9 @@ def test_the_finish_adds_squared_norms_as_the_broadcast_add(monkeypatch, data, s
     dots = queries @ gallery.T
     expected = np.sqrt(np.maximum(broadcast - 2.0 * dots, 0.0))
     monkeypatch.setattr(knn, "_SLICE_BYTES", slice_bytes)  # one slice, or 43 with a ragged last
-    for _ in knn._finish(dots, q_sq, g_sq):
+    for _ in knn._keys(dots, q_sq, g_sq):
         pass
+    knn.finisher("euclidean")(dots, out=dots)
     assert dots.tobytes() == expected.tobytes()
 
 
@@ -272,9 +273,10 @@ def test_pairwise_distances_bit_equal_to_the_plain_expressions(rows, metric, sam
         # the library rejects rows of norm 0 under cosine; the reference divides by 0
         queries[np.linalg.norm(queries, axis=1) == 0.0, 0] = 1.0
         gallery[np.linalg.norm(gallery, axis=1) == 0.0, 0] = 1.0
-    if any(((side * side == 0.0).all(axis=1) & side.any(axis=1)).any()
+    tiny = np.finfo(np.float64).tiny
+    if any(((side * side).sum(axis=1) < tiny)[side.any(axis=1)].any()
            for side in (queries, gallery)):
-        # a nonzero row whose squares all underflow has no squared norm to rank by
+        # a nonzero row whose squares underflow has no full squared norm to rank by
         with pytest.raises(NormRangeError):
             pairwise_distances(queries, gallery, metric)
         return
@@ -283,9 +285,10 @@ def test_pairwise_distances_bit_equal_to_the_plain_expressions(rows, metric, sam
     # the index's blocks share the kernel: a block's top k is the selection
     # from those rows' pairwise distances against the whole matrix
     if len(gallery) > 1:
-        block = np.arange(0, len(gallery), 2)
-        dists = pairwise_distances(gallery[block], gallery, metric)
-        dists[np.arange(block.size), block] = np.inf
+        block = slice(len(gallery) // 2, len(gallery))  # the search's blocks are contiguous
+        rows = np.arange(len(gallery))[block]
+        dists = pairwise_distances(gallery[rows], gallery, metric)
+        dists[np.arange(rows.size), rows] = np.inf
         ids, top = build_index(gallery, metric)._topk_block(block, len(gallery) - 1)
         assert np.array_equal(ids, stable_topk(dists, len(gallery) - 1, as_is))
         assert top.tobytes() == np.take_along_axis(dists, ids, axis=1).tobytes()
@@ -468,9 +471,9 @@ def keyed_data(kind: str) -> np.ndarray:
         nudged = np.nextafter(rows, np.where(rng.random(rows.shape) < 0.5, np.inf, -np.inf))
         nudged[::4] = rows[::4]
         return nudged
-    # tiny rows have subnormal euclidean keys; huge rows' squared norms come
-    # within a factor of 3 of the largest that knn accepts (NormRangeError)
-    scale = {"normal": 1.0, "tiny": 1e-160, "huge": 1e153}[kind]
+    # tiny and huge rows' squared norms come within a factor of 3 of the
+    # smallest and the largest that knn accepts (else NormRangeError)
+    scale = {"normal": 1.0, "tiny": 2e-154, "huge": 1e153}[kind]
     return rng.normal(size=(KEYED_N, 6)) * scale
 
 
@@ -489,6 +492,20 @@ def test_the_search_finishes_only_what_it_selects(kind, metric, k):
     expected_ids = stable_sort_topk(expected, k)
     assert np.array_equal(ids, expected_ids)
     assert dists.tobytes() == np.take_along_axis(expected, expected_ids, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_a_one_block_search_multiplies_a_copy_of_its_rows(metric):
+    # n = 300 is one block. The block's rows must not be the matrix itself:
+    # a matrix times its own transpose takes BLAS syrk, which rounds unlike
+    # the gemm of every other block (here in 12 to 24 of the 3 000 distances)
+    data = np.random.default_rng(300).normal(size=(300, 100))
+    assert knn._block_rows(len(data)) >= len(data)
+    ids, dists = topk_arrays(build_index(data, metric), 10)
+    expected = pairwise_distances(data, data.copy(), metric)
+    np.fill_diagonal(expected, np.inf)
+    assert np.array_equal(ids, stable_sort_topk(expected, 10))
+    assert dists.tobytes() == np.take_along_axis(expected, ids, axis=1).tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 17, KEYED_N - 1])
@@ -573,12 +590,30 @@ def scaled_outcomes(tmp_path, capsys, scale, metric):
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_a_subnormal_squared_norm_is_rejected(metric):
+    # 2^-511 squares to 2^-1022, the smallest normal double; half of it
+    # squares to a subnormal, which has lost bits: scaled so, a 2 000 x 40
+    # normal matrix had other ids than the unscaled one in up to 99.8% of rows
+    data = np.random.default_rng(0).normal(size=(20, 3))
+    data[4] = [2.0 ** -511, 0.0, 0.0]
+    labels = LabelVector(np.array([str(i % 2) for i in range(20)], dtype=object))
+    train, test = np.arange(0, 20, 2), np.arange(1, 20, 2)
+    assert topk_arrays(build_index(data, metric), 3)[0].shape == (20, 3)
+    data[4, 0] /= 2
+    for call in (lambda: build_index(data, metric),
+                 lambda: pairwise_distances(data, data[:2], metric),
+                 lambda: knn_classify(data, labels, train, test, metric)):
+        with pytest.raises(NormRangeError, match="has squared norm 5.56268e-309"):
+            call()
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
 @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e155, 1e-155, 1e170, 1e-170, 1e200, 1e-200])
 def test_features_outside_float64s_range_give_the_unscaled_result_or_a_typed_error(
         tmp_path, capsys, scale, metric):
-    # the rows' squared norms stay nonzero and below max / 4 at these scales
-    # alone; at the others they overflow, or every square underflows to 0
-    in_range = scale in (1e150, 1e-150, 1e-155)
+    # the rows' squared norms stay normal and below max / 4 at these scales
+    # alone; at the others they overflow, or underflow to subnormals or 0
+    in_range = scale in (1e150, 1e-150)
     unscaled = scaled_outcomes(tmp_path, capsys, 1.0, metric)
     for name, got in scaled_outcomes(tmp_path, capsys, scale, metric).items():
         if in_range:
