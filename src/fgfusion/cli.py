@@ -301,15 +301,13 @@ _COMMANDS = {
 
 def _exit_code(exc: Exception) -> int:
     if isinstance(exc, PipelineStageError):
-        cause = exc.__cause__
-        if isinstance(cause, Exception):
-            return _exit_code(cause)
-        return EXIT_DATA
+        # evalharness._stage builds it from an FgfError or OSError alone
+        return _exit_code(exc.__cause__)
     if isinstance(exc, ConfigError):
         return EXIT_CONFIG
     if isinstance(exc, DivergenceError):
         return EXIT_NUMERIC
-    if isinstance(exc, (DataError, FileNotFoundError, OSError)):
+    if isinstance(exc, (DataError, OSError)):
         return EXIT_DATA
     raise exc
 

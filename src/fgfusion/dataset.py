@@ -325,8 +325,6 @@ def _check_format(fmt: str) -> None:
 
 def _load_matrix(path: Path, fmt: str, magic: bytes, header: bool = False) -> np.ndarray:
     _check_format(fmt)
-    if not path.exists():
-        raise FileNotFoundError(path)
     if fmt == "csv":
         return _parse_numeric_csv(path, skip_header=header)
     with _open_binary(path, magic, lambda n, d: 8 * n * d) as (n, d, fh):
@@ -367,9 +365,6 @@ def save_embeddings(embeddings: EmbeddingMatrix, path: str | Path, fmt: str = "c
 
 def load_labels(path: str | Path) -> LabelVector:
     """Load ``label[,instance_id]`` records, one per line."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
     labels: list[str] = []
     instances: list[str] = []
     with _open_text(path) as fh:

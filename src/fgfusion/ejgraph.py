@@ -64,11 +64,6 @@ class RowView(Sequence):
         view[...] = row
 
 
-def row_offsets(rows: np.ndarray, n: int) -> np.ndarray:
-    """CSR ``indptr`` of n rows holding entries whose rows are ``rows``."""
-    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-
-
 @dataclass
 class _Csr:
     """A sparse matrix as CSR arrays: row q holds the neighbor ids
@@ -346,8 +341,6 @@ def _read_edges(path, fmt, magic, value_name, affinity=False):
     """
     _check_format(fmt)
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
     node_values = None
     if fmt == "csv":
         src, dst, val = _read_csv_edges(path, value_name)
@@ -373,8 +366,9 @@ def _read_edges(path, fmt, magic, value_name, affinity=False):
         # a stable sort by src groups the rows and keeps each row in file order
         order = np.argsort(src, kind="stable")
         dst, val = dst[order], val[order]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
     # CSV columns are strided views of the parsed records until copied
-    return row_offsets(src, n), np.ascontiguousarray(dst), np.ascontiguousarray(val), node_values
+    return indptr, np.ascontiguousarray(dst), np.ascontiguousarray(val), node_values
 
 
 def _read_binary_edges(fh, n_edges: int):

@@ -106,9 +106,8 @@ def make_splits(labels: LabelVector, spec: SplitSpec) -> list[tuple[np.ndarray, 
     n = labels.n
     if spec.protocol != "random_fraction":
         # each class's sample indices, ascending, classes in sorted order
-        classes, inverse = np.unique(labels.labels, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        members = ejgraph.RowView(ejgraph.row_offsets(inverse, classes.size), order)
+        classes, inverse, counts = np.unique(labels.labels, return_inverse=True, return_counts=True)
+        members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
     if spec.protocol == "per_class_train_m":
         m = int(spec.m_or_fraction)
         for c, idx in zip(classes, members):
@@ -175,8 +174,8 @@ def knn_classify(
 ) -> float:
     """Majority-vote nearest-neighbor accuracy of test against train.
 
-    ``data`` may be a KnnIndex built under ``metric``, which serves the votes
-    of its search (see :func:`knn.vote_ids`).
+    ``data`` may be a euclidean KnnIndex when ``metric`` is euclidean: its
+    search then serves the votes (see :func:`knn.vote_ids`).
 
     Vote ties are resolved in favor of the tied label whose representative
     appears earliest in the distance-ordered vote list.
@@ -196,15 +195,16 @@ def knn_classify(
             raise InvalidSpecError(f"{name} indices must be integers, got {idx.dtype}")
         if not (0 <= idx.min() and idx.max() < n):
             raise InvalidSpecError(f"{name} indices outside [0, {n})")
-    train_idx, test_idx = train_idx.astype(np.int64), test_idx.astype(np.int64)
     member = _mask(train_idx, n)
+    if np.count_nonzero(member) < train_idx.size:
+        raise InvalidSpecError("train indices repeat a sample")
     if member[test_idx].any():
         raise InvalidSpecError("train and test indices overlap")
     if not isinstance(votes, Integral) or votes < 1:
         raise InvalidConfigError(f"votes must be an integer >= 1, got {votes!r}")
     votes = min(votes, train_idx.size)
 
-    vote_labels = labels.labels[knn.vote_ids(data, member, train_idx, test_idx, metric, votes)]
+    vote_labels = labels.labels[knn.vote_ids(data, member, test_idx, metric, votes)]
     # counts[r, i]: how many of row r's votes share vote i's label; the first
     # vote, in distance order, whose label reaches the row's maximum wins
     counts = (vote_labels[:, :, None] == vote_labels[:, None, :]).sum(axis=2)
@@ -385,8 +385,6 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
         path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(path)
         try:
             raw = json.loads(path.read_text(encoding="utf-8-sig"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -194,24 +194,29 @@ def topk_arrays(index: KnnIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
     return ids, dists
 
 
-def vote_ids(data, member, train_idx, test_idx, metric: str, votes: int) -> np.ndarray:
+def vote_ids(data, member, test_idx, metric: str, votes: int) -> np.ndarray:
     """The sample ids of each test row's ``votes`` nearest train rows, nearest
     first, in (distance, id) order; ``member`` marks the train rows.
 
-    ``data`` is a matrix or a KnnIndex built under ``metric``, whose rows
-    (under euclidean, its features) it classifies. Once an index has
-    searched, it serves each test row's votes: with train_idx ascending, the
-    first ``votes`` train members of the row's neighbor list. Rows whose list
-    holds fewer are compared with the train rows, as every row of a matrix is.
+    ``data`` is a matrix, or a euclidean KnnIndex when ``metric`` is
+    euclidean: its rows are then the features. Once such an index has
+    searched, it serves each test row's votes: the first ``votes`` train
+    members of the row's neighbor list. Rows whose list holds fewer are
+    compared with the train rows, as every row of a matrix is.
     """
     listed = None
     if isinstance(data, KnnIndex):
         if data.metric != metric:
             raise InvalidMetricError(f"the index was not built under the {metric!r} metric")
+        if metric != "euclidean":
+            raise InvalidMetricError(
+                "a cosine index holds unit-length rows, not the features: pass the features"
+            )
         data, listed = data._rows, data._ids
+    train_idx = np.flatnonzero(member)
     nearest = np.empty((test_idx.size, votes), dtype=np.int64)
     rest = np.arange(test_idx.size)  # the test rows compared with the train rows
-    if listed is not None and np.all(train_idx[1:] > train_idx[:-1]):
+    if listed is not None:
         # each list is in (distance, id) order over every other sample, so its
         # first train members are the train rows' own (distance, id) order
         listed = listed[test_idx]

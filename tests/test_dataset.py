@@ -576,3 +576,40 @@ def test_feature_matrix_rejects_nonfinite():
     with pytest.raises(NonFiniteValueError) as exc:
         FeatureMatrix(data)
     assert (exc.value.row, exc.value.col) == (1, 1)
+
+
+def written(path, content):
+    """``path`` holding ``content``, bytes or text."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda tmp: FeatureMatrix(np.zeros((1, 3))), DimensionMismatchError, "n >= 2"),
+        (lambda tmp: FeatureMatrix(np.zeros((3, 0))), DimensionMismatchError, "D >= 1"),
+        (lambda tmp: EmbeddingMatrix(np.zeros(3)), DimensionMismatchError, "must be 2-D"),
+        (lambda tmp: LabelVector(np.array([], dtype=object)), DimensionMismatchError,
+         "nonempty"),
+        (lambda tmp: LabelVector(np.array(["a", "b"], dtype=object), np.array(["i"], dtype=object)),
+         LengthMismatchError, "1 instance ids for 2 labels"),
+        (lambda tmp: load_labels(written(tmp / "l.txt", "a,i1\nb\n")), ParseError,
+         "all records or none"),
+        (lambda tmp: validate_alignment([]), InvalidConfigError, "at least one modality"),
+        (lambda tmp: load_features(written(tmp / "f.bin", b"EJGF\x01\x00\x00"), "binary"),
+         ParseError, "truncated header"),
+        (lambda tmp: load_features(
+            written(tmp / "f.bin", b"EJGF" + struct.pack("<IQQ", 2, 2, 1) + bytes(16)), "binary"),
+         ParseError, "unsupported version 2"),
+    ],
+    ids=["one-row-features", "no-column-features", "1-d-embeddings", "no-labels",
+         "instance-id-count", "mixed-instance-ids", "no-modality", "truncated-header",
+         "binary-version"],
+)
+def test_invalid_data_raises_its_typed_error(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)

@@ -375,3 +375,10 @@ def test_graph_roundtrip(tmp_path, fmt):
     for q in range(graph.n):
         np.testing.assert_array_equal(back.neighbor_ids[q], graph.neighbor_ids[q])
         np.testing.assert_array_equal(back.weights[q], graph.weights[q])
+
+
+@pytest.mark.parametrize("mode", ["jaccard", "LITERAL"])
+def test_an_unknown_weight_mode_is_rejected(mode):
+    index = build_index(np.random.default_rng(0).normal(size=(6, 2)))
+    with pytest.raises(InvalidConfigError, match=f"unknown weight mode '{mode}'"):
+        build_ejg(index, 2, mode=mode)

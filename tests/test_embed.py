@@ -319,3 +319,20 @@ def test_config_validation():
                          ("lr_start", math.inf), ("lr_start", math.nan), ("lr_end", math.nan)]:
         with pytest.raises(InvalidConfigError, match=field.split("_")[0]):
             TrainConfig(d=4, **{field: value}).validate()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda samplers: TrainConfig(d=4, samples_per_node=0).validate(), InvalidConfigError,
+         "samples_per_node must be >= 1"),
+        # finite, but past DIVERGENCE_LIMIT after the first epoch
+        (lambda samplers: train(samplers, TrainConfig(
+            d=4, samples_per_node=10, epochs=1, lr_start=20.0, lr_end=0.1, seed=1)),
+         DivergenceError, "magnitude exceeded"),
+    ],
+    ids=["samples-per-node", "magnitude"],
+)
+def test_invalid_training_raises_its_typed_error(two_block_affinity, call, error, message):
+    with pytest.raises(error, match=message):
+        call(build_samplers(two_block_affinity))

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 
 import numpy as np
@@ -363,8 +364,7 @@ def served_and_searched(monkeypatch, index, labels, splits, votes):
     monkeypatch.setattr(knn, "pairwise_distances", counted)
     out = []
     for train, test in splits:
-        args = (evalharness._mask(train, index.n), train, test, "euclidean",
-                min(votes, train.size))
+        args = (evalharness._mask(train, index.n), test, "euclidean", min(votes, train.size))
         searched.clear()
         served = knn.vote_ids(index, *args)
         rows = sum(searched)
@@ -405,11 +405,12 @@ def test_an_index_breaks_distance_ties_as_a_search_of_the_train_rows(monkeypatch
         for served, searched, rows in results:
             assert np.array_equal(served, searched)
             assert rows < len(served)
-    # train rows out of order rank ties by train position: the index serves no row
+    # train rows out of order are the same train set: the index serves rows,
+    # and their votes are those of the sorted train set
     train, test = splits[0]
     shuffled = [(rng.permutation(train), test)]
     [(served, searched, rows)] = served_and_searched(monkeypatch, index, labels, shuffled, votes)
-    assert np.array_equal(served, searched) and rows == len(test)
+    assert np.array_equal(served, results[0][0]) and rows < len(test)
 
 
 @pytest.mark.parametrize("width", [None, 1])
@@ -440,6 +441,43 @@ def test_an_index_classifies_only_under_its_own_metric():
         index.topk(5)
         with pytest.raises(InvalidMetricError, match=f"not built under the '{asked}' metric"):
             knn_classify(index, labels, train, test, asked)
+
+
+@pytest.mark.parametrize("searched", [False, True])
+def test_every_order_of_a_train_set_classifies_alike(searched):
+    # the query, sample 0, ties samples 1 ("x") and 2 ("y"): the lower sample id wins
+    data = np.array([[0.0], [1.0], [-1.0], [2.0], [3.0]])
+    labels = labels_of(["x", "x", "y", "y", "y"])
+    source = data
+    if searched:
+        source = build_index(data)
+        source.topk(4)
+    for train in itertools.permutations([1, 2, 3, 4]):
+        assert knn_classify(source, labels, np.array(train), np.array([0])) == 1.0
+
+
+@pytest.mark.parametrize("searched", [False, True])
+def test_a_cosine_index_is_refused_for_its_features(searched):
+    # its rows are unit vectors, not the features
+    data = np.random.default_rng(0).normal(size=(20, 3))
+    labels = labels_of("ab" * 10)
+    train, test = np.arange(10), np.arange(10, 20)
+    index = build_index(data, "cosine")
+    if searched:
+        index.topk(5)
+    with pytest.raises(InvalidMetricError, match="pass the features"):
+        knn_classify(index, labels, train, test, "cosine")
+    assert 0.0 <= knn_classify(data, labels, train, test, "cosine") <= 1.0
+
+
+@pytest.mark.parametrize("indexed", [False, True])
+def test_repeated_train_indices_rejected(indexed):
+    # a train set is a set of samples: a repeat would be a vote counted twice
+    data = np.random.default_rng(0).normal(size=(6, 2))
+    labels = labels_of("ab" * 3)
+    with pytest.raises(InvalidSpecError, match="train indices repeat a sample"):
+        knn_classify(build_index(data) if indexed else data, labels,
+                     np.array([0, 1, 0]), np.array([2, 3]))
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +848,47 @@ def test_pipeline_config_from_json_rejects_a_malformed_shape(tmp_path, text, pro
     config_path.write_text(text)
     with pytest.raises(InvalidConfigError, match=problem):
         PipelineConfig.from_json(config_path)
+
+
+def configured(tmp_path, **changes):
+    return PipelineConfig(**{**write_fixture(tmp_path), **changes})
+
+
+def json_config_without(tmp_path, key):
+    params = write_fixture(tmp_path)
+    del params[key]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(params))
+    return config_path
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda tmp: SplitSpec("per_class_train_m", 3, repeats=0).validate(), InvalidSpecError,
+         "repeats must be >= 1"),
+        (lambda tmp: ResultTable([ResultRow("a", None, 2, (0.5,)),
+                                  ResultRow("b", None, 2, (0.5, 0.25))]).to_csv(),
+         InvalidConfigError, "differing split counts"),
+        (lambda tmp: sweep_report(ResultTable(), "votes"), InvalidConfigError,
+         "axis must be 'k' or 'd', got 'votes'"),
+        (lambda tmp: configured(tmp, k=[]).validate(), InvalidConfigError,
+         "k sweep must be a nonempty list"),
+        (lambda tmp: configured(tmp, d=[]).validate(), InvalidConfigError,
+         "d sweep must be a nonempty list"),
+        (lambda tmp: configured(tmp, votes=0).validate(), InvalidConfigError,
+         "votes must be >= 1"),
+        (lambda tmp: PipelineConfig.from_json(json_config_without(tmp, "features")),
+         InvalidConfigError, "'features' and 'labels' are required"),
+        (lambda tmp: PipelineConfig.from_json(json_config_without(tmp, "labels")),
+         InvalidConfigError, "'features' and 'labels' are required"),
+    ],
+    ids=["no-repeats", "split-counts", "sweep-axis", "empty-k", "empty-d", "no-votes",
+         "json-without-features", "json-without-labels"],
+)
+def test_invalid_evaluation_settings_raise_their_typed_error(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)
 
 
 def test_pipeline_manifest_names_the_metric_each_classifier_used(tmp_path, monkeypatch):

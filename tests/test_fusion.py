@@ -522,3 +522,23 @@ def test_binary_affinity_rows_keep_file_order(tmp_path):
     aff = load_affinity(path, "binary")
     assert [ids.tolist() for ids in aff.neighbor_ids] == [[1], [2, 0], [0, 1]]
     assert [p.tolist() for p in aff.probs] == [[1.0], [0.5, 0.5], [0.25, 0.75]]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: fuse_graphs([g, g], combine="mean"), "unknown combine rule 'mean'"),
+        (lambda g: normalize_affinity(g, kernel_input="similarity"),
+         "unknown kernel input mode 'similarity'"),
+        (lambda g: build_samplers(AffinityMatrix(
+            g.indptr, g.indices, np.full(g.indices.size, 0.5),
+            sigma_sq=np.full(g.n, SIGMA_FLOOR / 2),
+        )), "bandwidth below floor"),
+    ],
+    ids=["combine-rule", "kernel-input", "bandwidth"],
+)
+def test_invalid_fusion_settings_are_rejected(call, message):
+    graph = graph_from_rows(3, {0: [(1, 1.0), (2, 1.0)], 1: [(0, 1.0), (2, 1.0)],
+                                2: [(0, 1.0), (1, 1.0)]})
+    with pytest.raises(InvalidConfigError, match=message):
+        call(graph)
